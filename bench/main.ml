@@ -7,9 +7,9 @@
      fig6   - the AES ACG decomposition listing (Fig. 6 / Section 5.2)
      aes    - the prototype comparison table (Section 5.2 prose)
      ablate - library / beam ablations (design choices called out in DESIGN.md)
-     corpus - the persisted benchmark corpus (smoke settings; `corpus-full`
-              for the record settings — see lib/benchkit and `nocsynth bench`)
      micro  - Bechamel micro-benchmarks of the matching and search kernels
+
+   The persisted benchmark corpus is `nocsynth bench` (see lib/benchkit).
 
    Run all sections:        dune exec bench/main.exe
    Run one section:         dune exec bench/main.exe -- fig4a aes *)
@@ -429,37 +429,32 @@ let wormhole () =
   let custom = Syn.custom acg d in
   let mesh = Syn.mesh ~rows:4 ~cols:4 acg in
   let flows = D.edges (Acg.graph acg) in
-  Printf.printf "one burst of all 60 AES flows, 4-flit packets:
-";
-  Printf.printf "%-12s %-18s %10s %12s
-" "arch" "switching" "cycles" "avg latency";
+  Printf.printf "one burst of all 60 AES flows, 4-flit packets, one 8-bit flit per link cycle:\n";
+  Printf.printf "%-12s %-18s %10s %12s\n" "arch" "switching" "cycles" "avg latency";
   List.iter
     (fun (arch_name, arch) ->
-      (* store-and-forward *)
-      let net = Noc_sim.Network.create arch in
+      (* the flit engine gets the lanes the static deadlock analysis
+         prescribes, and the coarse model's flit width *)
+      let num_vcs = (Noc_core.Deadlock.analyze arch).Noc_core.Deadlock.vcs_needed in
+      let flit_config =
+        { Noc_sim.Flitsim.default_config with flit_bits = 8; phit_bits = 8; num_vcs }
+      in
       List.iter
-        (fun (src, dst) -> ignore (Noc_sim.Network.inject ~size_flits:4 net ~src ~dst))
-        flows;
-      (match Noc_sim.Network.run_until_idle net with
-      | `Idle -> ()
-      | `Limit _ -> failwith "hang");
-      let s = Stats.summarize (Noc_sim.Network.deliveries net) in
-      Printf.printf "%-12s %-18s %10d %12.2f
-" arch_name "store-and-forward"
-        (Noc_sim.Network.now net) s.Stats.avg_latency;
-      (* wormhole, 2 VCs *)
-      let wnet = Noc_sim.Wormhole.create arch in
-      List.iter
-        (fun (src, dst) -> ignore (Noc_sim.Wormhole.inject ~size_flits:4 wnet ~src ~dst))
-        flows;
-      (match Noc_sim.Wormhole.run_until_idle wnet with
-      | `Idle -> ()
-      | `Deadlock -> failwith "deadlock"
-      | `Limit -> failwith "hang");
-      let ws = Noc_sim.Wormhole.summary wnet in
-      Printf.printf "%-12s %-18s %10d %12.2f
-" arch_name "wormhole (2 VCs)"
-        (Noc_sim.Wormhole.now wnet) ws.Stats.avg_latency)
+        (fun (switching, kind) ->
+          let net = Noc_sim.Engine.create ~flit_config kind arch in
+          List.iter
+            (fun (src, dst) -> ignore (Noc_sim.Engine.inject ~size_flits:4 net ~src ~dst))
+            flows;
+          (match Noc_sim.Engine.run_until_idle net with
+          | Noc_sim.Engine.Idle -> ()
+          | v -> failwith (Noc_sim.Engine.verdict_name v));
+          Printf.printf "%-12s %-18s %10d %12.2f\n" arch_name switching
+            (Noc_sim.Engine.now net) (Noc_sim.Engine.summary net).Stats.avg_latency)
+        [
+          ("store-and-forward", Noc_sim.Engine.Coarse);
+          (Printf.sprintf "flit (%d lane%s)" num_vcs (if num_vcs = 1 then "" else "s"),
+            Noc_sim.Engine.Flit);
+        ])
     [ ("mesh", mesh); ("customized", custom) ]
 
 (* ------------------------------------------------------------------ *)
@@ -633,18 +628,6 @@ let library () =
     baseline.Noc_core.Library_design.total_remainder
 
 (* ------------------------------------------------------------------ *)
-(* Benchmark corpus (the persisted-record scenarios)                    *)
-
-let corpus ?(settings = Noc_benchkit.Runner.smoke) () =
-  section "Corpus - persisted benchmark scenarios (see `nocsynth bench`)";
-  Format.printf "%a@." Noc_benchkit.Runner.pp_header ();
-  List.iter
-    (fun sc ->
-      let r = Noc_benchkit.Runner.run ~settings sc in
-      Format.printf "%a@." Noc_benchkit.Runner.pp_row r)
-    (Noc_benchkit.Corpus.default ())
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                            *)
 
 let micro ?(quota = 0.5) () =
@@ -788,8 +771,6 @@ let sections =
     ("apps", apps);
     ("mapping", mapping);
     ("library", library);
-    ("corpus", fun () -> corpus ());
-    ("corpus-full", fun () -> corpus ~settings:Noc_benchkit.Runner.full ());
     ("micro", fun () -> micro ());
     (* a seconds-long variant for the bench-smoke alias: same rows, tiny
        measurement quota *)

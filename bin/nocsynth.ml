@@ -370,9 +370,15 @@ let simulate_cmd =
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
             "Simulation fidelity: $(b,coarse) (store-and-forward with contention and \
-             energy accounting), $(b,wormhole) (lockstep worms over virtual channels) \
-             or $(b,flit) (cycle-accurate VOQ routers with round-robin allocation, \
-             credit backpressure and byte-serial links).")
+             energy accounting) or $(b,flit) (cycle-accurate VOQ routers with \
+             round-robin allocation, credit backpressure, byte-serial links and the \
+             virtual-channel lanes the deadlock analysis prescribes).")
+  in
+  (* the flit engine runs with the lanes Deadlock.analyze prescribes, so a
+     deadlock verdict can never be an artefact of too few lanes *)
+  let create_engine engine arch =
+    let num_vcs = (Noc_core.Deadlock.analyze arch).Noc_core.Deadlock.vcs_needed in
+    Noc_sim.Engine.create ~flit_config:{ Noc_sim.Flitsim.default_config with num_vcs } engine arch
   in
   let scenario_arg =
     Arg.(
@@ -415,7 +421,7 @@ let simulate_cmd =
       (fun (s : Noc_benchkit.Corpus.scenario) ->
         let d, _ = Bb.decompose ~library s.Noc_benchkit.Corpus.acg in
         let arch = Syn.custom s.Noc_benchkit.Corpus.acg d in
-        let net = Noc_sim.Engine.create engine arch in
+        let net = create_engine engine arch in
         let flows = ref 0 in
         D.iter_edges
           (fun src dst ->
@@ -435,12 +441,6 @@ let simulate_cmd =
           && conserved
         in
         if not ok then failed := true;
-        if Noc_sim.Engine.vc_truncated net then
-          Logs.warn (fun k ->
-              k
-                "%s: VC assignment truncated (num_vcs too small) — a deadlock verdict \
-                 here is attributable to under-provisioned VCs"
-                s.Noc_benchkit.Corpus.name);
         say
           (Printf.sprintf "%-22s %-8s %-8s %8d %8d %10.2f %6s" s.Noc_benchkit.Corpus.name
              (Noc_sim.Engine.name net)
@@ -518,10 +518,10 @@ let simulate_cmd =
                          (Noc_sim.Stats.summary_metrics s
                          @ Noc_sim.Network.metrics net
                          @ Noc_sim.Stats.energy_metrics ~tech:tech' ~fp net)) )
-              | _ ->
-                  (* higher-fidelity engines: Bernoulli traffic on the ACG
-                     flows, as in Sweep.latency_vs_load (no energy model) *)
-                  let net = Noc_sim.Engine.create engine arch in
+              | Noc_sim.Engine.Flit ->
+                  (* the flit engine: Bernoulli traffic on the ACG flows, as
+                     in Sweep.latency_vs_load (no energy model) *)
+                  let net = create_engine engine arch in
                   let rng = Noc_util.Prng.create ~seed in
                   let edges = D.edges (Acg.graph acg) in
                   let verdict =
@@ -536,12 +536,6 @@ let simulate_cmd =
                         done;
                         Noc_sim.Engine.run_until_idle ~max_cycles:200_000 net)
                   in
-                  if Noc_sim.Engine.vc_truncated net then
-                    Logs.warn (fun k ->
-                        k
-                          "%s: VC assignment truncated (num_vcs too small) — a deadlock \
-                           verdict here is attributable to under-provisioned VCs"
-                          name);
                   let s = Noc_sim.Engine.summary net in
                   let row =
                     Printf.sprintf "%-12s %8d %10.2f %10.3f %12s %10s %8s" name
@@ -999,8 +993,8 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run the benchmark corpus (decompose, synth, deadlock check, wormhole \
-          simulation, load sweep) and persist a BENCH_<rev>.json record; compare two \
+         "Run the benchmark corpus (decompose, synth, deadlock check, flit-engine \
+          burst, load sweep) and persist a BENCH_<rev>.json record; compare two \
           records with bench/compare.exe.")
     Term.(
       const run $ smoke_flag $ tier_arg $ out $ rev_arg $ library_arg $ trace_arg

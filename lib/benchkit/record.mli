@@ -3,7 +3,7 @@
     One top-level object: [schema], [schema_version], [rev], [mode]
     ("full" or "smoke"), [created_unix_s] and a [scenarios] array with one
     object per corpus scenario (timing, search-tree, topology, energy,
-    deadlock, wormhole and sweep fields).  The schema is append-only:
+    deadlock, engine burst and sweep fields).  The schema is append-only:
     tools must tolerate extra fields, and renaming or removing a field
     bumps [schema_version]. *)
 

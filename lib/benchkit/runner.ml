@@ -12,7 +12,7 @@ type settings = {
   sweep_rates : float list;
   sweep_cycles : int;
   sweep_engine : Noc_sim.Engine.kind;
-  wormhole_size_flits : int;  (** packet size for every engine stage *)
+  burst_size_flits : int;
   seed : int;
   simulate : bool;
   fallback : bool;
@@ -30,7 +30,7 @@ let full =
     (* the latency-vs-load knee is the whole point of the sweep, so it
        runs at the fidelity where serialization and HOL blocking exist *)
     sweep_engine = Noc_sim.Engine.Flit;
-    wormhole_size_flits = 4;
+    burst_size_flits = 4;
     seed = 42;
     simulate = true;
     fallback = false;
@@ -146,7 +146,7 @@ type result = {
   deadlock_free : bool;
   vcs_needed : int;
   engines : engine_sample list;
-      (** one row per simulation fidelity (wormhole, flit), same traffic *)
+      (** the flit engine's burst row *)
   sweep : sweep_sample list;
   saturation_rate : float option;
   resilience : resilience_sample;
@@ -216,16 +216,14 @@ let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : setting
     Obs.span observe ~cat:"bench" (s.name ^ ".deadlock") (fun () ->
         Noc_core.Deadlock.analyze arch)
   in
-  (* one packet per ACG flow on each fidelity level: the delivery counts
-     must agree, the latencies rank coarse >= flit >= wormhole *)
+  (* one packet per ACG flow through the flit engine *)
   let engine_stage kind =
     let kname = Noc_sim.Engine.kind_name kind in
     Obs.span observe ~cat:"bench" (s.name ^ "." ^ kname) (fun () ->
         let net = Noc_sim.Engine.create kind arch in
         D.iter_edges
           (fun src dst ->
-            ignore
-              (Noc_sim.Engine.inject ~size_flits:settings.wormhole_size_flits net ~src ~dst))
+            ignore (Noc_sim.Engine.inject ~size_flits:settings.burst_size_flits net ~src ~dst))
           (Acg.graph acg);
         let status = Noc_sim.Engine.verdict_name (Noc_sim.Engine.run_until_idle net) in
         let summary = Noc_sim.Engine.summary net in
@@ -241,7 +239,7 @@ let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : setting
   in
   let engines =
     if not settings.simulate then []
-    else [ engine_stage Noc_sim.Engine.Wormhole; engine_stage Noc_sim.Engine.Flit ]
+    else [ engine_stage Noc_sim.Engine.Flit ]
   in
   let sweep_points =
     if not settings.simulate then []
@@ -469,14 +467,14 @@ let pp_row ppf r =
   let dn = List.nth r.search (List.length r.search - 1) in
   let lat name = match engine_row r name with Some e -> e.e_latency | None -> 0.0 in
   Format.fprintf ppf
-    "%-22s %-6s %5d %6d %9.4f %8d %8d %9.0f %8.0f %5.2fx %11.1f %8.2f %8.2f %6s %8.0f %5.2f %5d %12.1f"
+    "%-22s %-6s %5d %6d %9.4f %8d %8d %9.0f %8.0f %5.2fx %11.1f %8.2f %6s %8.0f %5.2f %5d %12.1f"
     r.name r.kind r.cores r.flows d1.wall_s d1.nodes d1.pruned d1.best_cost
-    d1.nodes_per_sec dn.speedup_vs_d1 r.energy_pj (lat "wormhole") (lat "flit")
+    d1.nodes_per_sec dn.speedup_vs_d1 r.energy_pj (lat "flit")
     (match r.saturation_rate with Some x -> Printf.sprintf "%.3f" x | None -> "-")
     r.serve.serve_rps r.serve.serve_hit_rate r.explore.front_size r.explore.hypervolume
 
 let pp_header ppf () =
   Format.fprintf ppf
-    "%-22s %-6s %5s %6s %9s %8s %8s %9s %8s %6s %11s %8s %8s %6s %8s %5s %5s %12s"
+    "%-22s %-6s %5s %6s %9s %8s %8s %9s %8s %6s %11s %8s %6s %8s %5s %5s %12s"
     "scenario" "kind" "cores" "flows" "wall (s)" "nodes" "pruned" "cost" "nd/s" "spdup"
-    "energy (pJ)" "wh lat" "fl lat" "sat" "srv r/s" "hit" "front" "hv"
+    "energy (pJ)" "fl lat" "sat" "srv r/s" "hit" "front" "hv"

@@ -1,10 +1,10 @@
 (** Runs the benchmark corpus through the full synthesis flow.
 
     Each scenario goes decompose -> glue -> deadlock analysis -> burst
-    simulation on each engine fidelity (wormhole, cycle-accurate flit) ->
-    offered-load sweep -> single-link fault campaign
-    -> service-layer request mix, with per-stage [Noc_obs] spans
-    (category ["bench"]) so a [--trace] of a bench run opens in Perfetto.
+    simulation on the cycle-accurate flit engine -> offered-load sweep ->
+    single-link fault campaign -> service-layer request mix, with
+    per-stage [Noc_obs] spans (category ["bench"]) so a [--trace] of a
+    bench run opens in Perfetto.
     Everything is seeded; apart from wall-clock fields the results are
     deterministic, which is what makes the regression gate possible. *)
 
@@ -19,10 +19,10 @@ type settings = {
       (** fidelity of the offered-load sweep; the persisted records run it
           at [Flit], where serialization and head-of-line blocking place
           the saturation knee *)
-  wormhole_size_flits : int;  (** packet size for every engine burst stage *)
+  burst_size_flits : int;  (** packet size of the engine burst stage *)
   seed : int;
   simulate : bool;
-      (** run the wormhole burst, load sweep and fault campaign; the scale
+      (** run the engine burst, load sweep and fault campaign; the scale
           tiers turn this off — cycle-accurate simulation of a 1024-core
           run would swamp the search-scaling signal *)
   fallback : bool;  (** seed the search with the greedy anytime fallback *)
@@ -77,15 +77,15 @@ type sweep_sample = {
 }
 
 type engine_sample = {
-  engine : string;  (** "wormhole" or "flit" *)
+  engine : string;  (** "flit", the engine's {!Noc_sim.Engine.kind_name} *)
   e_status : string;  (** "idle", "deadlock" or "limit" *)
   e_cycles : int;
   e_latency : float;
   e_delivered : int;
   e_flit_hops : int;
   e_vc_truncated : bool;
-      (** wormhole only: the VC cap truncated the increasing-channel
-          assignment, voiding the deadlock-freedom argument *)
+      (** {!Noc_sim.Engine.vc_truncated}: fewer lanes than the static
+          analysis prescribes, voiding the deadlock-freedom argument *)
 }
 
 type serve_sample = {

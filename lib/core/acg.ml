@@ -118,8 +118,13 @@ let serialize t rank_of =
          Buffer.add_string buf (Printf.sprintf "%d>%d:%d:%Lx;" ru rv vol bw));
   Buffer.contents buf
 
-let canonical_hash t =
+type labeling = { acg : t; frozen : Compact.t; rank : int array option }
+
+let canonical_labeling t =
   let frozen, rank = canonical_rank t in
+  { acg = t; frozen; rank }
+
+let hash_of_labeling { acg = t; frozen; rank } =
   match rank with
   | Some rank ->
       "canon:" ^ Digest.to_hex (Digest.string (serialize t (fun v -> rank.(Compact.index frozen v))))
@@ -128,8 +133,7 @@ let canonical_hash t =
          textually identical ACGs still collide (and only those) *)
       "exact:" ^ Digest.to_hex (Digest.string (serialize t (fun v -> Compact.index frozen v)))
 
-let canonical_form t =
-  let frozen, rank = canonical_rank t in
+let form_of_labeling { acg = t; frozen; rank } =
   match rank with
   | None -> None
   | Some rank ->
@@ -138,6 +142,9 @@ let canonical_form t =
         D.fold_vertices (fun v m -> D.Vmap.add v (f v) m) t.graph D.Vmap.empty
       in
       Some (map_vertices f t, mapping)
+
+let canonical_hash t = hash_of_labeling (canonical_labeling t)
+let canonical_form t = form_of_labeling (canonical_labeling t)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>ACG: %d cores, %d flows, total volume %d bits@ " (num_cores t)

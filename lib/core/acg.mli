@@ -75,4 +75,19 @@ val canonical_form : t -> (t * int Noc_graph.Digraph.Vmap.t) option
     identical [t'].  [None] when canonical labeling was truncated (same
     budget as {!canonical_hash}). *)
 
+type labeling
+(** One run of the canonical-labeling search over an ACG.  Both functions
+    above label from scratch; a caller that needs the hash and then maybe
+    the relabeled form (the service's cache lookup, then its miss path)
+    labels once and derives both from the result. *)
+
+val canonical_labeling : t -> labeling
+
+val hash_of_labeling : labeling -> string
+(** [hash_of_labeling (canonical_labeling t) = canonical_hash t]. *)
+
+val form_of_labeling : labeling -> (t * int Noc_graph.Digraph.Vmap.t) option
+(** [form_of_labeling (canonical_labeling t) = canonical_form t]; the
+    relabeling is built on each call, so derive it only when needed. *)
+
 val pp : Format.formatter -> t -> unit

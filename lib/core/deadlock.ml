@@ -6,17 +6,19 @@ type report = {
   vcs_needed : int;
 }
 
-let consecutive_channel_pairs path =
+let route_channels path =
   let rec chans = function
     | a :: (b :: _ as rest) -> (a, b) :: chans rest
     | [ _ ] | [] -> []
   in
-  let cs = chans path in
+  chans path
+
+let consecutive_channel_pairs path =
   let rec pairs = function
     | c1 :: (c2 :: _ as rest) -> (c1, c2) :: pairs rest
     | [ _ ] | [] -> []
   in
-  pairs cs
+  pairs (route_channels path)
 
 let channel_dependency_graph (arch : Synthesis.t) =
   let seen = Hashtbl.create 64 in
@@ -34,20 +36,24 @@ let channel_dependency_graph (arch : Synthesis.t) =
     arch.Synthesis.routes []
   |> List.rev
 
-let route_channels path =
-  let rec chans = function
-    | a :: (b :: _ as rest) -> (a, b) :: chans rest
-    | [ _ ] | [] -> []
-  in
-  chans path
+(* The increasing-channel-order discipline: a packet starts on VC 0 and
+   moves to the next VC whenever the channel order does not increase. *)
+let route_vcs ?(num_vcs = max_int) path =
+  if num_vcs < 1 then invalid_arg "Deadlock.route_vcs: num_vcs must be >= 1";
+  let chans = Array.of_list (route_channels path) in
+  let vcs = Array.make (Array.length chans) 0 in
+  let vc = ref 0 in
+  for i = 1 to Array.length chans - 1 do
+    if D.Edge.compare chans.(i) chans.(i - 1) <= 0 then incr vc;
+    vcs.(i) <- min !vc (num_vcs - 1)
+  done;
+  vcs
 
+(* order inversions along a route: the last channel's uncapped VC *)
 let inversions path =
-  let rec count = function
-    | c1 :: (c2 :: _ as rest) ->
-        (if D.Edge.compare c2 c1 <= 0 then 1 else 0) + count rest
-    | [ _ ] | [] -> 0
-  in
-  count (route_channels path)
+  let vcs = route_vcs path in
+  let n = Array.length vcs in
+  if n = 0 then 0 else vcs.(n - 1)
 
 let analyze (arch : Synthesis.t) =
   (* build the CDG as a digraph over channel ids *)
@@ -75,15 +81,13 @@ let analyze (arch : Synthesis.t) =
     | Some ids -> Some (List.map (Hashtbl.find id_chan) ids)
     | None -> None
   in
-  let vcs_needed =
-    1
-    + Edge_map.fold
-        (fun _ path acc -> max acc (inversions path))
-        arch.Synthesis.routes 0
-  in
   (* without any CDG cycle a single channel class suffices regardless of
      inversions *)
-  let vcs_needed = if cdg_cycle = None then 1 else vcs_needed in
+  let vcs_needed =
+    if cdg_cycle = None then 1
+    else
+      1 + Edge_map.fold (fun _ path acc -> max acc (inversions path)) arch.Synthesis.routes 0
+  in
   { cdg_cycle; vcs_needed }
 
 let is_deadlock_free arch = (analyze arch).cdg_cycle = None
@@ -92,19 +96,5 @@ let vc_of_hop (arch : Synthesis.t) ~src ~dst ~hop =
   match Synthesis.route arch ~src ~dst with
   | None -> None
   | Some path ->
-      let chans = route_channels path in
-      if hop < 0 || hop >= List.length chans then None
-      else begin
-        let vc = ref 0 in
-        let prev = ref None in
-        let result = ref 0 in
-        List.iteri
-          (fun i c ->
-            (match !prev with
-            | Some p when D.Edge.compare c p <= 0 -> incr vc
-            | Some _ | None -> ());
-            prev := Some c;
-            if i = hop then result := !vc)
-          chans;
-        Some !result
-      end
+      let vcs = route_vcs path in
+      if hop < 0 || hop >= Array.length vcs then None else Some vcs.(hop)

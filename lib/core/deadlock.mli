@@ -28,10 +28,19 @@ val analyze : Synthesis.t -> report
 val is_deadlock_free : Synthesis.t -> bool
 (** True iff the CDG is acyclic (no virtual channels needed). *)
 
-val vc_of_hop : Synthesis.t -> src:int -> dst:int -> hop:int -> int option
-(** Virtual channel assigned to the [hop]-th channel (0-based) of a flow's
-    route under the increasing-order discipline: a packet starts on VC 0
-    and moves to the next VC whenever the channel order decreases.  Within
-    one VC the traversed channels are strictly increasing, so each VC's
+val route_vcs : ?num_vcs:int -> int list -> int array
+(** [route_vcs ?num_vcs path] is the virtual channel of each channel of the
+    vertex path [path] (one entry per link, 0-based) under the
+    increasing-order discipline: a packet starts on VC 0 and moves to the
+    next VC whenever the channel order does not increase.  Within one VC
+    the traversed channels are strictly increasing, so each VC's
     restricted CDG is acyclic and the whole routing is deadlock-free with
-    [vcs_needed] virtual channels. *)
+    [vcs_needed] virtual channels.  Entries are capped at [num_vcs - 1]
+    (default: uncapped); a capped assignment no longer carries the
+    deadlock-freedom argument.  This is the one implementation of the
+    rule: {!analyze}, {!vc_of_hop} and the flit engine's lanes all use it.
+    @raise Invalid_argument if [num_vcs < 1]. *)
+
+val vc_of_hop : Synthesis.t -> src:int -> dst:int -> hop:int -> int option
+(** The uncapped {!route_vcs} entry of the [hop]-th channel (0-based) of a
+    flow's route; [None] without a route or outside it. *)

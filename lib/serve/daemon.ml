@@ -122,7 +122,7 @@ let account t (r : reply) =
 
 exception Bad of string
 
-let compute t (req : Proto.Request.t) ~key =
+let compute t (req : Proto.Request.t) ~key ~labeling =
   (match t.fault_hook with
   | Some hook when hook () -> raise Injected_fault
   | _ -> ());
@@ -134,7 +134,7 @@ let compute t (req : Proto.Request.t) ~key =
   (* synthesize on the canonical relabeling: the search is deterministic,
      so every ACG isomorphic to this one produces these exact bytes *)
   let canonical, acg =
-    match Acg.canonical_form req.acg with
+    match Acg.form_of_labeling labeling with
     | Some (acg, _mapping) -> (true, acg)
     | None -> (false, req.acg)
   in
@@ -210,11 +210,14 @@ let solve t (req : Proto.Request.t) : reply =
        match
          Noc_util.Timer.time (fun () ->
              Obs.span t.observe ~cat:"serve" "solve" (fun () ->
-                 let key = Proto.Request.cache_key req in
+                 (* one labeling per request: the key comes from it, and
+                    on a miss so does the relabeled ACG *)
+                 let labeling = Acg.canonical_labeling req.acg in
+                 let key = Proto.Request.cache_key_of_labeling req labeling in
                  match Cache.find t.cache key with
                  | Some (bytes, response) -> (key, response, bytes, Hit)
                  | None ->
-                     let response = compute t req ~key in
+                     let response = compute t req ~key ~labeling in
                      let bytes = Proto.Response.to_string response in
                      Cache.add t.cache key (bytes, response);
                      (key, response, bytes, Miss)))

@@ -25,7 +25,7 @@ module Request = struct
 
   (* [%h] hex floats are exact, so two budgets/constraints collide exactly
      when they are the same values *)
-  let cache_key t =
+  let cache_key_of_labeling t labeling =
     let timeout =
       match t.budget.Bb.Budget.timeout_s with
       | None -> "none"
@@ -37,8 +37,10 @@ module Request = struct
       | Some c ->
           Printf.sprintf "%h/%d" c.Cons.link_bandwidth c.Cons.max_bisection_links
     in
-    Printf.sprintf "%s|lib=%s|t=%s|n=%d|c=%s" (Acg.canonical_hash t.acg)
+    Printf.sprintf "%s|lib=%s|t=%s|n=%d|c=%s" (Acg.hash_of_labeling labeling)
       t.library timeout t.budget.Bb.Budget.max_nodes cons
+
+  let cache_key t = cache_key_of_labeling t (Acg.canonical_labeling t.acg)
 end
 
 module Error = struct

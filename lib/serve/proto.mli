@@ -41,6 +41,10 @@ module Request : sig
       domain count — so a request served at [domains = 1] is a cache hit
       for the same ACG at [domains = 8]. *)
 
+  val cache_key_of_labeling : t -> Noc_core.Acg.labeling -> string
+  (** {!cache_key} from an already computed [Acg.canonical_labeling t.acg],
+      so the daemon labels each request once. *)
+
   val library_of_name : string -> Noc_primitives.Library.t option
   (** Resolves the library field; [None] for unknown names. *)
 end

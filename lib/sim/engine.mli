@@ -1,25 +1,24 @@
-(** One façade over the three simulation fidelities.
+(** One façade over the two simulation fidelities.
 
-    The repo grew three traffic engines with deliberately parallel APIs —
-    {!Network} (coarse store-and-forward, fault-aware), {!Wormhole}
-    (lockstep worms over virtual channels) and {!Flitsim} (cycle-accurate
-    VOQ routers with credits and serialization).  This module packages
-    them behind one dispatch type so benchkit, resilience campaigns,
-    sweeps and the CLI select fidelity per run
-    ([nocsynth simulate --engine coarse|wormhole|flit]) instead of hard
-    -coding one model.
+    {!Network} (coarse store-and-forward, fault-aware) and {!Flitsim}
+    (cycle-accurate VOQ routers with credits, serialization and
+    virtual-channel lanes) have deliberately parallel APIs.  This module
+    packages them behind one dispatch type so benchkit, resilience
+    campaigns, sweeps and the CLI select fidelity per run
+    ([nocsynth simulate --engine coarse|flit]) instead of hard-coding one
+    model.
 
     Verdicts are unified: the coarse engine cannot deadlock (per-hop
     buffering with retries), so its [`Limit] maps to {!Limit}; the flit
-    and wormhole engines report genuine circular waits as {!Deadlock}. *)
+    engine reports genuine circular waits as {!Deadlock}. *)
 
-type kind = Coarse | Wormhole | Flit
+type kind = Coarse | Flit
 
 val all_kinds : kind list
-(** In increasing fidelity order: [Coarse; Wormhole; Flit]. *)
+(** In increasing fidelity order: [Coarse; Flit]. *)
 
 val kind_name : kind -> string
-(** ["coarse"] / ["wormhole"] / ["flit"]. *)
+(** ["coarse"] / ["flit"]. *)
 
 val kind_of_name : string -> kind option
 
@@ -27,12 +26,11 @@ type t
 
 val create :
   ?coarse_config:Network.config ->
-  ?wormhole_config:Wormhole.config ->
   ?flit_config:Flitsim.config ->
   kind ->
   Noc_core.Synthesis.t ->
   t
-(** Only the config matching [kind] is consulted; the others are accepted
+(** Only the config matching [kind] is consulted; the other is accepted
     so callers can thread one record of knobs around. *)
 
 val kind : t -> kind
@@ -57,9 +55,8 @@ val verdict_name : verdict -> string
 
 val run_until_idle : ?max_cycles:int -> t -> verdict
 
-val deliveries : t -> Network.delivery list
-(** Unified view: every engine's deliveries as the coarse engine's record
-    (packet + delivery cycle). *)
+val deliveries : t -> Packet.delivery list
+(** In delivery order, on either engine. *)
 
 val summary : t -> Stats.summary
 
@@ -69,15 +66,13 @@ val metrics : t -> (string * float) list
 (** The underlying engine's metric snapshot (keys are engine-specific). *)
 
 val vc_truncated : t -> bool
-(** [true] iff this is a wormhole engine whose VC allocation was capped
-    below what the increasing-channel discipline required (see
-    {!Wormhole.vc_truncated}) — a [Deadlock] verdict is then attributable
-    to under-provisioned VCs rather than the architecture.  Always
-    [false] for the other engines. *)
+(** [true] iff this is a flit engine with fewer lanes than the static
+    analysis prescribes ({!Flitsim.vc_truncated}) — a [Deadlock] verdict
+    is then attributable to under-provisioned lanes rather than the
+    architecture.  Always [false] for the coarse engine. *)
 
 val coarse : t -> Network.t option
 (** The underlying coarse engine, for callers that need its fault API or
-    energy accounting; [None] for the other kinds. *)
+    energy accounting; [None] for the flit engine. *)
 
-val wormhole : t -> Wormhole.t option
 val flitsim : t -> Flitsim.t option

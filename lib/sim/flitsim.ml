@@ -3,13 +3,20 @@ module Edge_map = D.Edge_map
 module Vmap = D.Vmap
 module Syn = Noc_core.Synthesis
 
-type config = { fifo_depth : int; flit_bits : int; phit_bits : int; router_delay : int }
+type config = {
+  fifo_depth : int;
+  flit_bits : int;
+  phit_bits : int;
+  router_delay : int;
+  num_vcs : int;
+}
 
-let default_config = { fifo_depth = 4; flit_bits = 32; phit_bits = 8; router_delay = 1 }
+let default_config =
+  { fifo_depth = 4; flit_bits = 32; phit_bits = 8; router_delay = 1; num_vcs = 1 }
 
 let phits_per_flit cfg = (cfg.flit_bits + cfg.phit_bits - 1) / cfg.phit_bits
 
-type delivery = { packet : Packet.t; delivered_at : int }
+type delivery = Packet.delivery = { packet : Packet.t; delivered_at : int }
 
 type t = {
   arch : Syn.t;
@@ -45,6 +52,7 @@ let create ?(config = default_config) arch =
   if config.flit_bits < 1 then invalid_arg "Flitsim.create: flit_bits must be >= 1";
   if config.phit_bits < 1 then invalid_arg "Flitsim.create: phit_bits must be >= 1";
   if config.router_delay < 1 then invalid_arg "Flitsim.create: router_delay must be >= 1";
+  if config.num_vcs < 1 then invalid_arg "Flitsim.create: num_vcs must be >= 1";
   let topo = arch.Syn.topology in
   (* Routers for every topology vertex plus every route vertex: a zero-hop
      flow [v -> v] may name a core no link touches. *)
@@ -59,7 +67,8 @@ let create ?(config = default_config) arch =
     (fun v ->
       let preds = if D.mem_vertex topo v then D.Vset.elements (D.pred topo v) else [] in
       let succs = if D.mem_vertex topo v then D.Vset.elements (D.succ topo v) else [] in
-      Hashtbl.replace routers v (Router.create ~node:v ~preds ~succs ~depth:config.fifo_depth))
+      let depth = config.fifo_depth and num_vcs = config.num_vcs in
+      Hashtbl.replace routers v (Router.create ~node:v ~preds ~succs ~depth ~num_vcs))
     order;
   {
     arch;
@@ -97,12 +106,16 @@ let output_at (f : Router.flit) ~at =
   if at = Array.length route - 1 then Router.Eject else Router.To route.(at + 1)
 
 (* The downstream VOQ a flit lands in when its current router puts it on
-   the link — the queue whose credit the sender must hold. *)
+   the link — the queue whose credit the sender must hold: the lane of
+   its packet's virtual channel on that link. *)
 let downstream_voq t (f : Router.flit) =
   let route = f.Router.packet.Packet.route in
-  let here = route.(f.Router.hop) in
-  let next = route.(f.Router.hop + 1) in
-  Router.find_voq (router t next) ~input:(Router.From here) ~output:(output_at f ~at:(f.Router.hop + 1))
+  let hop = f.Router.hop in
+  Router.find_voq
+    (router t route.(hop + 1))
+    ~input:(Router.From route.(hop))
+    ~output:(output_at f ~at:(hop + 1))
+    ~vc:f.Router.lanes.(hop)
 
 let schedule_credit t at credits =
   let l =
@@ -125,6 +138,7 @@ let inject ?(tag = 0) ?(payload = Bytes.empty) ?(size_flits = 1) t ~src ~dst =
   | None -> invalid_arg (Printf.sprintf "Flitsim.inject: no route %d -> %d" src dst)
   | Some path ->
       let route = Array.of_list path in
+      let lanes = Noc_core.Deadlock.route_vcs ~num_vcs:t.cfg.num_vcs path in
       let id = t.next_id in
       t.next_id <- id + 1;
       let packet =
@@ -133,7 +147,7 @@ let inject ?(tag = 0) ?(payload = Bytes.empty) ?(size_flits = 1) t ~src ~dst =
       let r = router t src in
       for idx = 0 to size_flits - 1 do
         Queue.add
-          { Router.flit = { Router.packet; idx; hop = 0 }; ready_at = t.cycle }
+          { Router.flit = { Router.packet; lanes; idx; hop = 0 }; ready_at = t.cycle }
           r.Router.ni
       done;
       t.injected_packets <- t.injected_packets + 1;
@@ -174,6 +188,7 @@ let step t =
               let voq =
                 Router.find_voq (router t v) ~input:(Router.From u)
                   ~output:(output_at f ~at:f.Router.hop)
+                  ~vc:f.Router.lanes.(f.Router.hop - 1)
               in
               Queue.add { Router.flit = f; ready_at = c + t.cfg.router_delay } voq.Router.q;
               t.last_ready <- max t.last_ready (c + t.cfg.router_delay);
@@ -247,7 +262,9 @@ let step t =
       match Queue.peek_opt r.Router.ni with
       | None -> ()
       | Some e ->
-          let voq = Router.find_voq r ~input:Router.Local ~output:(output_at e.Router.flit ~at:0) in
+          let voq =
+            Router.find_voq r ~input:Router.Local ~output:(output_at e.Router.flit ~at:0) ~vc:0
+          in
           if Queue.length voq.Router.q < t.cfg.fifo_depth then begin
             ignore (Queue.pop r.Router.ni);
             e.Router.ready_at <- c + t.cfg.router_delay;
@@ -289,11 +306,9 @@ let buffer_flit_cycles t = t.buffer_flit_cycles
 let link_flits t = t.link_flits
 let switch_flits t = t.switch_flits
 
-let summary t =
-  Stats.summarize
-    (List.map
-       (fun d -> { Network.packet = d.packet; Network.delivered_at = d.delivered_at })
-       (deliveries t))
+let summary t = Stats.summarize (deliveries t)
+
+let vc_truncated t = t.cfg.num_vcs < (Noc_core.Deadlock.analyze t.arch).vcs_needed
 
 let metrics t =
   [

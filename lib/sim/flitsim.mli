@@ -1,13 +1,14 @@
 (** Cycle-accurate flit-level simulation over {!Router} pipelines.
 
     This is the high-fidelity end of the engine spectrum ({!Engine}): where
-    {!Network} moves whole packets hop-by-hop and {!Wormhole} advances
-    worms in lockstep, this engine clocks every flit through per-input
-    virtual output queues, a round-robin switch allocator, credit-based
-    link backpressure, and byte-serial link serialization — the effects
-    (head-of-line blocking, buffer depth, serialization stalls) that
-    decide where the saturation knee of a synthesized architecture really
-    sits.
+    {!Network} moves whole packets hop-by-hop, this engine clocks every
+    flit through per-input virtual output queues, a round-robin switch
+    allocator, credit-based link backpressure, and byte-serial link
+    serialization — the effects (head-of-line blocking, buffer depth,
+    serialization stalls) that decide where the saturation knee of a
+    synthesized architecture really sits.  A packet's flits spread over
+    several routers when it is longer than one queue, so this is wormhole
+    switching at flit granularity.
 
     {2 Microarchitecture}
 
@@ -34,7 +35,7 @@
     Flits of one packet follow identical VOQs and FIFO links, so they
     arrive in order and never interleave within a queue entry-wise; worms
     from different packets {e do} interleave on shared links, which is
-    exactly the contention the coarse engines cannot see.
+    exactly the contention the coarse engine cannot see.
 
     {2 Documented latency bound}
 
@@ -49,9 +50,9 @@
     credit round trip, the standard sizing rule for credit-based flow
     control; shallower FIFOs insert credit-stall bubbles and only
     lengthen latency (the default config satisfies the rule).  With
-    [rd = 1] and [p = 1] the bound reads [2h + n + 1] — above the
-    wormhole model's idealized [h + n] and below store-and-forward; the
-    differential suite in [test/suite_flit.ml] holds the engine to it.
+    [rd = 1] and [p = 1] the bound reads [2h + n + 1], below
+    store-and-forward; the suite in [test/suite_flit.ml] holds the engine
+    to it.
 
     {2 Conservation}
 
@@ -59,10 +60,27 @@
     (NI + VOQ + wire occupancy); {!conservation_ok} exposes the check and
     the qcheck harness asserts it after every step.
 
+    {2 Virtual-channel lanes}
+
     Routes are fixed and stalled flits hold buffer slots, so cyclic
-    channel dependencies can genuinely deadlock the fabric (no virtual
-    channels at this fidelity level); {!run_until_idle} detects the
-    fixpoint and reports [`Deadlock]. *)
+    channel dependencies can genuinely deadlock the fabric;
+    {!run_until_idle} detects the fixpoint and reports [`Deadlock].  Paper
+    §4.5 removes such cycles with virtual channels, and so does this
+    engine: every link input of a router keeps [num_vcs] lanes per output
+    ({!Router}), and a packet holds, on each link of its route, the
+    virtual channel {!Noc_core.Deadlock.route_vcs} assigns (the
+    increasing-channel-order rule, capped at [num_vcs - 1]).  With the
+    [vcs_needed] lanes {!Noc_core.Deadlock.analyze} prescribes, buffer
+    dependencies follow strictly increasing (vc, channel) pairs and the
+    fabric cannot deadlock; with fewer, {!vc_truncated} says so.
+
+    One lane is the default and is already enough for every acyclic
+    channel dependency graph.  It also splits some cyclic ones.  A queue
+    is keyed by its (input, output) channel pair, so it waits only on the
+    queue of the next pair of the same route.  On a 2-hop route that next
+    queue is an ejection queue, which always drains, so a ring of 2-hop
+    routes drains at one lane although its dependency graph is cyclic.
+    Routes of 3 hops or more chain transit queues and can close a cycle. *)
 
 type config = {
   fifo_depth : int;  (** VOQ capacity in flits, >= 1 *)
@@ -71,15 +89,16 @@ type config = {
       (** physical link width; a flit crosses a link in
           [ceil (flit_bits / phit_bits)] cycles *)
   router_delay : int;  (** buffer-write to switch-eligible pipeline depth, >= 1 *)
+  num_vcs : int;  (** virtual-channel lanes per link input, >= 1 *)
 }
 
 val default_config : config
 (** [fifo_depth = 4], [flit_bits = 32], [phit_bits = 8] (byte-serial:
-    4 phits per flit), [router_delay = 1]. *)
+    4 phits per flit), [router_delay = 1], [num_vcs = 1]. *)
 
 val phits_per_flit : config -> int
 
-type delivery = { packet : Packet.t; delivered_at : int }
+type delivery = Packet.delivery = { packet : Packet.t; delivered_at : int }
 
 type t
 
@@ -131,7 +150,13 @@ val link_flits : t -> int Noc_graph.Digraph.Edge_map.t
 val switch_flits : t -> int Noc_graph.Digraph.Vmap.t
 
 val summary : t -> Stats.summary
-(** {!Stats.summarize} over a compatible delivery view. *)
+(** {!Stats.summarize} over {!deliveries}. *)
+
+val vc_truncated : t -> bool
+(** [num_vcs < (Noc_core.Deadlock.analyze arch).vcs_needed]: the lanes are
+    fewer than the static analysis prescribes, so the deadlock-freedom
+    argument does not cover this run and a [`Deadlock] verdict is
+    attributable to under-provisioned lanes.  Computed on each call. *)
 
 val metrics : t -> (string * float) list
 (** Flat snapshot: cycles, injected/delivered/pending packets, flit

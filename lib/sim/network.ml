@@ -20,7 +20,7 @@ let default_fault_policy = { max_retries = 8; backoff_base = 2; backoff_cap = 64
 
 type policy = Fixed | Adaptive | Oblivious of Noc_util.Prng.t
 
-type delivery = { packet : Packet.t; delivered_at : int }
+type delivery = Packet.delivery = { packet : Packet.t; delivered_at : int }
 
 type drop_reason = Link_failed | Switch_failed | No_route | Retries_exhausted
 

@@ -68,7 +68,7 @@ type policy =
       (** minimal stochastic: uniform choice among distance-reducing
           neighbors, deterministic for a given PRNG *)
 
-type delivery = { packet : Packet.t; delivered_at : int }
+type delivery = Packet.delivery = { packet : Packet.t; delivered_at : int }
 
 (** Why a packet was dropped: *)
 type drop_reason =

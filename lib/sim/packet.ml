@@ -9,6 +9,8 @@ type t = {
   injected_at : int;
 }
 
+type delivery = { packet : t; delivered_at : int }
+
 let hops t = Array.length t.route - 1
 
 let pp ppf t =

@@ -11,6 +11,10 @@ type t = {
   injected_at : int;
 }
 
+type delivery = { packet : t; delivered_at : int }
+(** A packet and the cycle its tail flit reached the sink: the one delivery
+    record every engine reports and {!Stats.summarize} reads. *)
+
 val hops : t -> int
 (** Number of physical links the packet crosses. *)
 

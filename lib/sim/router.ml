@@ -1,9 +1,9 @@
-type flit = { packet : Packet.t; idx : int; mutable hop : int }
+type flit = { packet : Packet.t; lanes : int array; idx : int; mutable hop : int }
 type in_key = Local | From of int
 type out_key = Eject | To of int
 type entry = { flit : flit; mutable ready_at : int }
 
-type voq = { input : in_key; output : out_key; q : entry Queue.t; credits : Credit.t }
+type voq = { input : in_key; output : out_key; vc : int; q : entry Queue.t; credits : Credit.t }
 
 type port = {
   dest : out_key;
@@ -15,18 +15,23 @@ type port = {
 
 type t = { node : int; ni : entry Queue.t; outputs : port array }
 
-let create ~node ~preds ~succs ~depth =
+let create ~node ~preds ~succs ~depth ~num_vcs =
   let inputs = Local :: List.map (fun u -> From u) (List.sort_uniq compare preds) in
   let dests = Eject :: List.map (fun v -> To v) (List.sort_uniq compare succs) in
+  let lanes input = if input = Local then [ 0 ] else List.init num_vcs Fun.id in
   let outputs =
     Array.of_list
       (List.map
          (fun dest ->
            let voqs =
              Array.of_list
-               (List.map
+               (List.concat_map
                   (fun input ->
-                    { input; output = dest; q = Queue.create (); credits = Credit.create ~capacity:depth })
+                    List.map
+                      (fun vc ->
+                        let credits = Credit.create ~capacity:depth in
+                        { input; output = dest; vc; q = Queue.create (); credits })
+                      (lanes input))
                   inputs)
            in
            { dest; voqs; rr = 0; busy_until = 0; in_flight = None })
@@ -41,11 +46,11 @@ let port t dest =
   in
   go 0
 
-let find_voq t ~input ~output =
+let find_voq t ~input ~output ~vc =
   let p = port t output in
   let n = Array.length p.voqs in
   let rec go i = if i = n then raise Not_found
-    else if p.voqs.(i).input = input then p.voqs.(i) else go (i + 1)
+    else if p.voqs.(i).input = input && p.voqs.(i).vc = vc then p.voqs.(i) else go (i + 1)
   in
   go 0
 

@@ -11,12 +11,24 @@
     {!Credit.t} mirroring the free space of the downstream VOQ its flits
     will land in (see {!Flitsim} for the wiring).
 
+    Each link input's VOQs are further split into virtual-channel
+    {e lanes}: the queue a flit enters is keyed by (input, output, vc),
+    where [vc] is the virtual channel its packet holds on the link it
+    arrived over.  Lanes are separate buffers with separate credits, so a
+    packet that moved to a higher VC never waits behind one on a lower VC
+    of the same link.  The local input has a single lane (no link crossed
+    yet); with one lane per link the router is a plain VOQ router.
+
     This module owns the {e state} — queues, arbiter pointers, link
     occupancy — and the arbitration primitive; the clocking discipline
     (what moves in which phase of a cycle) lives in {!Flitsim}. *)
 
 type flit = {
   packet : Packet.t;
+  lanes : int array;
+      (** the packet's virtual channel on each link of its route
+          ([lanes.(i)] for the link [route.(i) -> route.(i+1)]), shared
+          by all its flits *)
   idx : int;  (** 0-based flit index; [idx = size_flits - 1] is the tail *)
   mutable hop : int;
       (** index into [packet.route] of the router currently holding (or
@@ -38,6 +50,7 @@ type entry = { flit : flit; mutable ready_at : int }
 type voq = {
   input : in_key;
   output : out_key;
+  vc : int;  (** the lane: the virtual channel of the [input] link *)
   q : entry Queue.t;  (** bounded by the engine at [fifo_depth] *)
   credits : Credit.t;
       (** the credit counter the {e upstream} sender of [input] consults
@@ -50,7 +63,8 @@ type port = {
   dest : out_key;
   voqs : voq array;
       (** every VOQ of this router targeting [dest], in the fixed
-          arbitration order [Local], then [From u] by ascending [u] *)
+          arbitration order [Local], then [From u] by ascending [u], each
+          input's lanes by ascending [vc] *)
   mutable rr : int;  (** round-robin pointer into [voqs] *)
   mutable busy_until : int;
       (** link serialization: the earliest cycle a new flit may start
@@ -68,15 +82,17 @@ type t = {
   outputs : port array;  (** fixed order: [Eject] first, then [To v] by ascending [v] *)
 }
 
-val create : node:int -> preds:int list -> succs:int list -> depth:int -> t
+val create :
+  node:int -> preds:int list -> succs:int list -> depth:int -> num_vcs:int -> t
 (** A router with one input per element of [Local :: preds] and one output
     per element of [Eject :: succs]; every (input, output) pair gets a VOQ
-    of capacity [depth] and a matching credit counter. *)
+    of capacity [depth] and a matching credit counter per lane — [num_vcs]
+    lanes for a link input, one for [Local]. *)
 
 val port : t -> out_key -> port
 (** @raise Not_found if the router has no such output. *)
 
-val find_voq : t -> input:in_key -> output:out_key -> voq
+val find_voq : t -> input:in_key -> output:out_key -> vc:int -> voq
 (** @raise Not_found if the router has no such queue. *)
 
 val arbitrate : port -> (voq -> bool) -> voq option

@@ -31,7 +31,7 @@ let summarize deliveries =
       let n = List.length ds in
       let flits, lat_sum, lat_min, lat_max, hop_sum, first_inject, last_deliver =
         List.fold_left
-          (fun (fl, ls, lmin, lmax, hs, fi, ld) { Network.packet; delivered_at } ->
+          (fun (fl, ls, lmin, lmax, hs, fi, ld) { Packet.packet; delivered_at } ->
             let lat = delivered_at - packet.Packet.injected_at in
             ( fl + packet.Packet.size_flits,
               ls + lat,

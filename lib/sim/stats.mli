@@ -16,7 +16,7 @@ type summary = {
   throughput : float;  (** delivered flits per cycle over the makespan *)
 }
 
-val summarize : Network.delivery list -> summary
+val summarize : Packet.delivery list -> summary
 (** Summary of a delivery batch; all-zero summary for []. *)
 
 val dynamic_energy_pj :

@@ -65,21 +65,13 @@ let test_runner_sanity () =
     r.Runner.search;
   Alcotest.(check bool) "links" true (r.Runner.links > 0);
   Alcotest.(check bool) "energy positive" true (r.Runner.energy_pj > 0.);
-  Alcotest.(check int)
-    "one burst row per engine fidelity" 2
-    (List.length r.Runner.engines);
-  List.iter
-    (fun (e : Runner.engine_sample) ->
-      Alcotest.(check bool) (e.Runner.engine ^ " delivered") true (e.Runner.e_delivered > 0))
-    r.Runner.engines;
-  (match (Runner.engine_row r "wormhole", Runner.engine_row r "flit") with
-  | Some wh, Some fl ->
-      Alcotest.(check int)
-        "both fidelities deliver the same packet count" wh.Runner.e_delivered
-        fl.Runner.e_delivered;
-      Alcotest.(check bool)
-        "no VC truncation on the corpus head" false wh.Runner.e_vc_truncated
-  | _ -> Alcotest.fail "missing engine burst row");
+  Alcotest.(check int) "one burst row" 1 (List.length r.Runner.engines);
+  (match Runner.engine_row r "flit" with
+  | Some fl ->
+      Alcotest.(check string) "flit burst drains" "idle" fl.Runner.e_status;
+      Alcotest.(check int) "one packet per flow" r.Runner.flows fl.Runner.e_delivered;
+      Alcotest.(check bool) "no lane truncation on the corpus head" false fl.Runner.e_vc_truncated
+  | None -> Alcotest.fail "missing engine burst row");
   Alcotest.(check int)
     "one sweep sample per rate"
     (List.length Runner.smoke.Runner.sweep_rates)
@@ -133,9 +125,8 @@ let test_record_flatten_keys () =
       "scenarios.fig2.search.d1.wall_s";
       "scenarios.fig2.search.d1.nodes";
       "scenarios.fig2.energy_pj";
-      "scenarios.fig2.engines.wormhole.avg_latency";
       "scenarios.fig2.engines.flit.avg_latency";
-      "scenarios.fig2.engines.wormhole.vc_truncated";
+      "scenarios.fig2.engines.flit.vc_truncated";
       "scenarios.fig2.resilience.min_delivered_fraction";
       "scenarios.fig2.resilience.critical_links";
       "scenarios.fig2.resilience.survives_single_link";

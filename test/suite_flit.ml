@@ -1,9 +1,11 @@
 (* Tests for the cycle-accurate flit engine stack (lib/sim: Credit,
-   Router, Flitsim, Engine) and the wormhole fixes that rode along with
-   it: zero-hop worms, O(1) injection, VC-cap truncation reporting.
+   Router, Flitsim, Engine), including its wormhole switching over
+   virtual-channel lanes: zero-hop packets, large bursts, lane
+   provisioning against the static deadlock analysis.
 
-   The differential qcheck suites cross-validate the three fidelity
-   levels on the same random ACGs the oracle harness uses: every engine
+   The differential qcheck suites cross-validate the two fidelity levels
+   on the same random ACGs the oracle harness uses, and on random cyclic
+   ring routings where only the lanes prevent deadlock: every drained run
    must deliver exactly the injected packet set, the flit engine's
    conservation invariant must hold after every cycle, and deeper VOQs
    must never slow a burst down. *)
@@ -19,7 +21,6 @@ module Prng = Noc_util.Prng
 module Fuzz = Noc_oracle.Fuzz
 module Credit = Noc_sim.Credit
 module Flit = Noc_sim.Flitsim
-module Worm = Noc_sim.Wormhole
 module Engine = Noc_sim.Engine
 module Packet = Noc_sim.Packet
 module Edge_map = D.Edge_map
@@ -84,9 +85,9 @@ let test_flit_latency_formula () =
       (* h, n, config *)
       (3, 5, Flit.default_config);
       (1, 1, Flit.default_config);
-      (4, 8, { Flit.fifo_depth = 3; flit_bits = 8; phit_bits = 8; router_delay = 1 });
-      (4, 8, { Flit.fifo_depth = 5; flit_bits = 8; phit_bits = 8; router_delay = 3 });
-      (2, 3, { Flit.fifo_depth = 4; flit_bits = 32; phit_bits = 16; router_delay = 2 });
+      (4, 8, { Flit.default_config with fifo_depth = 3; flit_bits = 8; phit_bits = 8 });
+      (4, 8, { Flit.default_config with fifo_depth = 5; flit_bits = 8; phit_bits = 8; router_delay = 3 });
+      (2, 3, { Flit.default_config with phit_bits = 16; router_delay = 2; num_vcs = 2 });
     ]
   in
   List.iter
@@ -151,62 +152,87 @@ let test_engine_dispatch () =
     Engine.all_kinds
 
 (* ---------------------------------------------------------------- *)
-(* Wormhole regressions                                             *)
+(* wormhole switching over virtual-channel lanes                    *)
+
+let lanes num_vcs = { Flit.default_config with Flit.num_vcs }
 
 let test_wormhole_zero_hop () =
-  (* regression: a src = dst worm used to be marked delivered after a
-     single flit no matter its length; now the whole worm must drain
-     through the local port, one flit per cycle *)
-  let w = Worm.create (line_arch 0) in
-  ignore (Worm.inject ~size_flits:3 w ~src:0 ~dst:0);
-  (match Worm.run_until_idle w with
+  (* a src = dst packet on a multi-lane engine still drains the whole
+     packet through the single-lane local port, one flit per cycle *)
+  let f = Flit.create ~config:(lanes 2) (line_arch 0) in
+  ignore (Flit.inject ~size_flits:3 f ~src:0 ~dst:0);
+  (match Flit.run_until_idle f with
   | `Idle -> ()
-  | `Deadlock -> Alcotest.fail "zero-hop worm deadlocked"
-  | `Limit -> Alcotest.fail "zero-hop worm never drained");
-  (match Worm.deliveries w with
+  | `Deadlock -> Alcotest.fail "zero-hop packet deadlocked"
+  | `Limit _ -> Alcotest.fail "zero-hop packet never drained");
+  (match Flit.deliveries f with
   | [ d ] ->
-      Alcotest.(check int) "latency = size_flits" 3
-        (d.Worm.delivered_at - d.Worm.packet.Packet.injected_at)
+      Alcotest.(check int) "latency = 1 + rd + (n - 1)"
+        (expected_latency ~h:0 ~n:3 ~p:4 ~rd:1)
+        (d.Flit.delivered_at - d.Flit.packet.Packet.injected_at)
   | ds -> Alcotest.failf "expected 1 delivery, got %d" (List.length ds));
-  Alcotest.(check int) "no link traversals" 0 (Worm.flit_hops w)
+  Alcotest.(check int) "no link traversals" 0 (Flit.flit_hops f)
 
 let test_wormhole_mass_injection () =
-  (* regression for the quadratic [worms @ [worm]] injection path: a
-     burst of hundreds of worms must drain completely and in bounded
-     time through the growable-array queue *)
-  let w = Worm.create (line_arch 4) in
-  for _ = 1 to 300 do
-    ignore (Worm.inject ~size_flits:2 w ~src:0 ~dst:4)
-  done;
-  Alcotest.(check int) "pending" 300 (Worm.pending w);
-  (match Worm.run_until_idle ~max_cycles:10_000 w with
-  | `Idle -> ()
-  | _ -> Alcotest.fail "mass burst must drain");
-  Alcotest.(check int) "all delivered" 300 (List.length (Worm.deliveries w))
+  (* a burst of hundreds of packets must drain completely and in bounded
+     time, on one lane and on two *)
+  List.iter
+    (fun num_vcs ->
+      let f = Flit.create ~config:(lanes num_vcs) (line_arch 4) in
+      for _ = 1 to 300 do
+        ignore (Flit.inject ~size_flits:2 f ~src:0 ~dst:4)
+      done;
+      Alcotest.(check int) "pending" 300 (Flit.pending f);
+      (match Flit.run_until_idle ~max_cycles:10_000 f with
+      | `Idle -> ()
+      | _ -> Alcotest.failf "mass burst must drain at %d lanes" num_vcs);
+      Alcotest.(check int) "all delivered" 300 (List.length (Flit.deliveries f)))
+    [ 1; 2 ]
 
 let test_wormhole_vc_truncation () =
-  (* the route 4 -> 1 -> 2 on a 4-ring (vertices 1..4) needs 2 VCs under
-     the increasing-order discipline (channel order wraps at
-     (4,1) -> (1,2)); with num_vcs = 1 the assignment is capped and the
-     engine must say so *)
-  let arch =
+  (* the route 4 -> 1 -> 2 on a 4-ring (vertices 1..4) inverts the channel
+     order at (4,1) -> (1,2), so the increasing-order rule moves it to VC 1
+     on its second link.  Alone, its channel dependency graph is acyclic,
+     so one lane is enough and nothing is truncated: truncation is judged
+     against the analysis' vcs_needed, not per route *)
+  let single =
     Syn.make ~topology:(G.loop 4) ~routes:(Edge_map.singleton (4, 2) [ 4; 1; 2 ]) ()
   in
-  let starved = Worm.create ~config:{ Worm.num_vcs = 1; flit_bits = 8 } arch in
-  ignore (Worm.inject ~size_flits:2 starved ~src:4 ~dst:2);
-  Alcotest.(check bool) "truncation flagged" true (Worm.vc_truncated starved);
-  Alcotest.(check int) "discipline wanted 2 VCs" 2 (Worm.vcs_required starved);
-  Alcotest.(check int) "one worm truncated" 1 (Worm.vc_truncated_count starved);
-  (* the same flow with enough VCs is sound and must not warn *)
-  let ok = Worm.create arch in
-  ignore (Worm.inject ~size_flits:2 ok ~src:4 ~dst:2);
-  Alcotest.(check bool) "no truncation at num_vcs = 2" false (Worm.vc_truncated ok);
-  (match Worm.run_until_idle ok with
-  | `Idle -> ()
-  | _ -> Alcotest.fail "sound assignment must drain")
+  Alcotest.(check (option int))
+    "second hop on VC 1" (Some 1)
+    (Dead.vc_of_hop single ~src:4 ~dst:2 ~hop:1);
+  Alcotest.(check (array int))
+    "capped at one lane" [| 0; 0 |]
+    (Dead.route_vcs ~num_vcs:1 [ 4; 1; 2 ]);
+  let one = Flit.create single in
+  Alcotest.(check bool) "acyclic CDG: one lane is not truncated" false (Flit.vc_truncated one);
+  ignore (Flit.inject ~size_flits:2 one ~src:4 ~dst:2);
+  (match Flit.run_until_idle one with `Idle -> () | _ -> Alcotest.fail "single route must drain");
+  (* every 3-hop clockwise route closes the cycle: 2 lanes are prescribed,
+     and one lane is flagged as truncated *)
+  let ring =
+    Syn.make ~topology:(G.loop 4)
+      ~routes:
+        (Edge_map.of_seq
+           (List.to_seq
+              [
+                ((1, 4), [ 1; 2; 3; 4 ]);
+                ((2, 1), [ 2; 3; 4; 1 ]);
+                ((3, 2), [ 3; 4; 1; 2 ]);
+                ((4, 3), [ 4; 1; 2; 3 ]);
+              ]))
+      ()
+  in
+  Alcotest.(check int) "2 lanes prescribed" 2 (Dead.analyze ring).Dead.vcs_needed;
+  let starved = Engine.create Engine.Flit ring in
+  Alcotest.(check bool) "truncation flagged" true (Engine.vc_truncated starved);
+  let ok = Engine.create ~flit_config:(lanes 2) Engine.Flit ring in
+  Alcotest.(check bool) "no truncation at num_vcs = 2" false (Engine.vc_truncated ok);
+  Alcotest.(check bool) "coarse never truncates" false
+    (Engine.vc_truncated (Engine.create Engine.Coarse ring))
 
 (* ---------------------------------------------------------------- *)
-(* Differential qcheck suites (>= 200 cases each, fixed seeds)       *)
+(* Differential qcheck suites (>= 200 cases each)                    *)
 
 (* decompose + glue a random fuzz ACG, burst one packet per flow *)
 let random_case seed =
@@ -214,54 +240,91 @@ let random_case seed =
   let d, _ = Bb.decompose ~library:(lib ()) acg in
   (acg, Syn.custom acg d)
 
-let burst ?wormhole_config ?flit_config kind acg arch =
-  let net = Engine.create ?wormhole_config ?flit_config kind arch in
-  D.iter_edges
-    (fun src dst -> ignore (Engine.inject ~size_flits:2 net ~src ~dst))
-    (Acg.graph acg);
+(* one packet per flow; the flit engine gets the prescribed lanes unless
+   [num_vcs] says otherwise *)
+let burst ?(fifo_depth = 4) ?num_vcs ~size_flits kind flows arch =
+  let num_vcs =
+    match num_vcs with Some n -> n | None -> (Dead.analyze arch).Dead.vcs_needed
+  in
+  let flit_config = { Flit.default_config with fifo_depth; num_vcs } in
+  let net = Engine.create ~flit_config kind arch in
+  List.iter (fun (src, dst) -> ignore (Engine.inject ~size_flits net ~src ~dst)) flows;
   let verdict = Engine.run_until_idle net in
   (net, verdict)
 
 let delivery_set net =
   Engine.deliveries net
-  |> List.map (fun (d : Noc_sim.Network.delivery) ->
+  |> List.map (fun (d : Packet.delivery) ->
          (d.packet.Packet.id, d.packet.Packet.src, d.packet.Packet.dst))
   |> List.sort compare
 
+let conserved net =
+  match Engine.flitsim net with Some f -> Flit.conservation_ok f | None -> true
+
 let qcheck_engines_agree =
-  QCheck.Test.make ~name:"flit = wormhole = coarse on fuzz ACGs (deliveries)" ~count:200
+  QCheck.Test.make ~name:"flit = coarse on fuzz ACGs (deliveries)" ~count:200
     QCheck.(int_range 0 800)
     (fun k ->
       let seed = 80_000 + k in
       let acg, arch = random_case seed in
-      (* a generous VC budget keeps the wormhole assignment sound on
-         arbitrary routes, so both reference engines must drain *)
-      let wormhole_config = { Worm.num_vcs = 16; flit_bits = 8 } in
-      let coarse, cv = burst Engine.Coarse acg arch in
-      let worm, wv = burst ~wormhole_config Engine.Wormhole acg arch in
+      let flows = D.edges (Acg.graph acg) in
+      let coarse, cv = burst ~size_flits:2 Engine.Coarse flows arch in
+      let flit, fv = burst ~size_flits:2 Engine.Flit flows arch in
       if cv <> Engine.Idle then
         QCheck.Test.fail_reportf "seed %d: coarse verdict %s" seed (Engine.verdict_name cv);
-      if wv <> Engine.Idle then
-        QCheck.Test.fail_reportf "seed %d: wormhole verdict %s" seed (Engine.verdict_name wv);
-      let flit, fv = burst Engine.Flit acg arch in
-      (match fv with
-      | Engine.Idle ->
-          if delivery_set flit <> delivery_set worm then
-            QCheck.Test.fail_reportf "seed %d: flit/wormhole delivery sets differ" seed
-      | Engine.Deadlock ->
-          (* the flit engine has no VCs, so it may genuinely deadlock —
-             but only where the single-channel CDG is cyclic *)
-          if Dead.is_deadlock_free arch then
-            QCheck.Test.fail_reportf "seed %d: flit deadlock on an acyclic CDG" seed
-      | Engine.Limit n ->
-          QCheck.Test.fail_reportf "seed %d: flit hit the cycle limit (%d pending)" seed n);
-      if delivery_set coarse <> delivery_set worm then
-        QCheck.Test.fail_reportf "seed %d: coarse/wormhole delivery sets differ" seed;
-      (match Engine.flitsim flit with
-      | Some f ->
-          if not (Flit.conservation_ok f) then
-            QCheck.Test.fail_reportf "seed %d: flit conservation broken" seed
-      | None -> ());
+      if fv <> Engine.Idle then
+        QCheck.Test.fail_reportf "seed %d: flit verdict %s" seed (Engine.verdict_name fv);
+      if delivery_set flit <> delivery_set coarse then
+        QCheck.Test.fail_reportf "seed %d: flit/coarse delivery sets differ" seed;
+      if not (conserved flit) then
+        QCheck.Test.fail_reportf "seed %d: flit conservation broken" seed;
+      true)
+
+(* A random routing on an [n]-node ring (4 <= n <= 8): distinct flows,
+   each going 1 .. n-1 links clockwise, so most cases close a channel
+   cycle that only the lanes break. *)
+let gen_ring_case =
+  QCheck.Gen.(
+    int_range 4 8 >>= fun n ->
+    list_size (int_range 2 (2 * n)) (pair (int_range 1 n) (int_range 1 (n - 1))) >>= fun flows ->
+    oneofl [ 1; 2; 4 ] >>= fun fifo_depth ->
+    int_range 1 16 >|= fun size_flits -> (n, flows, fifo_depth, size_flits))
+
+let ring_routing (n, flows, _, _) =
+  let routes =
+    List.fold_left
+      (fun acc (src, hops) ->
+        let path = List.init (hops + 1) (fun i -> ((src - 1 + i) mod n) + 1) in
+        Edge_map.add (src, List.nth path hops) path acc)
+      Edge_map.empty flows
+  in
+  (Syn.make ~topology:(G.bidirectional_ring n) ~routes (), List.map fst (Edge_map.bindings routes))
+
+let qcheck_lanes_drain_cyclic_rings =
+  QCheck.Test.make ~name:"prescribed lanes drain random cyclic ring routings" ~count:400
+    (QCheck.make
+       ~print:(fun (n, flows, d, s) ->
+         Printf.sprintf "n=%d depth=%d flits=%d flows=[%s]" n d s
+           (String.concat "; " (List.map (fun (a, h) -> Printf.sprintf "%d+%d" a h) flows)))
+       gen_ring_case)
+    (fun ((_, _, fifo_depth, size_flits) as case) ->
+      let arch, flows = ring_routing case in
+      let coarse, _ = burst ~size_flits Engine.Coarse flows arch in
+      let lanes, lv = burst ~fifo_depth ~size_flits Engine.Flit flows arch in
+      if lv <> Engine.Idle then
+        QCheck.Test.fail_reportf "prescribed lanes: verdict %s" (Engine.verdict_name lv);
+      if List.length (Engine.deliveries lanes) <> List.length flows then
+        QCheck.Test.fail_reportf "prescribed lanes: partial delivery";
+      if delivery_set lanes <> delivery_set coarse then
+        QCheck.Test.fail_reportf "flit/coarse delivery sets differ";
+      if not (conserved lanes) then QCheck.Test.fail_reportf "conservation broken";
+      (* one lane may deadlock, but only where the CDG is cyclic *)
+      let one, v1 = burst ~fifo_depth ~num_vcs:1 ~size_flits Engine.Flit flows arch in
+      if v1 = Engine.Deadlock && Dead.is_deadlock_free arch then
+        QCheck.Test.fail_reportf "one lane deadlocked on an acyclic CDG";
+      if v1 = Engine.Idle && delivery_set one <> delivery_set coarse then
+        QCheck.Test.fail_reportf "one-lane delivery set differs";
+      if not (conserved one) then QCheck.Test.fail_reportf "one-lane conservation broken";
       true)
 
 let qcheck_conservation_every_cycle =
@@ -331,4 +394,5 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_engines_agree;
       QCheck_alcotest.to_alcotest qcheck_conservation_every_cycle;
       QCheck_alcotest.to_alcotest qcheck_deeper_fifos_monotone;
+      QCheck_alcotest.to_alcotest qcheck_lanes_drain_cyclic_rings;
     ] )

@@ -180,6 +180,45 @@ let test_domains_not_in_key () =
   Alcotest.(check bool) "max_nodes is keyed" true
     (not (String.equal o1.Daemon.key o3.Daemon.key))
 
+(* The cache key excludes [domains], so a search with constraint checks
+   must return the same incumbent at every domain count.  Each domain
+   count gets a fresh daemon, so every reply is a real search.  Inputs:
+   the corpus and 50 fuzz ACGs, under the 180 nm constraints and under a
+   variant whose links carry 2% of the bandwidth, so that many searches
+   reject incumbents and some end with constraints unmet. *)
+let test_domains_invariant_with_constraints () =
+  let module Cons = Noc_core.Constraints in
+  let base = Cons.of_technology Noc_energy.Technology.cmos_180nm in
+  let tight = { base with Cons.link_bandwidth = base.Cons.link_bandwidth *. 0.02 } in
+  let corpus = List.map (fun s -> s.Noc_benchkit.Corpus.acg) (Noc_benchkit.Corpus.default ()) in
+  let fuzz =
+    Seq.ints 1
+    |> Seq.map (fun seed -> Noc_oracle.Fuzz.gen_acg ~rng:(Prng.create ~seed))
+    |> Seq.filter (fun a -> Acg.num_flows a > 0)
+    |> Seq.take 50 |> List.of_seq
+  in
+  let unmet = ref 0 and met = ref 0 in
+  List.iter
+    (fun constraints ->
+      List.iteri
+        (fun i acg ->
+          let solve domains =
+            let budget = Bb.Budget.(default |> with_domains domains) in
+            ok_exn (Daemon.solve (Daemon.create ()) (Proto.Request.make ~budget ~constraints acg))
+          in
+          let o1 = solve 1 in
+          if o1.Daemon.response.Proto.Response.constraints_met then incr met else incr unmet;
+          List.iter
+            (fun d ->
+              Alcotest.(check string)
+                (Printf.sprintf "input %d: domains %d = domains 1" i d)
+                o1.Daemon.bytes (solve d).Daemon.bytes)
+            [ 2; 4 ])
+        (corpus @ fuzz))
+    [ base; tight ];
+  Alcotest.(check bool) "some searches end with constraints met" true (!met > 0);
+  Alcotest.(check bool) "some searches end with constraints unmet" true (!unmet > 0)
+
 let test_bad_request () =
   let rng = Prng.create ~seed:9 in
   let a = Noc_oracle.Fuzz.gen_acg ~rng in
@@ -469,4 +508,6 @@ let suite =
       Alcotest.test_case "replay driver" `Quick test_replay_driver;
       Alcotest.test_case "replay deterministic" `Quick
         test_replay_deterministic_responses;
+      Alcotest.test_case "constrained search is domain-invariant" `Quick
+        test_domains_invariant_with_constraints;
     ] )

@@ -9,6 +9,7 @@ module Syn = Noc_core.Synthesis
 module Net = Noc_sim.Network
 module Stats = Noc_sim.Stats
 module Traffic = Noc_sim.Traffic
+module Flit = Noc_sim.Flitsim
 module Prng = Noc_util.Prng
 
 (* A 1x4 mesh (a path) carrying flows along it: easy to reason about. *)
@@ -196,11 +197,10 @@ let test_traffic_uniform_when_no_bandwidth () =
 let test_wormhole_empty_summary () =
   let acg = Acg.uniform ~volume:1 ~bandwidth:0.1 (D.of_edges [ (1, 2) ]) in
   let arch = Syn.mesh ~rows:1 ~cols:2 acg in
-  let net = Noc_sim.Wormhole.create arch in
-  let s = Noc_sim.Wormhole.summary net in
+  let net = Flit.create arch in
+  let s = Flit.summary net in
   Alcotest.(check int) "no packets" 0 s.Stats.packets;
-  Alcotest.(check bool) "idle immediately" true
-    (Noc_sim.Wormhole.run_until_idle net = `Idle)
+  Alcotest.(check bool) "idle immediately" true (Flit.run_until_idle net = `Idle)
 
 let test_traffic_rates () =
   let acg = Noc_aes.Distributed.acg () in
@@ -396,41 +396,70 @@ let test_saturation_skips_zero_delivery_baseline () =
     (Sweep.saturation_rate [ mk ~delivered:0 0.1 0.0; mk ~delivered:0 0.2 0.0 ])
 
 (* -------------------------------------------------------------------- *)
-(* Wormhole switching                                                    *)
+(* wormhole switching: the flit engine and its virtual-channel lanes     *)
 
-module W = Noc_sim.Wormhole
+(* one 8-bit flit per link cycle, as in the coarse engine *)
+let flit_config ?(fifo_depth = 4) num_vcs =
+  { Flit.default_config with Flit.fifo_depth; flit_bits = 8; phit_bits = 8; num_vcs }
 
 let line_arch_flow h =
   (* a straight 1 x (h+1) mesh carrying the single flow 1 -> h+1 *)
   let acg = Acg.uniform ~volume:1 ~bandwidth:0.1 (D.of_edges [ (1, h + 1) ]) in
   Syn.mesh ~rows:1 ~cols:(h + 1) acg
 
-let test_wormhole_uncontended_latency () =
-  (* h link hops, n flits: head pipelines one hop per cycle, tail exits n
-     cycles after the head reaches the sink: latency = h + n *)
+let drain_flit net =
+  match Flit.run_until_idle net with
+  | `Idle -> ()
+  | `Deadlock -> Alcotest.fail "unexpected deadlock"
+  | `Limit n -> Alcotest.failf "cycle limit with %d pending" n
+
+(* the wrap-around 4-ring: every flow goes [hops] links clockwise from
+   its source, so the flows' channel dependencies form a cycle *)
+let ring_arch ~hops =
+  let routes =
+    List.init 4 (fun i ->
+        let path = List.init (hops + 1) (fun k -> ((i + k) mod 4) + 1) in
+        ((i + 1, List.nth path hops), path))
+  in
+  let arch =
+    Syn.make ~topology:(G.bidirectional_ring 4)
+      ~routes:(D.Edge_map.of_seq (List.to_seq routes))
+      ()
+  in
+  (arch, List.map fst routes)
+
+let ring_verdict ~hops ~fifo_depth ~size_flits num_vcs =
+  let arch, flows = ring_arch ~hops in
+  let net = Flit.create ~config:(flit_config ~fifo_depth num_vcs) arch in
+  List.iter (fun (src, dst) -> ignore (Flit.inject ~size_flits net ~src ~dst)) flows;
+  let verdict = Flit.run_until_idle net in
+  Alcotest.(check bool) "conservation" true (Flit.conservation_ok net);
+  (verdict, net)
+
+let test_two_hop_ring_split_by_voqs () =
+  (* the 2-hop ring has a cyclic CDG, yet one lane drains it: a transit
+     queue is keyed by its (input, output) pair and waits only on an
+     ejection queue, so the channel cycle never closes into a queue cycle *)
+  let arch, _ = ring_arch ~hops:2 in
+  Alcotest.(check bool) "CDG has a cycle" true (not (Noc_core.Deadlock.is_deadlock_free arch));
   List.iter
-    (fun (h, n) ->
-      let net = W.create (line_arch_flow h) in
-      let _ = W.inject ~size_flits:n net ~src:1 ~dst:(h + 1) in
-      (match W.run_until_idle net with
-      | `Idle -> ()
-      | `Deadlock | `Limit -> Alcotest.fail "uncontended worm must drain");
-      match W.deliveries net with
-      | [ { W.delivered_at; _ } ] ->
-          Alcotest.(check int) (Printf.sprintf "h=%d n=%d" h n) (h + n) delivered_at
-      | _ -> Alcotest.fail "one delivery")
-    [ (1, 1); (1, 4); (3, 1); (3, 4); (5, 8) ]
+    (fun (fifo_depth, size_flits) ->
+      match ring_verdict ~hops:2 ~fifo_depth ~size_flits 1 with
+      | `Idle, _ -> ()
+      | _ -> Alcotest.failf "depth %d, %d flits: one lane must drain" fifo_depth size_flits)
+    [ (1, 4); (1, 16); (2, 4); (2, 16); (4, 4); (4, 16) ]
 
 let test_wormhole_beats_store_and_forward () =
-  (* the whole point of wormhole: multi-hop multi-flit latency is h + n,
-     store-and-forward pays the serialization at every hop *)
+  (* the whole point of wormhole switching: a multi-flit packet streams
+     through the routers, while store-and-forward pays the serialization
+     at every hop *)
   let h = 4 and n = 6 in
   let arch = line_arch_flow h in
   let whn =
-    let net = W.create arch in
-    let _ = W.inject ~size_flits:n net ~src:1 ~dst:(h + 1) in
-    (match W.run_until_idle net with `Idle -> () | _ -> Alcotest.fail "drain");
-    (List.hd (W.deliveries net)).W.delivered_at
+    let net = Flit.create ~config:(flit_config 1) arch in
+    let _ = Flit.inject ~size_flits:n net ~src:1 ~dst:(h + 1) in
+    drain_flit net;
+    (List.hd (Flit.deliveries net)).Flit.delivered_at
   in
   let saf =
     let net = Net.create arch in
@@ -441,78 +470,62 @@ let test_wormhole_beats_store_and_forward () =
   Alcotest.(check bool) "wormhole pipelines" true (whn < saf)
 
 let test_wormhole_link_sharing () =
-  (* two worms over the same single link: the link carries one flit per
-     cycle, so together they take ~2n cycles but both make progress via the
-     round-robin *)
-  let arch = line_arch_flow 1 in
-  let net = W.create arch in
-  let _ = W.inject ~size_flits:4 net ~src:1 ~dst:2 in
-  let _ = W.inject ~size_flits:4 net ~src:1 ~dst:2 in
-  (match W.run_until_idle net with `Idle -> () | _ -> Alcotest.fail "drain");
-  let times = List.map (fun d -> d.W.delivered_at) (W.deliveries net) in
+  (* two packets over the same single link: the link carries one flit per
+     cycle, so together they take at least 2n cycles *)
+  let net = Flit.create ~config:(flit_config 1) (line_arch_flow 1) in
+  let _ = Flit.inject ~size_flits:4 net ~src:1 ~dst:2 in
+  let _ = Flit.inject ~size_flits:4 net ~src:1 ~dst:2 in
+  drain_flit net;
+  let times = List.map (fun d -> d.Flit.delivered_at) (Flit.deliveries net) in
   Alcotest.(check int) "both delivered" 2 (List.length times);
   Alcotest.(check bool) "link is serialized" true (List.fold_left max 0 times >= 8)
 
 let test_wormhole_flit_hops () =
   let h = 3 and n = 4 in
-  let net = W.create (line_arch_flow h) in
-  let _ = W.inject ~size_flits:n net ~src:1 ~dst:(h + 1) in
-  (match W.run_until_idle net with `Idle -> () | _ -> Alcotest.fail "drain");
-  Alcotest.(check int) "every flit crosses every link" (h * n) (W.flit_hops net)
+  let net = Flit.create ~config:(flit_config 2) (line_arch_flow h) in
+  let _ = Flit.inject ~size_flits:n net ~src:1 ~dst:(h + 1) in
+  drain_flit net;
+  Alcotest.(check int) "every flit crosses every link" (h * n) (Flit.flit_hops net)
 
-(* the classic wrap-around ring: four flows, each two hops, whose channel
-   dependencies form a cycle *)
-let ring_arch () =
-  let topology = G.bidirectional_ring 4 in
-  let routes =
-    D.Edge_map.of_seq
-      (List.to_seq
-         [
-           ((1, 3), [ 1; 2; 3 ]);
-           ((2, 4), [ 2; 3; 4 ]);
-           ((3, 1), [ 3; 4; 1 ]);
-           ((4, 2), [ 4; 1; 2 ]);
-         ])
-  in
-  Syn.make ~topology ~routes ()
+(* depth 1 and 2 with 4-flit packets, and depth 4 once packets outgrow
+   the buffers of a route *)
+let ring_cases = [ (1, 4); (2, 4); (4, 16) ]
 
 let test_wormhole_ring_deadlocks_with_one_vc () =
-  let arch = ring_arch () in
+  let arch, _ = ring_arch ~hops:3 in
   (* static analysis predicts the deadlock risk... *)
   let report = Noc_core.Deadlock.analyze arch in
   Alcotest.(check bool) "CDG has a cycle" true (report.Noc_core.Deadlock.cdg_cycle <> None);
   Alcotest.(check int) "2 VCs prescribed" 2 report.Noc_core.Deadlock.vcs_needed;
-  (* ...and the flit-level simulation realizes it with a single VC *)
-  let net = W.create ~config:{ W.num_vcs = 1; flit_bits = 8 } arch in
+  (* ...and the flit engine realizes it with a single lane *)
   List.iter
-    (fun (src, dst) -> ignore (W.inject ~size_flits:4 net ~src ~dst))
-    [ (1, 3); (2, 4); (3, 1); (4, 2) ];
-  (match W.run_until_idle net with
-  | `Deadlock -> ()
-  | `Idle -> Alcotest.fail "expected a deadlock with 1 VC"
-  | `Limit -> Alcotest.fail "expected deadlock detection, not a timeout");
-  Alcotest.(check bool) "worms stuck" true (W.pending net > 0)
+    (fun (fifo_depth, size_flits) ->
+      match ring_verdict ~hops:3 ~fifo_depth ~size_flits 1 with
+      | `Deadlock, net ->
+          Alcotest.(check bool) "packets stuck" true (Flit.pending net > 0);
+          Alcotest.(check bool) "under-provisioned lanes flagged" true (Flit.vc_truncated net)
+      | `Idle, _ -> Alcotest.failf "depth %d: expected a deadlock with 1 lane" fifo_depth
+      | `Limit _, _ -> Alcotest.fail "expected deadlock detection, not a timeout")
+    ring_cases
 
 let test_wormhole_ring_drains_with_two_vcs () =
-  let arch = ring_arch () in
-  let net = W.create ~config:{ W.num_vcs = 2; flit_bits = 8 } arch in
   List.iter
-    (fun (src, dst) -> ignore (W.inject ~size_flits:4 net ~src ~dst))
-    [ (1, 3); (2, 4); (3, 1); (4, 2) ];
-  (match W.run_until_idle net with
-  | `Idle -> ()
-  | `Deadlock -> Alcotest.fail "2 VCs must break the cycle"
-  | `Limit -> Alcotest.fail "unexpected timeout");
-  Alcotest.(check int) "all delivered" 4 (List.length (W.deliveries net));
-  Alcotest.(check int) "summary agrees" 4 (W.summary net).Stats.packets
+    (fun (fifo_depth, size_flits) ->
+      match ring_verdict ~hops:3 ~fifo_depth ~size_flits 2 with
+      | `Idle, net ->
+          Alcotest.(check int) "all delivered" 4 (List.length (Flit.deliveries net));
+          Alcotest.(check int) "summary agrees" 4 (Flit.summary net).Stats.packets;
+          Alcotest.(check bool) "lanes suffice" false (Flit.vc_truncated net)
+      | _ -> Alcotest.failf "depth %d: 2 lanes must break the cycle" fifo_depth)
+    ring_cases
 
 let test_wormhole_bad_args () =
   let arch = line_arch_flow 1 in
-  Alcotest.check_raises "bad vcs" (Invalid_argument "Wormhole.create: num_vcs must be >= 1")
-    (fun () -> ignore (W.create ~config:{ W.num_vcs = 0; flit_bits = 8 } arch));
-  let net = W.create arch in
-  Alcotest.check_raises "no route" (Invalid_argument "Wormhole.inject: no route 2->1")
-    (fun () -> ignore (W.inject net ~src:2 ~dst:1))
+  Alcotest.check_raises "bad vcs" (Invalid_argument "Flitsim.create: num_vcs must be >= 1")
+    (fun () -> ignore (Flit.create ~config:(flit_config 0) arch));
+  let net = Flit.create arch in
+  Alcotest.check_raises "no route" (Invalid_argument "Flitsim.inject: no route 2 -> 1")
+    (fun () -> ignore (Flit.inject net ~src:2 ~dst:1))
 
 let qcheck_wormhole_always_terminates_acyclic =
   QCheck.Test.make ~name:"wormhole always drains on acyclic-CDG meshes" ~count:20
@@ -520,15 +533,15 @@ let qcheck_wormhole_always_terminates_acyclic =
     (fun (seed, flits) ->
       let acg = Noc_aes.Distributed.acg () in
       let arch = Syn.mesh ~rows:4 ~cols:4 acg in
-      let net = W.create arch in
+      let net = Flit.create ~config:(flit_config ~fifo_depth:1 1) arch in
       let rng = Prng.create ~seed:(seed + 4000) in
       let g = Noc_core.Acg.graph acg in
       let edges = D.edges g in
       for _ = 1 to 20 do
         let u, v = List.nth edges (Prng.int rng (List.length edges)) in
-        ignore (W.inject ~size_flits:flits net ~src:u ~dst:v)
+        ignore (Flit.inject ~size_flits:flits net ~src:u ~dst:v)
       done;
-      match W.run_until_idle net with `Idle -> true | `Deadlock | `Limit -> false)
+      match Flit.run_until_idle net with `Idle -> true | `Deadlock | `Limit _ -> false)
 
 (* Property: in an uncontended network, latency equals the analytic formula
    router_delay*(h+1) + (link_delay + flits - 1)*h. *)
@@ -587,8 +600,8 @@ let suite =
       Alcotest.test_case "saturation detection" `Quick test_saturation_detection;
       Alcotest.test_case "saturation: zero-delivery baseline" `Quick
         test_saturation_skips_zero_delivery_baseline;
-      Alcotest.test_case "wormhole: pipeline latency h+n" `Quick
-        test_wormhole_uncontended_latency;
+      Alcotest.test_case "flit: VOQs split the 2-hop ring cycle" `Quick
+        test_two_hop_ring_split_by_voqs;
       Alcotest.test_case "wormhole beats store-and-forward" `Quick
         test_wormhole_beats_store_and_forward;
       Alcotest.test_case "wormhole: link time-sharing" `Quick test_wormhole_link_sharing;
