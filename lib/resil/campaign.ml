@@ -41,15 +41,14 @@ type report = {
   engine_validated : bool;
 }
 
-(* Cross-check a degraded mode on a second engine: rebuild the routing
-   tables over the surviving topology (exactly what the coarse engine's
-   replanning does internally), then drive the surviving flows through the
-   chosen fidelity and require a clean drain.  A flit-level [engine_ok]
+(* Cross-check a degraded mode on a second engine: take the routing tables
+   [out] rebuilt over the surviving topology (exactly what the coarse
+   engine's replanning does internally), drive the surviving flows through
+   the chosen fidelity and require a clean drain.  A flit-level [engine_ok]
    certifies that the degraded tables not only exist but actually flow
    through VOQ routers with finite buffers — reroute-induced deadlocks
    show up here, not in the per-hop coarse model. *)
-let validate_degraded ~engine ~size_flits ~max_cycles arch faults =
-  let out = Reroute.apply arch ~faults in
+let validate_degraded ~engine ~size_flits ~max_cycles (out : Reroute.outcome) =
   let net = Noc_sim.Engine.create engine out.Reroute.arch in
   let flows = out.Reroute.kept @ out.Reroute.rerouted in
   List.iter
@@ -75,14 +74,16 @@ let run_one ?config ?fault_policy ?validate_engine ~size_flits ~max_cycles acg a
   let delivered = Net.delivered_count net in
   let dropped = Net.dropped_count net in
   let summary = Noc_sim.Stats.summarize (Net.deliveries net) in
+  (* the degraded tables, computed at most once per fault set; an
+     unvalidated baseline never needs them *)
+  let degraded = lazy (Reroute.apply arch ~faults) in
   let disconnected_pairs =
-    if faults = [] then 0
-    else List.length (Reroute.apply arch ~faults).Reroute.disconnected
+    if faults = [] then 0 else List.length (Lazy.force degraded).Reroute.disconnected
   in
   let engine_delivered, engine_ok =
     match validate_engine with
     | None -> (0, true)
-    | Some engine -> validate_degraded ~engine ~size_flits ~max_cycles arch faults
+    | Some engine -> validate_degraded ~engine ~size_flits ~max_cycles (Lazy.force degraded)
   in
   {
     faults;

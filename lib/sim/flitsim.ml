@@ -18,14 +18,24 @@ let phits_per_flit cfg = (cfg.flit_bits + cfg.phit_bits - 1) / cfg.phit_bits
 
 type delivery = Packet.delivery = { packet : Packet.t; delivered_at : int }
 
+(* A flow's route resolved once, on its first [inject]: the VOQ its flits
+   occupy at each hop and the source NI they wait in.  The flow's packets
+   share [route] and [plan]. *)
+type flow = { route : int array; plan : Router.voq array; ni : Router.flit Queue.t }
+
 type t = {
   arch : Syn.t;
   cfg : config;
   ppf : int;
-  order : int array;  (* all router ids, ascending: the one scan order every phase uses *)
-  routers : (int, Router.t) Hashtbl.t;
-  credit_due : (int, Credit.t list ref) Hashtbl.t;
-  mutable pending_credits : int;
+  routers : Router.t array;  (* ascending vertex id: the one scan order every phase uses *)
+  index : (int, int) Hashtbl.t;  (* vertex -> position in [routers]; create and inject only *)
+  flows : (int * int, flow) Hashtbl.t;
+  link_count : int array array;
+      (* [link_count.(i).(k)]: flits that arrived over output [k] of
+         [routers.(i)]; slot 0, the ejection port, stays 0 *)
+  switch_count : int array;  (* flits each router's switch moved *)
+  mutable due : Credit.t array;  (* credits returning next cycle: [due.(0 .. ndue - 1)] *)
+  mutable ndue : int;
   mutable cycle : int;
   mutable next_id : int;
   mutable injected_packets : int;
@@ -38,13 +48,11 @@ type t = {
   mutable wire_occupancy : int;
   mutable flit_hops : int;
   mutable buffer_flit_cycles : int;
-  mutable link_flits : int Edge_map.t;
-  mutable switch_flits : int Vmap.t;
   mutable moved : bool;
   mutable last_ready : int;
-      (* latest ready_at ever assigned: while cycle < last_ready a flit may
-         still be maturing in a router pipeline, so a motionless cycle is
-         not yet proof of a fixpoint *)
+      (* latest switch-ready cycle ever assigned: while cycle < last_ready a
+         flit may still be maturing in a router pipeline, so a motionless
+         cycle is not yet proof of a fixpoint *)
 }
 
 let create ?(config = default_config) arch =
@@ -61,23 +69,29 @@ let create ?(config = default_config) arch =
       (fun _ path acc -> List.fold_left (fun acc v -> D.Vset.add v acc) acc path)
       arch.Syn.routes (D.vertices topo)
   in
-  let order = Array.of_list (D.Vset.elements vset) in
-  let routers = Hashtbl.create (Array.length order) in
-  Array.iter
-    (fun v ->
-      let preds = if D.mem_vertex topo v then D.Vset.elements (D.pred topo v) else [] in
-      let succs = if D.mem_vertex topo v then D.Vset.elements (D.succ topo v) else [] in
-      let depth = config.fifo_depth and num_vcs = config.num_vcs in
-      Hashtbl.replace routers v (Router.create ~node:v ~preds ~succs ~depth ~num_vcs))
-    order;
+  let routers =
+    Array.of_list
+      (List.map
+         (fun v ->
+           let preds = if D.mem_vertex topo v then D.Vset.elements (D.pred topo v) else [] in
+           let succs = if D.mem_vertex topo v then D.Vset.elements (D.succ topo v) else [] in
+           let depth = config.fifo_depth and num_vcs = config.num_vcs in
+           Router.create ~node:v ~preds ~succs ~depth ~num_vcs)
+         (D.Vset.elements vset))
+  in
+  let index = Hashtbl.create (Array.length routers) in
+  Array.iteri (fun i (r : Router.t) -> Hashtbl.replace index r.Router.node i) routers;
   {
     arch;
     cfg = config;
     ppf = phits_per_flit config;
-    order;
     routers;
-    credit_due = Hashtbl.create 64;
-    pending_credits = 0;
+    index;
+    flows = Hashtbl.create 16;
+    link_count = Array.map (fun (r : Router.t) -> Array.make (Array.length r.Router.outputs) 0) routers;
+    switch_count = Array.make (Array.length routers) 0;
+    due = [||];
+    ndue = 0;
     cycle = 0;
     next_id = 0;
     injected_packets = 0;
@@ -90,191 +104,188 @@ let create ?(config = default_config) arch =
     wire_occupancy = 0;
     flit_hops = 0;
     buffer_flit_cycles = 0;
-    link_flits = Edge_map.empty;
-    switch_flits = Vmap.empty;
     moved = false;
     last_ready = 0;
   }
 
 let now t = t.cycle
 let config t = t.cfg
-let router t v = Hashtbl.find t.routers v
+let router t v = t.routers.(Hashtbl.find t.index v)
 
-(* Output port a flit wants at the router [route.(at)]. *)
-let output_at (f : Router.flit) ~at =
-  let route = f.Router.packet.Packet.route in
-  if at = Array.length route - 1 then Router.Eject else Router.To route.(at + 1)
-
-(* The downstream VOQ a flit lands in when its current router puts it on
-   the link — the queue whose credit the sender must hold: the lane of
-   its packet's virtual channel on that link. *)
-let downstream_voq t (f : Router.flit) =
-  let route = f.Router.packet.Packet.route in
-  let hop = f.Router.hop in
-  Router.find_voq
-    (router t route.(hop + 1))
-    ~input:(Router.From route.(hop))
-    ~output:(output_at f ~at:(hop + 1))
-    ~vc:f.Router.lanes.(hop)
-
-let schedule_credit t at credits =
-  let l =
-    match Hashtbl.find_opt t.credit_due at with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace t.credit_due at l;
-        l
-  in
-  l := credits :: !l;
-  t.pending_credits <- t.pending_credits + 1
-
-let bump_link t key = t.link_flits <- Edge_map.update key (fun n -> Some (Option.value n ~default:0 + 1)) t.link_flits
-let bump_switch t v = t.switch_flits <- Vmap.update v (fun n -> Some (Option.value n ~default:0 + 1)) t.switch_flits
+(* The hop plan of [src -> dst]: the VOQ at [route.(h)] a flit waits in at
+   hop [h], in the lane of the virtual channel its packet holds on the link
+   it arrived over. *)
+let flow t ~src ~dst =
+  match Hashtbl.find_opt t.flows (src, dst) with
+  | Some fl -> fl
+  | None -> (
+      match Syn.route t.arch ~src ~dst with
+      | None -> invalid_arg (Printf.sprintf "Flitsim.inject: no route %d -> %d" src dst)
+      | Some path ->
+          let route = Array.of_list path in
+          let lanes = Noc_core.Deadlock.route_vcs ~num_vcs:t.cfg.num_vcs path in
+          let last = Array.length route - 1 in
+          let plan =
+            Array.mapi
+              (fun h v ->
+                let output = if h = last then Router.Eject else Router.To route.(h + 1) in
+                if h = 0 then Router.find_voq (router t v) ~input:Router.Local ~output ~vc:0
+                else
+                  Router.find_voq (router t v) ~input:(Router.From route.(h - 1)) ~output
+                    ~vc:lanes.(h - 1))
+              route
+          in
+          let fl = { route; plan; ni = (router t src).Router.ni } in
+          Hashtbl.replace t.flows (src, dst) fl;
+          fl)
 
 let inject ?(tag = 0) ?(payload = Bytes.empty) ?(size_flits = 1) t ~src ~dst =
   if size_flits < 1 then invalid_arg "Flitsim.inject: size_flits must be >= 1";
-  match Syn.route t.arch ~src ~dst with
-  | None -> invalid_arg (Printf.sprintf "Flitsim.inject: no route %d -> %d" src dst)
-  | Some path ->
-      let route = Array.of_list path in
-      let lanes = Noc_core.Deadlock.route_vcs ~num_vcs:t.cfg.num_vcs path in
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      let packet =
-        { Packet.id; src; dst; size_flits; tag; payload; route; injected_at = t.cycle }
-      in
-      let r = router t src in
-      for idx = 0 to size_flits - 1 do
-        Queue.add
-          { Router.flit = { Router.packet; lanes; idx; hop = 0 }; ready_at = t.cycle }
-          r.Router.ni
-      done;
-      t.injected_packets <- t.injected_packets + 1;
-      t.injected_flits <- t.injected_flits + size_flits;
-      t.ni_occupancy <- t.ni_occupancy + size_flits;
-      id
+  let fl = flow t ~src ~dst in
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  let packet =
+    { Packet.id; src; dst; size_flits; tag; payload; route = fl.route; injected_at = t.cycle }
+  in
+  for idx = 0 to size_flits - 1 do
+    Queue.add { Router.packet; plan = fl.plan; idx; hop = 0; ready_at = t.cycle } fl.ni
+  done;
+  t.injected_packets <- t.injected_packets + 1;
+  t.injected_flits <- t.injected_flits + size_flits;
+  t.ni_occupancy <- t.ni_occupancy + size_flits;
+  id
 
-let head_ready c (voq : Router.voq) =
-  match Queue.peek_opt voq.Router.q with
-  | Some e -> e.Router.ready_at <= c
-  | None -> false
+(* Buffers [f] in [voq] at cycle [c], switch-ready [router_delay] cycles
+   later; that cycle grows with [c], so it is also the latest assigned. *)
+let enqueue t c (f : Router.flit) (voq : Router.voq) =
+  f.Router.ready_at <- c + t.cfg.router_delay;
+  t.last_ready <- f.Router.ready_at;
+  Queue.add f voq.Router.q;
+  incr voq.Router.queued;
+  t.voq_occupancy <- t.voq_occupancy + 1;
+  t.moved <- true
 
+(* A freed slot's credit reaches the upstream sender next cycle.  The
+   array grows to the most returns one cycle has seen, then stays. *)
+let return_credit t cr =
+  if t.ndue = Array.length t.due then begin
+    let due = Array.make ((2 * t.ndue) + 8) cr in
+    Array.blit t.due 0 due 0 t.ndue;
+    t.due <- due
+  end;
+  t.due.(t.ndue) <- cr;
+  t.ndue <- t.ndue + 1
+
+(* The round-robin grant of ejection and link sends alike: scan [p]'s VOQs
+   from just after the last grant for the first whose head flit is
+   switch-ready and, on a [link] port, holds a credit for the queue it
+   lands in downstream.  A grant pops that flit, returns its slot's credit
+   upstream next cycle, counts a traversal of switch [sw] and moves the
+   pointer past the winner; without a grant the pointer stays.  Returns
+   [Router.idle] when nothing is granted. *)
+let grant t c ~link ~sw (p : Router.port) =
+  let voqs = p.Router.voqs in
+  let n = Array.length voqs in
+  let won = ref Router.idle and k = ref 0 in
+  while !won == Router.idle && !k < n do
+    let i = (p.Router.rr + !k) mod n in
+    let voq = voqs.(i) in
+    (if not (Queue.is_empty voq.Router.q) then
+       let f = Queue.peek voq.Router.q in
+       if
+         f.Router.ready_at <= c
+         && ((not link) || Credit.available f.Router.plan.(f.Router.hop + 1).Router.credits > 0)
+       then begin
+         ignore (Queue.take voq.Router.q);
+         decr p.Router.queued;
+         (match voq.Router.input with
+         | Router.Local -> ()
+         | Router.From _ -> return_credit t voq.Router.credits);
+         p.Router.rr <- (i + 1) mod n;
+         t.voq_occupancy <- t.voq_occupancy - 1;
+         t.switch_count.(sw) <- t.switch_count.(sw) + 1;
+         t.moved <- true;
+         won := f
+       end);
+    incr k
+  done;
+  !won
+
+(* Idle work is skipped, and exactly so: a port with no queued flit grants
+   nothing and keeps its pointer, phase 2 has nothing to land while no flit
+   is on a wire, and phase 5 nothing to inject while every NI is empty. *)
 let step t =
   t.cycle <- t.cycle + 1;
   let c = t.cycle in
   t.buffer_flit_cycles <- t.buffer_flit_cycles + t.voq_occupancy;
   t.moved <- false;
   (* phase 1: credit returns land *)
-  (match Hashtbl.find_opt t.credit_due c with
-  | None -> ()
-  | Some l ->
-      List.iter
-        (fun cr ->
-          Credit.put cr;
-          t.pending_credits <- t.pending_credits - 1)
-        !l;
-      Hashtbl.remove t.credit_due c);
+  for j = 0 to t.ndue - 1 do
+    Credit.put t.due.(j)
+  done;
+  t.ndue <- 0;
   (* phase 2: link arrivals enter downstream VOQs *)
-  Array.iter
-    (fun u ->
-      let r = router t u in
-      Array.iter
-        (fun (p : Router.port) ->
-          match (p.Router.dest, p.Router.in_flight) with
-          | Router.To v, Some (f, arrive) when arrive <= c ->
-              p.Router.in_flight <- None;
-              f.Router.hop <- f.Router.hop + 1;
-              let voq =
-                Router.find_voq (router t v) ~input:(Router.From u)
-                  ~output:(output_at f ~at:f.Router.hop)
-                  ~vc:f.Router.lanes.(f.Router.hop - 1)
-              in
-              Queue.add { Router.flit = f; ready_at = c + t.cfg.router_delay } voq.Router.q;
-              t.last_ready <- max t.last_ready (c + t.cfg.router_delay);
-              t.wire_occupancy <- t.wire_occupancy - 1;
-              t.voq_occupancy <- t.voq_occupancy + 1;
-              t.flit_hops <- t.flit_hops + 1;
-              bump_link t (u, v);
-              t.moved <- true
-          | _ -> ())
-        r.Router.outputs)
-    t.order;
+  if t.wire_occupancy > 0 then
+    for i = 0 to Array.length t.routers - 1 do
+      let outputs = t.routers.(i).Router.outputs in
+      for k = 1 to Array.length outputs - 1 do
+        let p = outputs.(k) in
+        let f = p.Router.wire in
+        if f != Router.idle && f.Router.ready_at <= c then begin
+          p.Router.wire <- Router.idle;
+          f.Router.hop <- f.Router.hop + 1;
+          enqueue t c f f.Router.plan.(f.Router.hop);
+          t.wire_occupancy <- t.wire_occupancy - 1;
+          t.flit_hops <- t.flit_hops + 1;
+          t.link_count.(i).(k) <- t.link_count.(i).(k) + 1
+        end
+      done
+    done;
   (* phase 3: ejection, one flit per sink per cycle *)
-  Array.iter
-    (fun v ->
-      let r = router t v in
-      match Router.port r Router.Eject with
-      | exception Not_found -> ()
-      | p -> (
-          match Router.arbitrate p (head_ready c) with
-          | None -> ()
-          | Some voq ->
-              let e = Queue.pop voq.Router.q in
-              t.voq_occupancy <- t.voq_occupancy - 1;
-              t.delivered_flits <- t.delivered_flits + 1;
-              bump_switch t v;
-              if voq.Router.input <> Router.Local then
-                schedule_credit t (c + 1) voq.Router.credits;
-              let f = e.Router.flit in
-              if f.Router.idx = f.Router.packet.Packet.size_flits - 1 then begin
-                t.delivered_rev <- { packet = f.Router.packet; delivered_at = c } :: t.delivered_rev;
-                t.delivered_packets <- t.delivered_packets + 1
-              end;
-              t.moved <- true))
-    t.order;
-  (* phase 4: switch allocation + link sends, gated on downstream credits *)
-  Array.iter
-    (fun u ->
-      let r = router t u in
-      Array.iter
-        (fun (p : Router.port) ->
-          match p.Router.dest with
-          | Router.Eject -> ()
-          | Router.To _ ->
-              if p.Router.in_flight = None && p.Router.busy_until <= c then (
-                let eligible voq =
-                  head_ready c voq
-                  &&
-                  let e = Queue.peek voq.Router.q in
-                  Credit.available (downstream_voq t e.Router.flit).Router.credits > 0
-                in
-                match Router.arbitrate p eligible with
-                | None -> ()
-                | Some voq ->
-                    let e = Queue.pop voq.Router.q in
-                    let f = e.Router.flit in
-                    ignore (Credit.take (downstream_voq t f).Router.credits);
-                    if voq.Router.input <> Router.Local then
-                      schedule_credit t (c + 1) voq.Router.credits;
-                    p.Router.in_flight <- Some (f, c + t.ppf);
-                    p.Router.busy_until <- c + t.ppf;
-                    t.voq_occupancy <- t.voq_occupancy - 1;
-                    t.wire_occupancy <- t.wire_occupancy + 1;
-                    bump_switch t u;
-                    t.moved <- true))
-        r.Router.outputs)
-    t.order;
+  for i = 0 to Array.length t.routers - 1 do
+    let p = t.routers.(i).Router.outputs.(0) in
+    if !(p.Router.queued) > 0 then begin
+      let f = grant t c ~link:false ~sw:i p in
+      if f != Router.idle then begin
+        t.delivered_flits <- t.delivered_flits + 1;
+        if f.Router.idx = f.Router.packet.Packet.size_flits - 1 then begin
+          t.delivered_rev <- { packet = f.Router.packet; delivered_at = c } :: t.delivered_rev;
+          t.delivered_packets <- t.delivered_packets + 1
+        end
+      end
+    end
+  done;
+  (* phase 4: switch allocation + link sends, gated on downstream credits;
+     a flit on the wire keeps its arrival cycle in [ready_at] *)
+  for i = 0 to Array.length t.routers - 1 do
+    let outputs = t.routers.(i).Router.outputs in
+    for k = 1 to Array.length outputs - 1 do
+      let p = outputs.(k) in
+      if !(p.Router.queued) > 0 && p.Router.wire == Router.idle then begin
+        let f = grant t c ~link:true ~sw:i p in
+        if f != Router.idle then begin
+          ignore (Credit.take f.Router.plan.(f.Router.hop + 1).Router.credits);
+          p.Router.wire <- f;
+          f.Router.ready_at <- c + t.ppf;
+          t.wire_occupancy <- t.wire_occupancy + 1
+        end
+      end
+    done
+  done;
   (* phase 5: NI injection, one flit per source per cycle *)
-  Array.iter
-    (fun v ->
-      let r = router t v in
-      match Queue.peek_opt r.Router.ni with
-      | None -> ()
-      | Some e ->
-          let voq =
-            Router.find_voq r ~input:Router.Local ~output:(output_at e.Router.flit ~at:0) ~vc:0
-          in
-          if Queue.length voq.Router.q < t.cfg.fifo_depth then begin
-            ignore (Queue.pop r.Router.ni);
-            e.Router.ready_at <- c + t.cfg.router_delay;
-            t.last_ready <- max t.last_ready e.Router.ready_at;
-            Queue.add e voq.Router.q;
-            t.ni_occupancy <- t.ni_occupancy - 1;
-            t.voq_occupancy <- t.voq_occupancy + 1;
-            t.moved <- true
-          end)
-    t.order
+  if t.ni_occupancy > 0 then
+    for i = 0 to Array.length t.routers - 1 do
+      let ni = t.routers.(i).Router.ni in
+      if not (Queue.is_empty ni) then begin
+        let f = Queue.peek ni in
+        let voq = f.Router.plan.(0) in
+        if Queue.length voq.Router.q < t.cfg.fifo_depth then begin
+          ignore (Queue.take ni);
+          enqueue t c f voq;
+          t.ni_occupancy <- t.ni_occupancy - 1
+        end
+      end
+    done
 
 let pending t = t.injected_packets - t.delivered_packets
 
@@ -288,7 +299,7 @@ let run_until_idle ?(max_cycles = 100_000) t =
       (* No movement with nothing on a wire and no credit in flight is a
          fixpoint: the same allocation decisions repeat forever. *)
       if
-        (not t.moved) && t.wire_occupancy = 0 && t.pending_credits = 0
+        (not t.moved) && t.wire_occupancy = 0 && t.ndue = 0
         && t.cycle >= t.last_ready && pending t > 0
       then `Deadlock
       else go ()
@@ -303,8 +314,26 @@ let in_flight_flits t = t.ni_occupancy + t.voq_occupancy + t.wire_occupancy
 let conservation_ok t = t.injected_flits = t.delivered_flits + in_flight_flits t
 let flit_hops t = t.flit_hops
 let buffer_flit_cycles t = t.buffer_flit_cycles
-let link_flits t = t.link_flits
-let switch_flits t = t.switch_flits
+
+let link_flits t =
+  let m = ref Edge_map.empty in
+  Array.iteri
+    (fun i (r : Router.t) ->
+      Array.iteri
+        (fun k n ->
+          match r.Router.outputs.(k).Router.dest with
+          | Router.To v when n > 0 -> m := Edge_map.add (r.Router.node, v) n !m
+          | _ -> ())
+        t.link_count.(i))
+    t.routers;
+  !m
+
+let switch_flits t =
+  let m = ref Vmap.empty in
+  Array.iteri
+    (fun i n -> if n > 0 then m := Vmap.add t.routers.(i).Router.node n !m)
+    t.switch_count;
+  !m
 
 let summary t = Stats.summarize (deliveries t)
 

@@ -12,8 +12,10 @@
 
     {2 Microarchitecture}
 
-    Each topology vertex gets a {!Router.t}.  A cycle runs in fixed
-    phases, in this order:
+    Each topology vertex gets a {!Router.t}.  A flow's route is resolved
+    once, on its first {!inject}, into a hop plan: the VOQ (and lane) its
+    flits occupy at each router, which every later move reads by index.
+    A cycle runs in fixed phases, in this order:
 
     + {b credit returns} scheduled for this cycle land (one wire cycle
       after the downstream queue freed the slot);
@@ -21,11 +23,12 @@
       downstream VOQ chosen by its route, becoming switch-eligible
       [router_delay] cycles later (the router pipeline);
     + {b ejection}: every router's sink port consumes one ready flit,
-      round-robin over the VOQs targeting it; a packet is delivered when
-      its tail flit ejects;
+      granted round-robin over the VOQs targeting it; a packet is
+      delivered when its tail flit ejects;
     + {b switch allocation}: every free link output grants one ready flit
-      round-robin among its VOQs, gated on a credit for the downstream
-      queue; the link stays busy for [phits_per_flit] cycles
+      round-robin among its VOQs (the same grant loop as ejection), gated
+      on a credit for the downstream queue; the link stays busy for
+      [phits_per_flit] cycles
       ([ceil (flit_bits / phit_bits)] — byte-serial links serialize each
       flit into phits);
     + {b injection}: each source NI moves at most one flit per cycle into
@@ -33,9 +36,14 @@
       wait at the source, not in the fabric).
 
     Flits of one packet follow identical VOQs and FIFO links, so they
-    arrive in order and never interleave within a queue entry-wise; worms
-    from different packets {e do} interleave on shared links, which is
-    exactly the contention the coarse engine cannot see.
+    arrive in order; worms from different packets {e do} interleave on
+    shared links, which is exactly the contention the coarse engine cannot
+    see.
+
+    Ports with no queued flit are skipped, as are the arrival phase while
+    no flit is on a wire and the injection phase while every NI is empty.
+    The skip is exact: an empty port grants nothing, and a round-robin
+    pointer moves only on a grant.
 
     {2 Documented latency bound}
 
@@ -147,7 +155,13 @@ val buffer_flit_cycles : t -> int
 (** Sum over cycles of VOQ occupancy (buffering energy proxy). *)
 
 val link_flits : t -> int Noc_graph.Digraph.Edge_map.t
+(** Flits that arrived over each link, for links with at least one; they
+    sum to {!flit_hops}.  Built on each call. *)
+
 val switch_flits : t -> int Noc_graph.Digraph.Vmap.t
+(** Flits each router's switch moved onto a link or into its sink, for
+    routers with at least one; once drained they sum to
+    [flit_hops + delivered_flits].  Built on each call. *)
 
 val summary : t -> Stats.summary
 (** {!Stats.summarize} over {!deliveries}. *)

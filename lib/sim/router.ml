@@ -1,42 +1,50 @@
-type flit = { packet : Packet.t; lanes : int array; idx : int; mutable hop : int }
 type in_key = Local | From of int
 type out_key = Eject | To of int
-type entry = { flit : flit; mutable ready_at : int }
 
-type voq = { input : in_key; output : out_key; vc : int; q : entry Queue.t; credits : Credit.t }
+type flit = {
+  packet : Packet.t;
+  plan : voq array;
+  idx : int;
+  mutable hop : int;
+  mutable ready_at : int;
+}
+
+and voq = { input : in_key; vc : int; q : flit Queue.t; credits : Credit.t; queued : int ref }
 
 type port = {
   dest : out_key;
   voqs : voq array;
   mutable rr : int;
-  mutable busy_until : int;
-  mutable in_flight : (flit * int) option;
+  queued : int ref;
+  mutable wire : flit;
 }
 
-type t = { node : int; ni : entry Queue.t; outputs : port array }
+type t = { node : int; ni : flit Queue.t; outputs : port array }
+
+let idle =
+  let packet =
+    { Packet.id = -1; src = -1; dst = -1; size_flits = 0; tag = 0; payload = Bytes.empty;
+      route = [||]; injected_at = 0 }
+  in
+  { packet; plan = [||]; idx = 0; hop = 0; ready_at = 0 }
 
 let create ~node ~preds ~succs ~depth ~num_vcs =
-  let inputs = Local :: List.map (fun u -> From u) (List.sort_uniq compare preds) in
-  let dests = Eject :: List.map (fun v -> To v) (List.sort_uniq compare succs) in
-  let lanes input = if input = Local then [ 0 ] else List.init num_vcs Fun.id in
-  let outputs =
-    Array.of_list
-      (List.map
-         (fun dest ->
-           let voqs =
-             Array.of_list
-               (List.concat_map
-                  (fun input ->
-                    List.map
-                      (fun vc ->
-                        let credits = Credit.create ~capacity:depth in
-                        { input; output = dest; vc; q = Queue.create (); credits })
-                      (lanes input))
-                  inputs)
-           in
-           { dest; voqs; rr = 0; busy_until = 0; in_flight = None })
-         dests)
+  let inputs = Array.of_list (List.map (fun u -> From u) (List.sort_uniq compare preds)) in
+  let succs = Array.of_list (List.sort_uniq compare succs) in
+  (* queue [k] of a port: [Local] for [k = 0], then every link input's
+     [num_vcs] lanes in turn *)
+  let voq queued k =
+    let input = if k = 0 then Local else inputs.((k - 1) / num_vcs) in
+    let vc = if k = 0 then 0 else (k - 1) mod num_vcs in
+    { input; vc; q = Queue.create (); credits = Credit.create ~capacity:depth; queued }
   in
+  let port dest =
+    let queued = ref 0 in
+    let voqs = Array.init (1 + (Array.length inputs * num_vcs)) (voq queued) in
+    { dest; voqs; rr = 0; queued; wire = idle }
+  in
+  let dest k = if k = 0 then Eject else To succs.(k - 1) in
+  let outputs = Array.init (1 + Array.length succs) (fun k -> port (dest k)) in
   { node; ni = Queue.create (); outputs }
 
 let port t dest =
@@ -53,28 +61,3 @@ let find_voq t ~input ~output ~vc =
     else if p.voqs.(i).input = input && p.voqs.(i).vc = vc then p.voqs.(i) else go (i + 1)
   in
   go 0
-
-let arbitrate p eligible =
-  let n = Array.length p.voqs in
-  if n = 0 then None
-  else begin
-    let rec go k =
-      if k = n then None
-      else
-        let i = (p.rr + k) mod n in
-        let voq = p.voqs.(i) in
-        if eligible voq then begin
-          p.rr <- (i + 1) mod n;
-          Some voq
-        end
-        else go (k + 1)
-    in
-    go 0
-  end
-
-let buffered t =
-  Array.fold_left
-    (fun acc p -> Array.fold_left (fun acc voq -> acc + Queue.length voq.q) acc p.voqs)
-    0 t.outputs
-
-let ni_buffered t = Queue.length t.ni

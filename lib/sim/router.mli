@@ -19,21 +19,9 @@
     of the same link.  The local input has a single lane (no link crossed
     yet); with one lane per link the router is a plain VOQ router.
 
-    This module owns the {e state} — queues, arbiter pointers, link
-    occupancy — and the arbitration primitive; the clocking discipline
-    (what moves in which phase of a cycle) lives in {!Flitsim}. *)
-
-type flit = {
-  packet : Packet.t;
-  lanes : int array;
-      (** the packet's virtual channel on each link of its route
-          ([lanes.(i)] for the link [route.(i) -> route.(i+1)]), shared
-          by all its flits *)
-  idx : int;  (** 0-based flit index; [idx = size_flits - 1] is the tail *)
-  mutable hop : int;
-      (** index into [packet.route] of the router currently holding (or
-          about to receive) the flit *)
-}
+    This module owns the {e state}: queues, arbiter pointers, link
+    occupancy.  Arbitration and the clocking discipline (what moves in
+    which phase of a cycle) live in {!Flitsim}'s grant loop. *)
 
 type in_key = Local | From of int
 (** Input port: the router's own network interface, or the link from an
@@ -43,20 +31,33 @@ type out_key = Eject | To of int
 (** Output port: the router's ejection (sink) port, or the link to a
     downstream router. *)
 
-type entry = { flit : flit; mutable ready_at : int }
-(** A buffered flit; [ready_at] is the first cycle the switch may move it
-    (models the router's internal pipeline latency). *)
+type flit = {
+  packet : Packet.t;
+  plan : voq array;
+      (** the hop plan of the packet's flow: [plan.(h)] is the queue the
+          flit occupies at router [packet.route.(h)], shared by every flit
+          of the flow *)
+  idx : int;  (** 0-based flit index; [idx = size_flits - 1] is the tail *)
+  mutable hop : int;
+      (** index into [packet.route] of the router currently holding (or
+          about to receive) the flit *)
+  mutable ready_at : int;
+      (** in a VOQ, the first cycle the switch may move the flit (models the
+          router's internal pipeline latency); on a wire, its arrival
+          cycle.  A flit sits in one place at a time, so one field serves
+          both. *)
+}
 
-type voq = {
+and voq = {
   input : in_key;
-  output : out_key;
   vc : int;  (** the lane: the virtual channel of the [input] link *)
-  q : entry Queue.t;  (** bounded by the engine at [fifo_depth] *)
+  q : flit Queue.t;  (** bounded by the engine at [fifo_depth] *)
   credits : Credit.t;
       (** the credit counter the {e upstream} sender of [input] consults
           before putting a flit on the wire towards this queue; unused
           (always full) for [Local] inputs, which are bounded by a direct
           occupancy check instead *)
+  queued : int ref;  (** the owning port's {!port.queued} *)
 }
 
 type port = {
@@ -66,21 +67,25 @@ type port = {
           arbitration order [Local], then [From u] by ascending [u], each
           input's lanes by ascending [vc] *)
   mutable rr : int;  (** round-robin pointer into [voqs] *)
-  mutable busy_until : int;
-      (** link serialization: the earliest cycle a new flit may start
-          crossing the link (a flit occupies it for [phits_per_flit]
-          cycles) *)
-  mutable in_flight : (flit * int) option;
-      (** the flit currently on the wire and its arrival cycle *)
+  queued : int ref;
+      (** flits in [voqs], shared with each of them so an enqueue through
+          a hop plan can count without finding the port: the engine skips
+          a port while it is zero *)
+  mutable wire : flit;
+      (** the flit crossing the link ([phits_per_flit] cycles), or {!idle}
+          when the link is free *)
 }
 
 type t = {
   node : int;
-  ni : entry Queue.t;
+  ni : flit Queue.t;
       (** unbounded source queue: packets wait in the network interface,
           not in the fabric *)
   outputs : port array;  (** fixed order: [Eject] first, then [To v] by ascending [v] *)
 }
+
+val idle : flit
+(** The placeholder of a free wire; compare with [==]. *)
 
 val create :
   node:int -> preds:int list -> succs:int list -> depth:int -> num_vcs:int -> t
@@ -89,19 +94,5 @@ val create :
     of capacity [depth] and a matching credit counter per lane — [num_vcs]
     lanes for a link input, one for [Local]. *)
 
-val port : t -> out_key -> port
-(** @raise Not_found if the router has no such output. *)
-
 val find_voq : t -> input:in_key -> output:out_key -> vc:int -> voq
 (** @raise Not_found if the router has no such queue. *)
-
-val arbitrate : port -> (voq -> bool) -> voq option
-(** [arbitrate p eligible] scans [p.voqs] round-robin starting just after
-    the last grant and returns the first queue [eligible] accepts,
-    advancing the pointer past it (pointer moves only on a grant, so
-    un-granted requests keep their priority). *)
-
-val buffered : t -> int
-(** Flits currently in this router's VOQs (NI queue excluded). *)
-
-val ni_buffered : t -> int

@@ -6,6 +6,7 @@ type point = {
   delivered : int;
   avg_latency : float;
   throughput : float;
+  drained : bool;
 }
 
 let latency_vs_load ?(engine = Engine.Coarse) ~rng ~arch ~acg ?(size_flits = 2)
@@ -23,8 +24,7 @@ let latency_vs_load ?(engine = Engine.Coarse) ~rng ~arch ~acg ?(size_flits = 2)
           edges;
         Engine.step net
       done;
-      (match Engine.run_until_idle ~max_cycles:200_000 net with
-      | Engine.Idle | Engine.Deadlock | Engine.Limit _ -> ());
+      let drained = Engine.run_until_idle ~max_cycles:200_000 net = Engine.Idle in
       let s = Engine.summary net in
       {
         rate;
@@ -32,6 +32,7 @@ let latency_vs_load ?(engine = Engine.Coarse) ~rng ~arch ~acg ?(size_flits = 2)
         delivered = s.Stats.packets;
         avg_latency = s.Stats.avg_latency;
         throughput = s.Stats.throughput;
+        drained;
       })
     rates
 
@@ -39,14 +40,15 @@ let saturation_rate points =
   (* the latency baseline must come from a point that actually delivered
      packets: a leading zero-delivery point reports avg_latency = 0., and a
      fabricated base of 1.0 yields false (or missed) saturation knees *)
-  match List.find_opt (fun p -> p.delivered > 0) points with
-  | None -> None
-  | Some first ->
-      let base = if first.avg_latency > 0. then first.avg_latency else 1.0 in
-      List.find_map
-        (fun p ->
-          if p.delivered > 0 && p.avg_latency > 4.0 *. base then Some p.rate
-          else None)
-        points
+  let base =
+    match List.find_opt (fun p -> p.delivered > 0) points with
+    | None -> infinity
+    | Some first -> if first.avg_latency > 0. then first.avg_latency else 1.0
+  in
+  List.find_map
+    (fun p ->
+      if (not p.drained) || (p.delivered > 0 && p.avg_latency > 4.0 *. base) then Some p.rate
+      else None)
+    points
 
 let to_series points = List.map (fun p -> (p.offered, p.avg_latency)) points

@@ -11,6 +11,10 @@ type point = {
   delivered : int;
   avg_latency : float;
   throughput : float;  (** delivered flits per cycle over the makespan *)
+  drained : bool;
+      (** the drain ended [Idle]; [false] after a deadlock or the drain
+          bound, when [delivered] and [avg_latency] cover only the packets
+          that got out *)
 }
 
 val latency_vs_load :
@@ -29,15 +33,14 @@ val latency_vs_load :
     Deterministic: the PRNG is split per rate.  [engine] (default
     {!Engine.Coarse} for speed) picks the simulation fidelity; a
     saturated high-fidelity run that deadlocks or hits the drain bound
-    simply reports the packets it delivered, which is the regime the knee
-    detector looks for anyway. *)
+    reports the packets it delivered with [drained = false]. *)
 
 val saturation_rate : point list -> float option
-(** First rate at which average latency exceeds 4x the baseline latency — a
-    simple knee estimate.  The baseline is the first point that actually
-    delivered packets (a leading zero-delivery point reports
-    [avg_latency = 0.] and must not fabricate a baseline); [None] if no
-    point delivered or the curve never saturates. *)
+(** First rate whose run did not drain or whose average latency exceeds 4x
+    the baseline latency — a simple knee estimate.  The baseline is the
+    first point that actually delivered packets (a leading zero-delivery
+    point reports [avg_latency = 0.] and must not fabricate a baseline);
+    [None] if every run drained and the curve never saturates. *)
 
 val to_series : point list -> (float * float) list
 (** (offered load, average latency) pairs for plotting. *)

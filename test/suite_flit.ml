@@ -7,8 +7,11 @@
    on the same random ACGs the oracle harness uses, and on random cyclic
    ring routings where only the lanes prevent deadlock: every drained run
    must deliver exactly the injected packet set, the flit engine's
-   conservation invariant must hold after every cycle, and deeper VOQs
-   must never slow a burst down. *)
+   conservation invariant must hold after every cycle, its activity
+   counters must add up once drained, and deeper VOQs must never slow a
+   burst down.  A digest table pins the engine's exact behaviour on the
+   corpus, so a rewrite of its hot path must be cycle-for-cycle
+   identical. *)
 
 module D = Noc_graph.Digraph
 module G = Noc_graph.Generators
@@ -355,6 +358,26 @@ let qcheck_conservation_every_cycle =
       done;
       (* cyclic-CDG cases may deadlock with flits parked in VOQs; the
          invariant must hold there too, which the loop above checked *)
+      if Flit.pending f = 0 then begin
+        (* a drained run: every hop crossed a topology link, and every
+           flit crossed one switch per hop plus its ejection switch *)
+        let topo = arch.Syn.topology in
+        let link_sum =
+          Edge_map.fold
+            (fun (u, v) n acc ->
+              if not (D.mem_edge topo u v) then
+                QCheck.Test.fail_reportf "seed %d: link_flits key %d->%d is no link" seed u v;
+              acc + n)
+            (Flit.link_flits f) 0
+        in
+        let switch_sum = D.Vmap.fold (fun _ n acc -> acc + n) (Flit.switch_flits f) 0 in
+        if link_sum <> Flit.flit_hops f then
+          QCheck.Test.fail_reportf "seed %d: link_flits sum %d <> flit_hops %d" seed link_sum
+            (Flit.flit_hops f);
+        if switch_sum <> Flit.flit_hops f + Flit.delivered_flits f then
+          QCheck.Test.fail_reportf "seed %d: switch_flits sum %d <> hops %d + delivered %d"
+            seed switch_sum (Flit.flit_hops f) (Flit.delivered_flits f)
+      end;
       true)
 
 let qcheck_deeper_fifos_monotone =
@@ -378,6 +401,273 @@ let qcheck_deeper_fifos_monotone =
           packets deep shallow;
       true)
 
+(* ---------------------------------------------------------------- *)
+(* Exact behaviour pin                                               *)
+
+(* One MD5 per case over everything the engine reports: the verdict,
+   the clock, every counter, every delivery in order, the per-link and
+   per-switch activity maps and the metrics.  The constants below were
+   generated at a commit before any rewrite of the engine's hot path, so
+   a rewrite passes only if it is cycle-for-cycle identical.  Never
+   regenerate them to make a change pass; regenerate only at a parent
+   commit, and only when the engine's behaviour is meant to change. *)
+
+let pin_window = 300
+let pin_drain = 3000
+let pin_rates = [ 0.01; 0.05; 0.2 ]
+
+let pin_configs =
+  let d = Flit.default_config in
+  [
+    ("default", d);
+    ("depth1", { d with Flit.fifo_depth = 1 });
+    ("wide-rd2", { d with Flit.phit_bits = 32; router_delay = 2 });
+    ("vc2-depth2-8bit", { d with Flit.num_vcs = 2; fifo_depth = 2; flit_bits = 8 });
+  ]
+
+let pin_ring =
+  Syn.make ~topology:(G.bidirectional_ring 4)
+    ~routes:
+      (Edge_map.of_seq
+         (List.to_seq
+            [
+              ((1, 4), [ 1; 2; 3; 4 ]);
+              ((2, 1), [ 2; 3; 4; 1 ]);
+              ((3, 2), [ 3; 4; 1; 2 ]);
+              ((4, 3), [ 4; 1; 2; 3 ]);
+            ]))
+    ()
+
+(* Bernoulli 2-flit packets on every flow for [pin_window] cycles, then
+   a drain of at most [pin_drain] cycles; digest of the final state. *)
+let pin_digest ~config ~rate ~flows arch =
+  let f = Flit.create ~config arch in
+  let rng = Prng.create ~seed:42 in
+  for _ = 1 to pin_window do
+    List.iter
+      (fun (src, dst) ->
+        if Prng.bernoulli rng rate then ignore (Flit.inject ~size_flits:2 f ~src ~dst))
+      flows;
+    Flit.step f
+  done;
+  let verdict =
+    match Flit.run_until_idle ~max_cycles:pin_drain f with
+    | `Idle -> "idle"
+    | `Deadlock -> "deadlock"
+    | `Limit n -> Printf.sprintf "limit %d" n
+  in
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  add "%s now=%d hops=%d bfc=%d inj=%d del=%d infl=%d\n" verdict (Flit.now f)
+    (Flit.flit_hops f) (Flit.buffer_flit_cycles f) (Flit.injected_flits f)
+    (Flit.delivered_flits f) (Flit.in_flight_flits f);
+  List.iter
+    (fun (d : Flit.delivery) ->
+      let p = d.Flit.packet in
+      add "d %d %d %d %d %d\n" p.Packet.id p.Packet.src p.Packet.dst p.Packet.injected_at
+        d.Flit.delivered_at)
+    (Flit.deliveries f);
+  Edge_map.iter (fun (u, v) n -> add "l %d %d %d\n" u v n) (Flit.link_flits f);
+  D.Vmap.iter (fun v n -> add "s %d %d\n" v n) (Flit.switch_flits f);
+  List.iter (fun (k, x) -> add "m %s %h\n" k x) (Flit.metrics f);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pin_cases () =
+  let budget = Bb.Budget.(default |> with_max_nodes 20_000) in
+  let corpus =
+    List.concat_map
+      (fun (s : Noc_benchkit.Corpus.scenario) ->
+        let d, _ = Bb.decompose ~budget ~library:(lib ()) s.acg in
+        let arch = Syn.custom s.acg d and flows = D.edges (Acg.graph s.acg) in
+        List.concat_map
+          (fun (cname, config) ->
+            List.map
+              (fun rate ->
+                ( Printf.sprintf "%s/%s/%g" s.name cname rate,
+                  pin_digest ~config ~rate ~flows arch ))
+              pin_rates)
+          pin_configs)
+      (Noc_benchkit.Corpus.default ())
+  in
+  let ring_flows = List.map fst (Edge_map.bindings pin_ring.Syn.routes) in
+  let ring =
+    List.concat_map
+      (fun num_vcs ->
+        List.map
+          (fun fifo_depth ->
+            let config = { Flit.default_config with Flit.num_vcs; fifo_depth } in
+            ( Printf.sprintf "ring/vc%d/depth%d" num_vcs fifo_depth,
+              pin_digest ~config ~rate:0.2 ~flows:ring_flows pin_ring ))
+          [ 1; 2; 4 ])
+      [ 1; 2 ]
+  in
+  corpus @ ring
+
+let pinned_digests =
+  [
+    ("fig2/default/0.01", "b7a404b30af87c6ac7ba40582be9ad0e");
+    ("fig2/default/0.05", "f0b775f7a2aee0171e6149a1026d3fbc");
+    ("fig2/default/0.2", "8ad4e2aab1869cc7362fe05458e3bf13");
+    ("fig2/depth1/0.01", "add4ce89595067b19b8165abeee02a64");
+    ("fig2/depth1/0.05", "a956cc93ba3c2407b506ba4a5d9747b7");
+    ("fig2/depth1/0.2", "c914bd7d794b925d5a2f25ca43337e61");
+    ("fig2/wide-rd2/0.01", "5c87de3a8665d20e8c30ca469688eb03");
+    ("fig2/wide-rd2/0.05", "d93b4a1300a6850aacc8d15a96a13d7f");
+    ("fig2/wide-rd2/0.2", "1eb48fff15f8151820ac2511f66919db");
+    ("fig2/vc2-depth2-8bit/0.01", "30969a14d279860578af31a45eedfc6e");
+    ("fig2/vc2-depth2-8bit/0.05", "fb1545c6ea046b8278cd74bec6a71445");
+    ("fig2/vc2-depth2-8bit/0.2", "ab8a5cacbcea2088819c87d2e5fd9f57");
+    ("fig5/default/0.01", "752858c400a305638fa6dc09f04b1852");
+    ("fig5/default/0.05", "037e3dc7188684c57fc63eab31eb629b");
+    ("fig5/default/0.2", "2b7642c604479b157e7fced96dfef065");
+    ("fig5/depth1/0.01", "6f949bd6b87235ca99fe855fcbe9732f");
+    ("fig5/depth1/0.05", "60a9bf0bc870a943c48e2b7ccc0def7d");
+    ("fig5/depth1/0.2", "bfdd59a0b908d0980769a05bc25632ce");
+    ("fig5/wide-rd2/0.01", "d9b9f26784d73d9b681a0b11c8ec5a0e");
+    ("fig5/wide-rd2/0.05", "12175b66eaa56b71c2c39fd86a6e8858");
+    ("fig5/wide-rd2/0.2", "886fee5f0579472650c90335d93223e7");
+    ("fig5/vc2-depth2-8bit/0.01", "33f978623c837a918f4ff6e0bf719d02");
+    ("fig5/vc2-depth2-8bit/0.05", "097f98663a24810060cc257470de7f47");
+    ("fig5/vc2-depth2-8bit/0.2", "e8f9ef2152a78faeb59c2e787873e0b2");
+    ("aes/default/0.01", "7cc093058b8752e1fda7d0198f05b6d3");
+    ("aes/default/0.05", "c93c2cd9c29b0b3abbf33d074550a1b7");
+    ("aes/default/0.2", "8074fb8e4914edcdf95f51941c890f1a");
+    ("aes/depth1/0.01", "256edf3226466902c9820cab7ad09992");
+    ("aes/depth1/0.05", "6dddd4805f5e3557f67ae69d73d258a8");
+    ("aes/depth1/0.2", "92f7879c4978157f0fbb6cfdd19faca3");
+    ("aes/wide-rd2/0.01", "d2df57d842800afc5ad6c7dc592b2a54");
+    ("aes/wide-rd2/0.05", "95a63b8f205d894668cc9646c6943887");
+    ("aes/wide-rd2/0.2", "9a9ba43476426b1cae681ba8523dc186");
+    ("aes/vc2-depth2-8bit/0.01", "632814bdebba3cf635ade836dc8b2b10");
+    ("aes/vc2-depth2-8bit/0.05", "037d06776ea43472fc21a2d631801274");
+    ("aes/vc2-depth2-8bit/0.2", "3bbe0526f6701669574c2db32800b26d");
+    ("vopd/default/0.01", "87fdf12d2c3e5403b406e7d5ac55f2a3");
+    ("vopd/default/0.05", "0441d7e0e4c9ce0e0dade4024adfee49");
+    ("vopd/default/0.2", "8076051823e10a0cb5ebae79a4631ece");
+    ("vopd/depth1/0.01", "f94cd49640dc1ad874b56730c9b85a12");
+    ("vopd/depth1/0.05", "b67473e166b214872616998cc0a59535");
+    ("vopd/depth1/0.2", "b6b72e35dc1930aab4321cccc87dab05");
+    ("vopd/wide-rd2/0.01", "a5f61360d0067eeebcf077588a2df9b1");
+    ("vopd/wide-rd2/0.05", "6a78549a29d727064eb798544f4ea9fb");
+    ("vopd/wide-rd2/0.2", "bbe1265ea980377c6a2d41a7a004a8ef");
+    ("vopd/vc2-depth2-8bit/0.01", "51f1d164b45807ea99381209b45efc11");
+    ("vopd/vc2-depth2-8bit/0.05", "4fa03307ae9d08a2e36bcdb5369eb750");
+    ("vopd/vc2-depth2-8bit/0.2", "de3aa8b2414a0cc3627015dbebf13388");
+    ("mpeg4/default/0.01", "b7ef0ec1f4e87b9075be955da86d23c4");
+    ("mpeg4/default/0.05", "2dfea29c41989fdf515c2cc379c503d2");
+    ("mpeg4/default/0.2", "224bc29b9d17ec8e4c7e7ff3eff352cd");
+    ("mpeg4/depth1/0.01", "05444053eac35b1832878352dc1f9110");
+    ("mpeg4/depth1/0.05", "78302a589ed503eb90cf1e702dac9a3c");
+    ("mpeg4/depth1/0.2", "2b9cecc0eecb99dd668f00b89fd1b3e7");
+    ("mpeg4/wide-rd2/0.01", "4117664ef3c2836009f6c998b7044ea4");
+    ("mpeg4/wide-rd2/0.05", "9d27e9795faa42f453b4c15740e44922");
+    ("mpeg4/wide-rd2/0.2", "cb0d403c2b3227711d5705ecafd9199f");
+    ("mpeg4/vc2-depth2-8bit/0.01", "d9ae9d09fd3fa137413b96d7988a6d8b");
+    ("mpeg4/vc2-depth2-8bit/0.05", "0c6167ea6836734c361402da0af20e42");
+    ("mpeg4/vc2-depth2-8bit/0.2", "9a2a7fa77302d93293581a11813db59e");
+    ("fft16/default/0.01", "58e60c485127d7bb97689bc3dab3f5a4");
+    ("fft16/default/0.05", "4509c51b7c695fffbded81e860662961");
+    ("fft16/default/0.2", "63c2ce9d86758fae2e07fcbb4a336ea0");
+    ("fft16/depth1/0.01", "6c07a6ca86184ee8bcbebf0afad1d02e");
+    ("fft16/depth1/0.05", "4d02b1e67db2ae585e140f68f9223b3c");
+    ("fft16/depth1/0.2", "5989bd9e3b370167f726cfbf849e20b5");
+    ("fft16/wide-rd2/0.01", "8a0ed5a30fad7f186698a93487365e57");
+    ("fft16/wide-rd2/0.05", "ccf2ff6c91aa915013a14a2862903bdf");
+    ("fft16/wide-rd2/0.2", "91296f2adb2f1fc6efe88804bd438af8");
+    ("fft16/vc2-depth2-8bit/0.01", "815ef3171048c93c41f9ed5c7030174c");
+    ("fft16/vc2-depth2-8bit/0.05", "a774b833bf8c81a3d9c928d980155240");
+    ("fft16/vc2-depth2-8bit/0.2", "e8c2a0cd823c2787106d6b20d97e0891");
+    ("tgff-automotive-s11/default/0.01", "e7eddfb924281ab55788ae9a2c3b29e5");
+    ("tgff-automotive-s11/default/0.05", "a1f481f42dbcebc798e2d40e793e13c5");
+    ("tgff-automotive-s11/default/0.2", "4f918e2b5b1b89bfdc0c8933c8926fdc");
+    ("tgff-automotive-s11/depth1/0.01", "13e480f08e42693264276fd2ac2324f8");
+    ("tgff-automotive-s11/depth1/0.05", "6a2896f25e51d85b6241bae47a42898f");
+    ("tgff-automotive-s11/depth1/0.2", "f1a67192c1e66b911fbbc4312112e8c5");
+    ("tgff-automotive-s11/wide-rd2/0.01", "c1ef6f7cc14400fad88ff15690e2be69");
+    ("tgff-automotive-s11/wide-rd2/0.05", "73973a388ae6a3d3c02143ea66a073dc");
+    ("tgff-automotive-s11/wide-rd2/0.2", "174a6cf9374b5660a1e98a14c993787d");
+    ("tgff-automotive-s11/vc2-depth2-8bit/0.01", "b2de4a61d820755d4a99e8b982e4eac1");
+    ("tgff-automotive-s11/vc2-depth2-8bit/0.05", "21907bd44b4ed784d36bd5bf7eca6584");
+    ("tgff-automotive-s11/vc2-depth2-8bit/0.2", "cfefb82e3927ca9173c248b9ff23ae0a");
+    ("tgff-telecom-s7/default/0.01", "17e74d55dbb05a3d948e62fa97e733e5");
+    ("tgff-telecom-s7/default/0.05", "f817d904a5c0a2d1d864f51f8acd05db");
+    ("tgff-telecom-s7/default/0.2", "443fe7158a02acd4e03fb17a60a4f19b");
+    ("tgff-telecom-s7/depth1/0.01", "43c2d6045f405fc3f9795f01c8f0ff0f");
+    ("tgff-telecom-s7/depth1/0.05", "7382d32a3076bd3efc89b5c33efffa27");
+    ("tgff-telecom-s7/depth1/0.2", "6305ea92dfa42df0fa3bcd0af10bb313");
+    ("tgff-telecom-s7/wide-rd2/0.01", "f15968fb7635a7021f88c7a8efcb849e");
+    ("tgff-telecom-s7/wide-rd2/0.05", "67579e01e5a4c7b6785fa94c43603197");
+    ("tgff-telecom-s7/wide-rd2/0.2", "0e3ea2cf4bce723e771aa8da75954eeb");
+    ("tgff-telecom-s7/vc2-depth2-8bit/0.01", "8c9025462a2218f9de7a84defe592008");
+    ("tgff-telecom-s7/vc2-depth2-8bit/0.05", "9ab8a42b75084cf5554cef0436bf0bbc");
+    ("tgff-telecom-s7/vc2-depth2-8bit/0.2", "ca7571f9d2a0c50cd8981d0071eca23c");
+    ("tgff-12-s3/default/0.01", "f3a8b3b22c9dfa1bce4301ee930cd11e");
+    ("tgff-12-s3/default/0.05", "af0003ac529912950f7aaf0c8deeb0b8");
+    ("tgff-12-s3/default/0.2", "d3403308cf22396109c7d4b3aaf00223");
+    ("tgff-12-s3/depth1/0.01", "cc1c6dd91588af4b58eb0013d1538486");
+    ("tgff-12-s3/depth1/0.05", "a2eb576e9bca8c799736f158124a87fa");
+    ("tgff-12-s3/depth1/0.2", "6724f8e4289d80e677f34c54771cc6f1");
+    ("tgff-12-s3/wide-rd2/0.01", "c2734f7c10ee093d09a0bcd2fe934785");
+    ("tgff-12-s3/wide-rd2/0.05", "bc82e566c5a5f77f9e26a3e0c7dbd34b");
+    ("tgff-12-s3/wide-rd2/0.2", "ae4477e189f4cf3b59a85883f1db38ef");
+    ("tgff-12-s3/vc2-depth2-8bit/0.01", "d0d64ee04551d8650aace69c8d8b0561");
+    ("tgff-12-s3/vc2-depth2-8bit/0.05", "fb5798ea12476db0acb1b235a74b6076");
+    ("tgff-12-s3/vc2-depth2-8bit/0.2", "530aa425a486ecc887acf5eec2d0dd23");
+    ("tgff-16-s5/default/0.01", "c559c2eec59bf17187643786943a7051");
+    ("tgff-16-s5/default/0.05", "0ca2998129c2157cd23c58aefe6dcf98");
+    ("tgff-16-s5/default/0.2", "df7c745d812dac6242e468648270c4ca");
+    ("tgff-16-s5/depth1/0.01", "d586969163585ad8e33e9a4181f97048");
+    ("tgff-16-s5/depth1/0.05", "3f6d2d90c51eb30d287eeb7e4a0ef60f");
+    ("tgff-16-s5/depth1/0.2", "25d7066ad532e3d535087c6360a5009e");
+    ("tgff-16-s5/wide-rd2/0.01", "6f66311c7c7324a7aad5bd4cfb8a960b");
+    ("tgff-16-s5/wide-rd2/0.05", "79016e668ed555998893b6a4fe9c650b");
+    ("tgff-16-s5/wide-rd2/0.2", "e7f1fb200e3b864838bc918cea7d8a34");
+    ("tgff-16-s5/vc2-depth2-8bit/0.01", "1a3faff2378209abb7b3391c212ba227");
+    ("tgff-16-s5/vc2-depth2-8bit/0.05", "27756e31f2627498fb537d81a16a6587");
+    ("tgff-16-s5/vc2-depth2-8bit/0.2", "9481d367604d572d29ffd02df5271867");
+    ("rand-12-s1/default/0.01", "ae1d021673f876ca4c2eb5d08a67028a");
+    ("rand-12-s1/default/0.05", "db51a1d0d5f7bd216d333098321022b2");
+    ("rand-12-s1/default/0.2", "7025725bbafb551edf1ccf01f28cd99c");
+    ("rand-12-s1/depth1/0.01", "e02fbf269cfcad7ac38d48b054760f7f");
+    ("rand-12-s1/depth1/0.05", "5d895d7985139942183b0a97bb38b6c5");
+    ("rand-12-s1/depth1/0.2", "c3b3ee5bd2d5c58f98f5a89100dfd77e");
+    ("rand-12-s1/wide-rd2/0.01", "8f5d2d5ad8da4f7e96ccf249648cafe1");
+    ("rand-12-s1/wide-rd2/0.05", "b0c54c900fdee7f40e5071434a49ed68");
+    ("rand-12-s1/wide-rd2/0.2", "aafeb4e30b1d3268c83c2296af204cd9");
+    ("rand-12-s1/vc2-depth2-8bit/0.01", "fcad435d585e1fbb6f2100e76b42f648");
+    ("rand-12-s1/vc2-depth2-8bit/0.05", "b2103a9c0e8fbab708e77616b74b95d7");
+    ("rand-12-s1/vc2-depth2-8bit/0.2", "32d654eff76f2c8d4dc3fdb2f87e7fd3");
+    ("rand-16-s2/default/0.01", "6b1fcc613d8c81d8e3a2c80a0aa8b620");
+    ("rand-16-s2/default/0.05", "229d13abfa612d0f79dad5bed5035e7c");
+    ("rand-16-s2/default/0.2", "2ae67f4b73edeaa3cd46512558a01280");
+    ("rand-16-s2/depth1/0.01", "b251962bdaba07a1bef941d6445b627c");
+    ("rand-16-s2/depth1/0.05", "453bcaf102d0265cad7cefd5353a6883");
+    ("rand-16-s2/depth1/0.2", "212a8c4f156fa0c7c5e93ea667d909d8");
+    ("rand-16-s2/wide-rd2/0.01", "9c7a218c625816d95db2f7e734a60f79");
+    ("rand-16-s2/wide-rd2/0.05", "762565a1ee64e000c2b583318373a98f");
+    ("rand-16-s2/wide-rd2/0.2", "5816400d79cc45b4b61bfb2e5978010c");
+    ("rand-16-s2/vc2-depth2-8bit/0.01", "863a50dc3abf745ffe6d1f7cadbedd8b");
+    ("rand-16-s2/vc2-depth2-8bit/0.05", "f0bed37f7a3d79e9ab2d2083c408a274");
+    ("rand-16-s2/vc2-depth2-8bit/0.2", "7cefe231ced75972bb80a66e59bdd241");
+    ("ring/vc1/depth1", "eb6703837ba2045e07120cfe320b67e6");
+    ("ring/vc1/depth2", "82b83ecae9156f29cbea2911e3d73601");
+    ("ring/vc1/depth4", "9d9bfa5dd861b9382214658696c116da");
+    ("ring/vc2/depth1", "313fd96451fc093eb070da7357f274dd");
+    ("ring/vc2/depth2", "19d0841f8cc6969b409b89722c8ea01f");
+    ("ring/vc2/depth4", "21f21a10e505d3f00df7c9080502bfbb");
+  ]
+
+let test_flit_pinned () =
+  let got = pin_cases () in
+  (* the test's output log holds the table to paste when re-pinning *)
+  List.iter (fun (k, h) -> Printf.printf "    (%S, %S);\n" k h) got;
+  Alcotest.(check int) "case count" (List.length pinned_digests) (List.length got);
+  List.iter2
+    (fun (k, want) (k', h) ->
+      Alcotest.(check string) "case name" k k';
+      Alcotest.(check string) k want h)
+    pinned_digests got
+
 let suite =
   ( "flit",
     [
@@ -395,4 +685,5 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_conservation_every_cycle;
       QCheck_alcotest.to_alcotest qcheck_deeper_fifos_monotone;
       QCheck_alcotest.to_alcotest qcheck_lanes_drain_cyclic_rings;
+      Alcotest.test_case "flit: exact behaviour is pinned" `Quick test_flit_pinned;
     ] )

@@ -363,6 +363,7 @@ let test_saturation_detection () =
       delivered = 10;
       avg_latency = lat;
       throughput = 0.1;
+      drained = true;
     }
   in
   Alcotest.(check (option (float 1e-9))) "knee found" (Some 0.3)
@@ -377,7 +378,7 @@ let test_saturation_skips_zero_delivery_baseline () =
      declared the first real point (latency 5 > 4) saturated.  The baseline
      must instead come from the first point that actually delivered. *)
   let mk ?(delivered = 10) rate lat =
-    { Sweep.rate; offered = rate; delivered; avg_latency = lat; throughput = 0.1 }
+    { Sweep.rate; offered = rate; delivered; avg_latency = lat; throughput = 0.1; drained = true }
   in
   let pts =
     [ mk ~delivered:0 0.05 0.0; mk 0.1 5.0; mk 0.2 8.0; mk 0.3 30.0 ]
@@ -448,6 +449,22 @@ let test_two_hop_ring_split_by_voqs () =
       | `Idle, _ -> ()
       | _ -> Alcotest.failf "depth %d, %d flits: one lane must drain" fifo_depth size_flits)
     [ (1, 4); (1, 16); (2, 4); (2, 16); (4, 4); (4, 16) ]
+
+let test_undrained_sweep_point () =
+  (* one lane jams the 3-hop ring under load: the sweep must say so, and an
+     undrained point is the knee however low the latency of the few
+     packets that got out reads (0.05: 42 delivered at 59.9 cycles, 0.2: 4
+     at 44.0, both under 4x the 25.5 of the drained 0.01 point) *)
+  let arch, flows = ring_arch ~hops:3 in
+  let acg = Acg.uniform ~volume:1 ~bandwidth:0.1 (D.of_edges flows) in
+  let points =
+    Sweep.latency_vs_load ~engine:Noc_sim.Engine.Flit ~rng:(Prng.create ~seed:1) ~arch ~acg
+      ~cycles:500 ~rates:[ 0.01; 0.05; 0.2 ] ()
+  in
+  Alcotest.(check (list bool)) "drained per rate" [ true; false; false ]
+    (List.map (fun p -> p.Sweep.drained) points);
+  Alcotest.(check (option (float 1e-9))) "knee at the first undrained rate" (Some 0.05)
+    (Sweep.saturation_rate points)
 
 let test_wormhole_beats_store_and_forward () =
   (* the whole point of wormhole switching: a multi-flit packet streams
@@ -613,4 +630,5 @@ let suite =
       Alcotest.test_case "wormhole: argument validation" `Quick test_wormhole_bad_args;
       QCheck_alcotest.to_alcotest qcheck_wormhole_always_terminates_acyclic;
       QCheck_alcotest.to_alcotest qcheck_uncontended_latency;
+      Alcotest.test_case "sweep: an undrained point is the knee" `Quick test_undrained_sweep_point;
     ] )
