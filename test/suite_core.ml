@@ -436,6 +436,60 @@ let test_infeasible_constraints_fallback () =
   Alcotest.(check bool) "flagged unmet" false stats.Bb.constraints_met;
   Alcotest.(check bool) "fallback still valid" true (Decomp.is_valid_for acg d)
 
+(* Every corpus scenario searched under each technology preset's
+   constraints, with the edge-count and the energy objective: one digest of
+   the listings, costs and verdicts per (preset, objective). *)
+let pinned_constrained =
+  [
+    ("cmos-180nm/edge", "fb872f3f07218e05bc2d80e92ba8d3b0");
+    ("cmos-180nm/energy", "dce915e20eba14adec47e6a2dae131c2");
+    ("cmos-130nm/edge", "f0e15e0b9c936d7a0c23da91e15c433b");
+    ("cmos-130nm/energy", "8e5b19b263359b600ff9690768078fb7");
+    ("cmos-100nm/edge", "f0e15e0b9c936d7a0c23da91e15c433b");
+    ("cmos-100nm/energy", "648e5ad5c7999d8942f3cd3536766af5");
+  ]
+
+let test_constrained_corpus_pinned () =
+  let corpus = Noc_benchkit.Corpus.default () in
+  let digest tech objective =
+    let options acg =
+      let fp =
+        Noc_energy.Floorplan.(grid (uniform_cores ~n:(Acg.num_cores acg) ~size_mm:2.0))
+      in
+      match objective with
+      | `Edge -> { Bb.default_options with constraints = Some (Cons.of_technology tech) }
+      | `Energy -> Bb.energy_options ~tech ~fp
+    in
+    List.map
+      (fun (s : Noc_benchkit.Corpus.scenario) ->
+        let acg = s.Noc_benchkit.Corpus.acg in
+        let options = options acg in
+        let d, st = decompose ~options acg in
+        let line =
+          Format.asprintf "%s %b %h@.%a" s.Noc_benchkit.Corpus.name st.Bb.constraints_met
+            st.Bb.best_cost (Decomp.pp_with_cost options.Bb.cost acg) d
+        in
+        print_string line;
+        line)
+      corpus
+    |> String.concat "" |> Digest.string |> Digest.to_hex
+  in
+  let got =
+    List.concat_map
+      (fun (tech : Noc_energy.Technology.t) ->
+        List.map
+          (fun (oname, o) ->
+            (Printf.sprintf "%s/%s" tech.Noc_energy.Technology.name oname, digest tech o))
+          [ ("edge", `Edge); ("energy", `Energy) ])
+      Noc_energy.Technology.presets
+  in
+  List.iter (fun (k, h) -> Printf.printf "    (%S, %S);\n" k h) got;
+  List.iter2
+    (fun (k, want) (k', h) ->
+      Alcotest.(check string) "case name" k k';
+      Alcotest.(check string) k want h)
+    pinned_constrained got
+
 (* -------------------------------------------------------------------- *)
 (* Deadlock                                                              *)
 
@@ -1064,6 +1118,8 @@ let suite =
       Alcotest.test_case "constraints from technology" `Quick test_constraints_of_technology;
       Alcotest.test_case "infeasible constraints fallback" `Quick
         test_infeasible_constraints_fallback;
+      Alcotest.test_case "constrained corpus searches are pinned" `Quick
+        test_constrained_corpus_pinned;
       Alcotest.test_case "mesh XY is deadlock free" `Quick test_mesh_xy_deadlock_free;
       Alcotest.test_case "custom arch deadlock report" `Quick test_custom_deadlock_report;
       Alcotest.test_case "cdg edges chain" `Quick test_cdg_edges;
