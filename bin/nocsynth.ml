@@ -12,7 +12,8 @@
 
    All diagnostics go through Logs to stderr; stdout carries only data
    (listings, reports, ACG text, and the --metrics JSON), so outputs can
-   be piped.  Unreadable or malformed ACG files exit with code 2. *)
+   be piped.  Unreadable or malformed ACG files and unknown scenarios exit
+   with code 2; bad option values and combinations are usage errors (124). *)
 
 open Cmdliner
 
@@ -26,6 +27,9 @@ module L = Noc_primitives.Library
 module Fp = Noc_energy.Floorplan
 module Tech = Noc_energy.Technology
 module Obs = Noc_obs.Obs
+module Corpus = Noc_benchkit.Corpus
+module Runner = Noc_benchkit.Runner
+module Serve = Noc_serve
 
 let setup_logs () =
   Logs.set_reporter
@@ -46,18 +50,15 @@ let load_acg file =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed (deterministic runs).")
 
-let library_arg =
-  let lib_enum =
-    Arg.enum [ ("default", `Default); ("minimal", `Minimal); ("extended", `Extended) ]
-  in
+(* --library takes the names a service request takes *)
+let library_name_arg =
+  let names = Arg.enum (List.map (fun n -> (n, n)) [ "default"; "minimal"; "extended" ]) in
   Arg.(
-    value & opt lib_enum `Default
+    value & opt names "default"
     & info [ "library" ] ~docv:"LIB" ~doc:"Communication library: default, minimal or extended.")
 
-let resolve_library = function
-  | `Default -> L.default ()
-  | `Minimal -> L.minimal ()
-  | `Extended -> L.extended ()
+let library_arg =
+  Term.(const (fun n -> Option.get (Serve.Proto.Request.library_of_name n)) $ library_name_arg)
 
 let acg_file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"ACG" ~doc:"ACG file (see Acg_io format).")
@@ -126,33 +127,14 @@ let cost_arg =
               floorplan (energy).")
 
 let tech_arg =
+  let presets = List.map (fun t -> (t.Tech.name, t)) Tech.presets in
   Arg.(
-    value & opt string "cmos-180nm"
+    value & opt (enum presets) Tech.cmos_180nm
     & info [ "tech" ] ~docv:"NODE" ~doc:"Technology preset (cmos-180nm, cmos-130nm, cmos-100nm).")
 
 let grid_floorplan acg =
   let n = Acg.num_cores acg in
   Fp.grid (Fp.uniform_cores ~n ~size_mm:2.0)
-
-let resolve_tech name =
-  match Tech.find name with
-  | Some t -> t
-  | None -> failwith (Printf.sprintf "unknown technology %S" name)
-
-let make_options ?(portfolio = false) ?(fallback = false) ~cost ~tech ~acg ~beam () =
-  let cost_fn =
-    match cost with
-    | `Edge -> Noc_core.Cost.Edge_count
-    | `Energy -> Noc_core.Cost.Energy { tech = resolve_tech tech; fp = grid_floorplan acg }
-  in
-  {
-    Bb.default_options with
-    cost = cost_fn;
-    max_matches_per_step = beam;
-    role_aware = (match cost with `Energy -> true | `Edge -> false);
-    portfolio;
-    fallback;
-  }
 
 (* budget-exhaustion diagnostics shared by decompose and synth *)
 let warn_anytime (st : Bb.stats) =
@@ -170,20 +152,94 @@ let warn_anytime (st : Bb.stats) =
   | Some w -> Logs.info (fun k -> k "portfolio winner: %s ordering" w)
   | None -> ()
 
-let make_budget ~timeout ~node_budget ~domains =
-  Bb.Budget.(
-    default |> with_timeout_s timeout |> with_max_nodes node_budget |> with_domains domains)
+(* --timeout, --max-nodes and --domains *)
+let budget_term =
+  let make timeout max_nodes domains =
+    Bb.Budget.(
+      default |> with_timeout_s timeout |> with_max_nodes max_nodes |> with_domains domains)
+  in
+  Term.(const make $ timeout_arg $ node_budget_arg $ domains_arg)
 
-let make_observer ~trace ~metrics =
-  if trace <> None || metrics then Obs.create () else Obs.disabled
+(* What decompose and synth hand the search.  The options depend on the
+   ACG: the energy cost is measured against its grid floorplan. *)
+type search = {
+  library : L.t;
+  budget : Bb.Budget.t;
+  tech : Tech.t;
+  options : Acg.t -> Bb.options;
+}
 
-let write_trace observe = function
-  | None -> ()
-  | Some path ->
-      Obs.Trace.write observe ~path;
-      Logs.info (fun k -> k "wrote trace %s" path)
+let search_term =
+  let make library cost tech beam budget portfolio fallback =
+    let options acg =
+      {
+        Bb.default_options with
+        cost =
+          (match cost with
+          | `Edge -> Noc_core.Cost.Edge_count
+          | `Energy -> Noc_core.Cost.Energy { tech; fp = grid_floorplan acg });
+        max_matches_per_step = beam;
+        role_aware = cost = `Energy;
+        portfolio;
+        fallback;
+      }
+    in
+    { library; budget; tech; options }
+  in
+  Term.(
+    const make $ library_arg $ cost_arg $ tech_arg $ beam_arg $ budget_term $ portfolio_flag
+    $ fallback_flag)
 
-let float_metrics kvs = List.map (fun (k, v) -> (k, Obs.Json.Float v)) kvs
+(* --trace and --metrics.  With --metrics, stdout is reserved for the JSON
+   that [finish] prints, so [say] moves human output to stderr. *)
+type output = {
+  observe : Obs.t;
+  say : 'a. ('a, unit, string, unit) format4 -> 'a;  (** one line of human output *)
+  finish : ?json:Obs.Json.t -> unit -> unit;  (** writes the trace, prints the JSON *)
+}
+
+let output_term =
+  let make trace metrics =
+    let observe = if trace <> None || metrics then Obs.create () else Obs.disabled in
+    let say fmt =
+      Printf.ksprintf
+        (fun s -> if metrics then Logs.app (fun k -> k "%s" s) else print_endline s)
+        fmt
+    in
+    let finish ?json () =
+      Option.iter
+        (fun path ->
+          Obs.Trace.write observe ~path;
+          Logs.info (fun k -> k "wrote trace %s" path))
+        trace;
+      match json with
+      | Some json when metrics -> print_endline (Obs.Json.to_string json)
+      | Some _ | None -> ()
+    in
+    { observe; say; finish }
+  in
+  Term.(const make $ trace_arg $ metrics_flag)
+
+(* --scenario NAME (repeatable), resolved against the benchmark corpus;
+   [None] when no scenario is named *)
+let scenarios_term ~doc =
+  let resolve = function
+    | [] -> None
+    | names ->
+        let corpus = Corpus.default () in
+        Some
+          (List.map
+             (fun n ->
+               match Corpus.find n corpus with
+               | Some s -> s
+               | None ->
+                   Logs.err (fun k -> k "unknown scenario %S" n);
+                   exit 2)
+             names)
+  in
+  Term.(const resolve $ Arg.(value & opt_all string [] & info [ "scenario" ] ~docv:"NAME" ~doc))
+
+let all_if_none = function Some picked -> picked | None -> Corpus.default ()
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                             *)
@@ -199,7 +255,8 @@ let generate_cmd =
   in
   let preset =
     Arg.(
-      value & opt (some string) None
+      value
+      & opt (some (enum Noc_tgff.Tgff.presets)) None
       & info [ "preset" ] ~docv:"NAME"
           ~doc:"TGFF preset: automotive, consumer, networking, office, telecom.")
   in
@@ -216,10 +273,7 @@ let generate_cmd =
       | `Tgff ->
           let params =
             match preset with
-            | Some name -> (
-                match List.assoc_opt name Noc_tgff.Tgff.presets with
-                | Some p -> p
-                | None -> failwith (Printf.sprintf "unknown preset %S" name))
+            | Some p -> p
             | None -> { Noc_tgff.Tgff.default_params with tasks = nodes }
           in
           Acg.of_tgff (Noc_tgff.Tgff.generate ~rng params)
@@ -242,42 +296,30 @@ let decompose_cmd =
   let stats_flag =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print search statistics.")
   in
-  let run file lib cost tech beam timeout node_budget domains portfolio fallback stats
-      trace metrics =
+  let run file s stats o =
     let acg = load_acg file in
-    let library = resolve_library lib in
-    let options = make_options ~portfolio ~fallback ~cost ~tech ~acg ~beam () in
-    let budget = make_budget ~timeout ~node_budget ~domains in
-    let observe = make_observer ~trace ~metrics in
-    let d, st = Bb.decompose ~options ~budget ~observe ~library acg in
-    let listing = Format.asprintf "%a" (Decomp.pp_with_cost options.Bb.cost acg) d in
-    (* with --metrics, stdout is reserved for the JSON *)
-    if metrics then Logs.app (fun k -> k "%s" listing) else print_string listing;
+    let options = s.options acg in
+    let d, st =
+      Bb.decompose ~options ~budget:s.budget ~observe:o.observe ~library:s.library acg
+    in
+    (* the listing ends in the newline [say] adds *)
+    o.say "%s" (String.trim (Format.asprintf "%a" (Decomp.pp_with_cost options.Bb.cost acg) d));
     warn_anytime st;
-    if stats then begin
-      let line =
-        Printf.sprintf "nodes=%d matches=%d leaves=%d pruned=%d incumbents=%d elapsed=%.3fs"
-          st.Bb.nodes st.Bb.matches_tried st.Bb.leaves st.Bb.pruned st.Bb.incumbents
-          st.Bb.elapsed_s
-      in
-      if metrics then Logs.app (fun k -> k "%s" line) else print_endline line
-    end;
-    write_trace observe trace;
-    if metrics then
-      print_endline
-        (Obs.Json.to_string
-           (Obs.Json.Obj
-              [
-                ("search", Bb.stats_to_json st);
-                ("observer", Obs.Json.Obj (Obs.metrics observe));
-              ]))
+    if stats then
+      o.say "nodes=%d matches=%d leaves=%d pruned=%d incumbents=%d elapsed=%.3fs" st.Bb.nodes
+        st.Bb.matches_tried st.Bb.leaves st.Bb.pruned st.Bb.incumbents st.Bb.elapsed_s;
+    o.finish
+      ~json:
+        (Obs.Json.Obj
+           [
+             ("search", Bb.stats_to_json st);
+             ("observer", Obs.Json.Obj (Obs.metrics o.observe));
+           ])
+      ()
   in
   Cmd.v
     (Cmd.info "decompose" ~doc:"Decompose an ACG into communication primitives.")
-    Term.(
-      const run $ acg_file_arg $ library_arg $ cost_arg $ tech_arg $ beam_arg $ timeout_arg
-      $ node_budget_arg $ domains_arg $ portfolio_flag $ fallback_flag $ stats_flag
-      $ trace_arg $ metrics_flag)
+    Term.(const run $ acg_file_arg $ search_term $ stats_flag $ output_term)
 
 (* ------------------------------------------------------------------ *)
 (* synth                                                                *)
@@ -293,27 +335,22 @@ let synth_cmd =
       value & flag
       & info [ "check" ] ~doc:"Check the technology's bandwidth and bisection constraints.")
   in
-  let run file lib cost tech beam timeout node_budget domains portfolio fallback dot check
-      trace metrics =
+  let run file s dot check o =
     let acg = load_acg file in
-    let library = resolve_library lib in
-    let options = make_options ~portfolio ~fallback ~cost ~tech ~acg ~beam () in
-    let budget = make_budget ~timeout ~node_budget ~domains in
-    let observe = make_observer ~trace ~metrics in
-    let d, stats = Bb.decompose ~options ~budget ~observe ~library acg in
+    let options = s.options acg in
+    let d, stats =
+      Bb.decompose ~options ~budget:s.budget ~observe:o.observe ~library:s.library acg
+    in
     warn_anytime stats;
-    let tech' = resolve_tech tech in
-    let fp = grid_floorplan acg in
     let constraints =
-      if check then Some (Noc_core.Constraints.of_technology tech') else None
+      if check then Some (Noc_core.Constraints.of_technology s.tech) else None
     in
     let report =
-      Obs.span observe ~cat:"synth" "build-report" (fun () ->
-          Noc_core.Report.build ~tech:tech' ~fp ?constraints ~cost:options.Bb.cost ~acg
-            ~decomposition:d ~stats ())
+      Obs.span o.observe ~cat:"synth" "build-report" (fun () ->
+          Noc_core.Report.build ~tech:s.tech ~fp:(grid_floorplan acg) ?constraints
+            ~cost:options.Bb.cost ~acg ~decomposition:d ~stats ())
     in
-    if metrics then Logs.app (fun k -> k "%s" (Noc_core.Report.to_string report))
-    else Format.printf "%a@." Noc_core.Report.pp report;
+    o.say "%s" (Noc_core.Report.to_string report);
     (match dot with
     | Some path ->
         let arch = Syn.custom acg d in
@@ -321,15 +358,11 @@ let synth_cmd =
           (Noc_graph.Dot.to_dot ~name:"topology" ~undirected:true arch.Syn.topology);
         Logs.app (fun k -> k "wrote %s" path)
     | None -> ());
-    write_trace observe trace;
-    if metrics then print_endline (Obs.Json.to_string (Noc_core.Report.to_json report))
+    o.finish ~json:(Noc_core.Report.to_json report) ()
   in
   Cmd.v
     (Cmd.info "synth" ~doc:"Synthesize the customized architecture for an ACG.")
-    Term.(
-      const run $ acg_file_arg $ library_arg $ cost_arg $ tech_arg $ beam_arg $ timeout_arg
-      $ node_budget_arg $ domains_arg $ portfolio_flag $ fallback_flag $ dot_out
-      $ check_flag $ trace_arg $ metrics_flag)
+    Term.(const run $ acg_file_arg $ search_term $ dot_out $ check_flag $ output_term)
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                             *)
@@ -356,7 +389,8 @@ let simulate_cmd =
       Arg.enum [ ("fixed", `Fixed); ("adaptive", `Adaptive); ("oblivious", `Oblivious) ]
     in
     Arg.(
-      value & opt policy_enum `Fixed
+      value
+      & opt (some' ~none:`Fixed policy_enum) None
       & info [ "policy" ] ~docv:"POLICY"
           ~doc:"Routing policy: fixed, adaptive or oblivious (coarse engine only).")
   in
@@ -380,15 +414,13 @@ let simulate_cmd =
     let num_vcs = (Noc_core.Deadlock.analyze arch).Noc_core.Deadlock.vcs_needed in
     Noc_sim.Engine.create ~flit_config:{ Noc_sim.Flitsim.default_config with num_vcs } engine arch
   in
-  let scenario_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "scenario" ] ~docv:"NAME"
-          ~doc:
-            "Corpus scenario to simulate (repeatable; default when no ACG file is \
-             given: all).  Each scenario is decomposed, glued and driven with one \
-             packet per flow on the selected engine; exits 1 if any scenario fails to \
-             drain cleanly.")
+  let scenarios =
+    scenarios_term
+      ~doc:
+        "Corpus scenario to simulate (repeatable; default when no ACG file is \
+         given: all).  Each scenario is decomposed, glued and driven with one \
+         packet per flow on the selected engine; exits 1 if any scenario fails to \
+         drain cleanly."
   in
   let size_flits_arg =
     Arg.(
@@ -397,37 +429,18 @@ let simulate_cmd =
   in
   (* corpus mode: every picked scenario must drain cleanly on the chosen
      engine — the @flit-smoke CI gate runs exactly this with --engine flit *)
-  let run_corpus ~engine ~library ~size_flits ~metrics scenarios =
-    let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
-    let corpus = Noc_benchkit.Corpus.default () in
-    let picked =
-      match scenarios with
-      | [] -> corpus
-      | names ->
-          List.map
-            (fun n ->
-              match Noc_benchkit.Corpus.find n corpus with
-              | Some s -> s
-              | None ->
-                  Logs.err (fun k -> k "unknown scenario %S" n);
-                  exit 2)
-            names
-    in
-    say
-      (Printf.sprintf "%-22s %-8s %-8s %8s %8s %10s %6s" "scenario" "engine" "status"
-         "cycles" "packets" "avg lat" "cons");
+  let run_corpus ~engine ~library ~size_flits o picked =
+    o.say "%-22s %-8s %-8s %8s %8s %10s %6s" "scenario" "engine" "status" "cycles" "packets"
+      "avg lat" "cons";
     let failed = ref false in
     List.iter
-      (fun (s : Noc_benchkit.Corpus.scenario) ->
-        let d, _ = Bb.decompose ~library s.Noc_benchkit.Corpus.acg in
-        let arch = Syn.custom s.Noc_benchkit.Corpus.acg d in
-        let net = create_engine engine arch in
-        let flows = ref 0 in
+      (fun (s : Corpus.scenario) ->
+        let acg = s.Corpus.acg in
+        let d, _ = Bb.decompose ~observe:o.observe ~library acg in
+        let net = create_engine engine (Syn.custom acg d) in
         D.iter_edges
-          (fun src dst ->
-            incr flows;
-            ignore (Noc_sim.Engine.inject ~size_flits net ~src ~dst))
-          (Acg.graph s.Noc_benchkit.Corpus.acg);
+          (fun src dst -> ignore (Noc_sim.Engine.inject ~size_flits net ~src ~dst))
+          (Acg.graph acg);
         let verdict = Noc_sim.Engine.run_until_idle net in
         let summary = Noc_sim.Engine.summary net in
         let conserved =
@@ -435,35 +448,32 @@ let simulate_cmd =
           | Some f -> Noc_sim.Flitsim.conservation_ok f
           | None -> true
         in
-        let ok =
-          verdict = Noc_sim.Engine.Idle
-          && summary.Noc_sim.Stats.packets = !flows
-          && conserved
-        in
-        if not ok then failed := true;
-        say
-          (Printf.sprintf "%-22s %-8s %-8s %8d %8d %10.2f %6s" s.Noc_benchkit.Corpus.name
-             (Noc_sim.Engine.name net)
-             (Noc_sim.Engine.verdict_name verdict)
-             (Noc_sim.Engine.now net) summary.Noc_sim.Stats.packets
-             summary.Noc_sim.Stats.avg_latency
-             (if conserved then "ok" else "BROKEN")))
+        if
+          verdict <> Noc_sim.Engine.Idle
+          || summary.Noc_sim.Stats.packets <> Acg.num_flows acg
+          || not conserved
+        then failed := true;
+        o.say "%-22s %-8s %-8s %8d %8d %10.2f %6s" s.Corpus.name (Noc_sim.Engine.name net)
+          (Noc_sim.Engine.verdict_name verdict)
+          (Noc_sim.Engine.now net) summary.Noc_sim.Stats.packets
+          summary.Noc_sim.Stats.avg_latency
+          (if conserved then "ok" else "BROKEN"))
       picked;
+    o.finish ();
     if !failed then begin
       Logs.err (fun k -> k "simulate: at least one scenario failed to drain cleanly");
       exit 1
     end
   in
-  let run file lib tech rows cols cycles rate policy engine scenarios size_flits seed
-      trace metrics =
-    let library = resolve_library lib in
+  let run file library tech rows cols cycles rate policy engine scenarios size_flits seed o =
     match (file, scenarios) with
-    | None, _ | _, _ :: _ -> run_corpus ~engine ~library ~size_flits ~metrics scenarios
-    | Some file, [] ->
+    | Some _, Some _ -> `Error (true, "an ACG file and --scenario cannot be combined")
+    | _ when policy <> None && (file = None || engine <> Noc_sim.Engine.Coarse) ->
+        `Error (true, "--policy needs an ACG file and --engine coarse")
+    | None, picked -> `Ok (run_corpus ~engine ~library ~size_flits o (all_if_none picked))
+    | Some file, None ->
         let acg = load_acg file in
-        let observe = make_observer ~trace ~metrics in
-        let d, _ = Bb.decompose ~observe ~library acg in
-        let tech' = resolve_tech tech in
+        let d, _ = Bb.decompose ~observe:o.observe ~library acg in
         (* the floorplan must place every mesh tile: routes may pass through
            tiles that host no core *)
         let fp =
@@ -471,87 +481,74 @@ let simulate_cmd =
             (Fp.uniform_cores ~n:(max (Acg.num_cores acg) (rows * cols)) ~size_mm:2.0)
         in
         let mk_policy () =
-          match policy with
+          match Option.value policy ~default:`Fixed with
           | `Fixed -> Noc_sim.Network.Fixed
           | `Adaptive -> Noc_sim.Network.Adaptive
           | `Oblivious -> Noc_sim.Network.Oblivious (Noc_util.Prng.create ~seed:(seed + 1))
         in
-        let header =
-          Printf.sprintf "%-12s %8s %10s %10s %12s %10s %8s" "arch" "packets" "avg lat"
-            "thpt" "energy (pJ)" "power(mW)" "verdict"
-        in
-        if metrics then Logs.app (fun k -> k "%s" header) else print_endline header;
+        o.say "%-12s %8s %10s %10s %12s %10s %8s" "arch" "packets" "avg lat" "thpt"
+          "energy (pJ)" "power(mW)" "verdict";
         let arch_metrics =
           List.map
             (fun (name, arch) ->
-              match engine with
-              | Noc_sim.Engine.Coarse ->
-                  (* the coarse engine keeps its richer pipeline: routing
-                     policies, contention counters and energy accounting *)
-                  let net = Noc_sim.Network.create ~policy:(mk_policy ()) arch in
-                  let rng = Noc_util.Prng.create ~seed in
-                  let flows = Noc_sim.Traffic.flows_of_acg ~rate_scale:rate acg in
-                  let ds =
-                    Obs.span observe ~cat:"sim" name (fun () ->
-                        Noc_sim.Traffic.run ~rng ~net ~flows ~cycles ())
-                  in
-                  let s = Noc_sim.Stats.summarize ds in
-                  let row =
-                    Printf.sprintf "%-12s %8d %10.2f %10.3f %12.1f %10.2f %8s" name
-                      s.Noc_sim.Stats.packets s.Noc_sim.Stats.avg_latency
-                      s.Noc_sim.Stats.throughput
-                      (Noc_sim.Stats.total_energy_pj ~tech:tech' ~fp net)
-                      (Noc_sim.Stats.avg_power_mw ~tech:tech' ~fp net)
-                      "idle"
-                  in
-                  if metrics then Logs.app (fun k -> k "%s" row) else print_endline row;
-                  (* surface the per-router/per-link activity as observer
-                     counters so they land in the trace too *)
-                  if Obs.enabled observe then
-                    List.iter
-                      (fun (key, v) ->
-                        Obs.Gauge.set (Obs.gauge observe (Printf.sprintf "%s.%s" name key)) v)
-                      (Noc_sim.Network.metrics net);
-                  ( name,
-                    Obs.Json.Obj
-                      (float_metrics
-                         (Noc_sim.Stats.summary_metrics s
-                         @ Noc_sim.Network.metrics net
-                         @ Noc_sim.Stats.energy_metrics ~tech:tech' ~fp net)) )
-              | Noc_sim.Engine.Flit ->
-                  (* the flit engine: Bernoulli traffic on the ACG flows, as
-                     in Sweep.latency_vs_load (no energy model) *)
-                  let net = create_engine engine arch in
-                  let rng = Noc_util.Prng.create ~seed in
-                  let edges = D.edges (Acg.graph acg) in
-                  let verdict =
-                    Obs.span observe ~cat:"sim" name (fun () ->
-                        for _ = 1 to cycles do
-                          List.iter
-                            (fun (src, dst) ->
-                              if Noc_util.Prng.bernoulli rng rate then
-                                ignore (Noc_sim.Engine.inject ~size_flits net ~src ~dst))
-                            edges;
-                          Noc_sim.Engine.step net
-                        done;
-                        Noc_sim.Engine.run_until_idle ~max_cycles:200_000 net)
-                  in
-                  let s = Noc_sim.Engine.summary net in
-                  let row =
-                    Printf.sprintf "%-12s %8d %10.2f %10.3f %12s %10s %8s" name
-                      s.Noc_sim.Stats.packets s.Noc_sim.Stats.avg_latency
-                      s.Noc_sim.Stats.throughput "-" "-"
-                      (Noc_sim.Engine.verdict_name verdict)
-                  in
-                  if metrics then Logs.app (fun k -> k "%s" row) else print_endline row;
-                  ( name,
-                    Obs.Json.Obj
-                      (float_metrics
-                         (Noc_sim.Stats.summary_metrics s @ Noc_sim.Engine.metrics net)) ))
+              let s, energy, power, verdict, metrics =
+                match engine with
+                | Noc_sim.Engine.Coarse ->
+                    (* the coarse engine keeps its richer pipeline: routing
+                       policies, contention counters and energy accounting *)
+                    let net = Noc_sim.Network.create ~policy:(mk_policy ()) arch in
+                    let rng = Noc_util.Prng.create ~seed in
+                    let flows = Noc_sim.Traffic.flows_of_acg ~rate_scale:rate acg in
+                    let ds =
+                      Obs.span o.observe ~cat:"sim" name (fun () ->
+                          Noc_sim.Traffic.run ~rng ~net ~flows ~cycles ())
+                    in
+                    (* surface the per-router/per-link activity as observer
+                       counters so they land in the trace too *)
+                    if Obs.enabled o.observe then
+                      List.iter
+                        (fun (key, v) ->
+                          Obs.Gauge.set (Obs.gauge o.observe (Printf.sprintf "%s.%s" name key)) v)
+                        (Noc_sim.Network.metrics net);
+                    ( Noc_sim.Stats.summarize ds,
+                      Printf.sprintf "%.1f" (Noc_sim.Stats.total_energy_pj ~tech ~fp net),
+                      Printf.sprintf "%.2f" (Noc_sim.Stats.avg_power_mw ~tech ~fp net),
+                      "idle",
+                      Noc_sim.Network.metrics net @ Noc_sim.Stats.energy_metrics ~tech ~fp net )
+                | Noc_sim.Engine.Flit ->
+                    (* the flit engine: Bernoulli traffic on the ACG flows, as
+                       in Sweep.latency_vs_load (no energy model) *)
+                    let net = create_engine engine arch in
+                    let rng = Noc_util.Prng.create ~seed in
+                    let edges = D.edges (Acg.graph acg) in
+                    let verdict =
+                      Obs.span o.observe ~cat:"sim" name (fun () ->
+                          for _ = 1 to cycles do
+                            List.iter
+                              (fun (src, dst) ->
+                                if Noc_util.Prng.bernoulli rng rate then
+                                  ignore (Noc_sim.Engine.inject ~size_flits net ~src ~dst))
+                              edges;
+                            Noc_sim.Engine.step net
+                          done;
+                          Noc_sim.Engine.run_until_idle ~max_cycles:200_000 net)
+                    in
+                    ( Noc_sim.Engine.summary net,
+                      "-",
+                      "-",
+                      Noc_sim.Engine.verdict_name verdict,
+                      Noc_sim.Engine.metrics net )
+              in
+              o.say "%-12s %8d %10.2f %10.3f %12s %10s %8s" name s.Noc_sim.Stats.packets
+                s.Noc_sim.Stats.avg_latency s.Noc_sim.Stats.throughput energy power verdict;
+              ( name,
+                Obs.Json.Obj
+                  (List.map
+                     (fun (k, v) -> (k, Obs.Json.Float v))
+                     (Noc_sim.Stats.summary_metrics s @ metrics)) ))
             [ ("customized", Syn.custom acg d); ("mesh", Syn.mesh ~rows ~cols acg) ]
         in
-        write_trace observe trace;
-        if metrics then print_endline (Obs.Json.to_string (Obs.Json.Obj arch_metrics))
+        `Ok (o.finish ~json:(Obs.Json.Obj arch_metrics) ())
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -559,9 +556,9 @@ let simulate_cmd =
          "Simulate ACG traffic on customized vs mesh (or drive the benchmark corpus) at \
           a selectable engine fidelity.")
     Term.(
-      const run $ acg_file_opt $ library_arg $ tech_arg $ rows $ cols $ cycles $ rate
-      $ policy_arg $ engine_arg $ scenario_arg $ size_flits_arg $ seed_arg $ trace_arg
-      $ metrics_flag)
+      ret
+        (const run $ acg_file_opt $ library_arg $ tech_arg $ rows $ cols $ cycles $ rate
+       $ policy_arg $ engine_arg $ scenarios $ size_flits_arg $ seed_arg $ output_term))
 
 (* ------------------------------------------------------------------ *)
 (* codesign                                                             *)
@@ -570,13 +567,11 @@ let codesign_cmd =
   let rounds =
     Arg.(value & opt int 4 & info [ "rounds" ] ~docv:"N" ~doc:"Co-design rounds.")
   in
-  let run file lib tech rounds seed =
+  let run file library tech rounds seed =
     let acg = load_acg file in
-    let library = resolve_library lib in
-    let tech' = resolve_tech tech in
     let fp = grid_floorplan acg in
     let rng = Noc_util.Prng.create ~seed in
-    let r = Noc_core.Co_design.optimize ~rounds ~rng ~tech:tech' ~library ~fp acg in
+    let r = Noc_core.Co_design.optimize ~rounds ~rng ~tech ~library ~fp acg in
     List.iter
       (fun it ->
         Format.printf "round %d: energy=%.1f pJ wirelength=%.1f@."
@@ -602,7 +597,6 @@ let aes_cmd =
     let library = L.default () in
     let d, _ = Bb.decompose ~library acg in
     Format.printf "%a@." (Decomp.pp_with_cost Noc_core.Cost.Edge_count acg) d;
-    let tech' = resolve_tech tech in
     let fp = grid_floorplan acg in
     let key = Noc_aes.Aes_core.of_hex "000102030405060708090a0b0c0d0e0f" in
     let pt = Noc_aes.Aes_core.of_hex "00112233445566778899aabbccddeeff" in
@@ -623,8 +617,8 @@ let aes_cmd =
           (Noc_aes.Distributed.throughput_mbps
              ~cycles_per_block:r.Noc_aes.Distributed.cycles ~clock_mhz:100.0)
           r.Noc_aes.Distributed.summary.Noc_sim.Stats.avg_latency
-          (Noc_sim.Stats.avg_power_mw ~tech:tech' ~fp r.Noc_aes.Distributed.net)
-          (Noc_sim.Stats.total_energy_pj ~tech:tech' ~fp r.Noc_aes.Distributed.net))
+          (Noc_sim.Stats.avg_power_mw ~tech ~fp r.Noc_aes.Distributed.net)
+          (Noc_sim.Stats.total_energy_pj ~tech ~fp r.Noc_aes.Distributed.net))
       [
         ("mesh", Syn.mesh ~rows:4 ~cols:4 acg);
         ("customized", Syn.custom acg d);
@@ -674,62 +668,54 @@ let fuzz_cmd =
             (Printf.sprintf "Restrict to one property (repeatable). Available: %s."
                (String.concat ", " Fz.property_names)))
   in
-  let run cases smoke seed corpus save_dir replay_only props lib trace metrics =
-    let library = resolve_library lib in
-    let observe = make_observer ~trace ~metrics in
-    let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
-    let corpus_n, corpus_failures = Fz.replay ~observe ~library ~dir:corpus () in
-    say
-      (Printf.sprintf "corpus: %d case%s replayed, %d failure%s" corpus_n
-         (if corpus_n = 1 then "" else "s")
-         (List.length corpus_failures)
-         (if List.length corpus_failures = 1 then "" else "s"));
-    List.iter
-      (fun (file, d) -> say (Printf.sprintf "  CORPUS FAIL %s: %s" file d))
-      corpus_failures;
+  let run cases smoke seed corpus save_dir replay_only props library o =
+    let corpus_n, corpus_failures = Fz.replay ~observe:o.observe ~library ~dir:corpus () in
+    o.say "corpus: %d case%s replayed, %d failure%s" corpus_n
+      (if corpus_n = 1 then "" else "s")
+      (List.length corpus_failures)
+      (if List.length corpus_failures = 1 then "" else "s");
+    List.iter (fun (file, d) -> o.say "  CORPUS FAIL %s: %s" file d) corpus_failures;
     let report =
       if replay_only then None
       else begin
         let cases = if smoke then min cases 40 else cases in
         let properties = match props with [] -> None | ps -> Some ps in
-        let r = Fz.run ~observe ~library ?properties ~seed ~cases () in
-        say (Format.asprintf "%a" Fz.pp_report r);
+        let r = Fz.run ~observe:o.observe ~library ?properties ~seed ~cases () in
+        o.say "%s" (Format.asprintf "%a" Fz.pp_report r);
         let dir = Option.value save_dir ~default:corpus in
         List.iter
           (fun f ->
             match Fz.save_failure ~dir f with
-            | path -> say (Printf.sprintf "  saved %s" path)
+            | path -> o.say "  saved %s" path
             | exception Sys_error m ->
                 Logs.warn (fun k -> k "could not save counterexample: %s" m))
           r.Fz.failures;
         Some r
       end
     in
-    write_trace observe trace;
-    if metrics then begin
-      let fuzz_json =
-        match report with
-        | None -> Obs.Json.Null
-        | Some r ->
-            Obs.Json.Obj
-              [
-                ("cases", Obs.Json.Int r.Fz.cases);
-                ("properties", Obs.Json.Int r.Fz.properties);
-                ("failures", Obs.Json.Int (List.length r.Fz.failures));
-                ("shrink_steps", Obs.Json.Int r.Fz.shrink_steps);
-                ("elapsed_s", Obs.Json.Float r.Fz.elapsed_s);
-              ]
-      in
-      print_endline
-        (Obs.Json.to_string
-           (Obs.Json.Obj
-              [
-                ("corpus_cases", Obs.Json.Int corpus_n);
-                ("corpus_failures", Obs.Json.Int (List.length corpus_failures));
-                ("fuzz", fuzz_json);
-                ("metrics", Obs.Json.Obj (Obs.metrics observe));
-              ]))
-    end;
+    let fuzz_json =
+      match report with
+      | None -> Obs.Json.Null
+      | Some r ->
+          Obs.Json.Obj
+            [
+              ("cases", Obs.Json.Int r.Fz.cases);
+              ("properties", Obs.Json.Int r.Fz.properties);
+              ("failures", Obs.Json.Int (List.length r.Fz.failures));
+              ("shrink_steps", Obs.Json.Int r.Fz.shrink_steps);
+              ("elapsed_s", Obs.Json.Float r.Fz.elapsed_s);
+            ]
+    in
+    o.finish
+      ~json:
+        (Obs.Json.Obj
+           [
+             ("corpus_cases", Obs.Json.Int corpus_n);
+             ("corpus_failures", Obs.Json.Int (List.length corpus_failures));
+             ("fuzz", fuzz_json);
+             ("metrics", Obs.Json.Obj (Obs.metrics o.observe));
+           ])
+      ();
     let failed =
       corpus_failures <> []
       || (match report with Some r -> r.Fz.failures <> [] | None -> false)
@@ -746,7 +732,7 @@ let fuzz_cmd =
           shrinking and saving any counterexample.  Exits 1 on any failure.")
     Term.(
       const run $ cases_arg $ smoke_flag $ seed_arg $ corpus_arg $ save_dir_arg
-      $ replay_only_flag $ property_arg $ library_arg $ trace_arg $ metrics_flag)
+      $ replay_only_flag $ property_arg $ library_arg $ output_term)
 
 (* ------------------------------------------------------------------ *)
 (* faults                                                               *)
@@ -772,11 +758,8 @@ let faults_cmd =
       value & opt int 20
       & info [ "samples" ] ~docv:"N" ~doc:"Sampled fault sets per multi-link campaign.")
   in
-  let scenario_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "scenario" ] ~docv:"NAME"
-          ~doc:"Restrict to one corpus scenario (repeatable; default: all).")
+  let scenarios =
+    scenarios_term ~doc:"Restrict to one corpus scenario (repeatable; default: all)."
   in
   let harden_flag =
     Arg.(
@@ -786,37 +769,19 @@ let faults_cmd =
                 failure can disconnect a flow, then run the campaign on the hardened \
                 architecture.")
   in
-  let run campaign links samples scenarios harden seed lib trace metrics =
-    let library = resolve_library lib in
-    let observe = make_observer ~trace ~metrics in
-    let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
-    let corpus = Noc_benchkit.Corpus.default () in
-    let picked =
-      match scenarios with
-      | [] -> corpus
-      | names ->
-          List.map
-            (fun n ->
-              match Noc_benchkit.Corpus.find n corpus with
-              | Some s -> s
-              | None ->
-                  Logs.err (fun k -> k "unknown scenario %S" n);
-                  exit 2)
-            names
-    in
+  let run campaign links samples picked harden seed library o =
     let spec =
       match campaign with
       | `Single -> Campaign.Single_link
       | `Multi -> Campaign.Multi_link { links; samples }
     in
-    say
-      (Printf.sprintf "%-20s %6s %6s %8s %8s %6s %6s %9s" "scenario" "links" "runs"
-         "min dlv" "max lat" "disc" "crit" "survives");
+    o.say "%-20s %6s %6s %8s %8s %6s %6s %9s" "scenario" "links" "runs" "min dlv" "max lat"
+      "disc" "crit" "survives";
     let reports =
       List.map
-        (fun (s : Noc_benchkit.Corpus.scenario) ->
-          let acg = s.Noc_benchkit.Corpus.acg in
-          let d, _ = Bb.decompose ~observe ~library acg in
+        (fun (s : Corpus.scenario) ->
+          let acg = s.Corpus.acg in
+          let d, _ = Bb.decompose ~observe:o.observe ~library acg in
           let arch = Syn.custom acg d in
           let arch, spares =
             if harden then begin
@@ -824,64 +789,53 @@ let faults_cmd =
               let arch', spares = Syn.harden ~tech ~fp arch in
               List.iter
                 (fun (a, b) ->
-                  Logs.info (fun k -> k "%s: spare link %d-%d" s.Noc_benchkit.Corpus.name a b))
+                  Logs.info (fun k -> k "%s: spare link %d-%d" s.Corpus.name a b))
                 spares;
               (arch', spares)
             end
             else (arch, [])
           in
-          let rep =
-            Campaign.run ~observe ~name:s.Noc_benchkit.Corpus.name ~seed ~spec acg arch
-          in
-          say
-            (Printf.sprintf "%-20s %6d %6d %8.3f %8.2f %6d %6d %9s"
-               rep.Campaign.scenario
-               (List.length (Noc_resil.Fault.undirected_links arch))
-               (List.length rep.Campaign.runs)
-               rep.Campaign.min_delivered_fraction rep.Campaign.max_latency_factor
-               rep.Campaign.worst_disconnected_pairs rep.Campaign.critical_links
-               (if rep.Campaign.survives_all then "yes" else "NO"));
+          let rep = Campaign.run ~observe:o.observe ~name:s.Corpus.name ~seed ~spec acg arch in
+          o.say "%-20s %6d %6d %8.3f %8.2f %6d %6d %9s" rep.Campaign.scenario
+            (List.length (Noc_resil.Fault.undirected_links arch))
+            (List.length rep.Campaign.runs)
+            rep.Campaign.min_delivered_fraction rep.Campaign.max_latency_factor
+            rep.Campaign.worst_disconnected_pairs rep.Campaign.critical_links
+            (if rep.Campaign.survives_all then "yes" else "NO");
           (* the worst offenders, for targeted hardening *)
           List.iteri
             (fun i (c : Campaign.link_criticality) ->
               if i < 3 && (c.Campaign.delivered_fraction < 1.0 || c.Campaign.disconnected_pairs > 0)
               then
-                say
-                  (Printf.sprintf "  critical link %d-%d: delivered %.3f, %d pair(s) cut"
-                     (fst c.Campaign.link) (snd c.Campaign.link)
-                     c.Campaign.delivered_fraction c.Campaign.disconnected_pairs))
+                o.say "  critical link %d-%d: delivered %.3f, %d pair(s) cut"
+                  (fst c.Campaign.link) (snd c.Campaign.link) c.Campaign.delivered_fraction
+                  c.Campaign.disconnected_pairs)
             rep.Campaign.criticality;
           (rep, spares))
-        picked
+        (all_if_none picked)
     in
-    write_trace observe trace;
-    if metrics then begin
-      let report_json ((rep : Campaign.report), spares) =
-        ( rep.Campaign.scenario,
-          Obs.Json.Obj
-            [
-              ("runs", Obs.Json.Int (List.length rep.Campaign.runs));
-              ("min_delivered_fraction", Obs.Json.Float rep.Campaign.min_delivered_fraction);
-              ("max_latency_factor", Obs.Json.Float rep.Campaign.max_latency_factor);
-              ( "worst_disconnected_pairs",
-                Obs.Json.Int rep.Campaign.worst_disconnected_pairs );
-              ("critical_links", Obs.Json.Int rep.Campaign.critical_links);
-              ("survives_all", Obs.Json.Bool rep.Campaign.survives_all);
-              ("stranded", Obs.Json.Int rep.Campaign.stranded_total);
-              ( "spares",
-                Obs.Json.List
-                  (List.map
-                     (fun (a, b) ->
-                       Obs.Json.List [ Obs.Json.Int a; Obs.Json.Int b ])
-                     spares) );
-            ] )
-      in
-      print_endline
-        (Obs.Json.to_string
-           (Obs.Json.Obj
-              (List.map report_json reports
-              @ [ ("metrics", Obs.Json.Obj (Obs.metrics observe)) ])))
-    end;
+    let report_json ((rep : Campaign.report), spares) =
+      ( rep.Campaign.scenario,
+        Obs.Json.Obj
+          [
+            ("runs", Obs.Json.Int (List.length rep.Campaign.runs));
+            ("min_delivered_fraction", Obs.Json.Float rep.Campaign.min_delivered_fraction);
+            ("max_latency_factor", Obs.Json.Float rep.Campaign.max_latency_factor);
+            ("worst_disconnected_pairs", Obs.Json.Int rep.Campaign.worst_disconnected_pairs);
+            ("critical_links", Obs.Json.Int rep.Campaign.critical_links);
+            ("survives_all", Obs.Json.Bool rep.Campaign.survives_all);
+            ("stranded", Obs.Json.Int rep.Campaign.stranded_total);
+            ( "spares",
+              Obs.Json.List
+                (List.map (fun (a, b) -> Obs.Json.List [ Obs.Json.Int a; Obs.Json.Int b ]) spares)
+            );
+          ] )
+    in
+    o.finish
+      ~json:
+        (Obs.Json.Obj
+           (List.map report_json reports @ [ ("metrics", Obs.Json.Obj (Obs.metrics o.observe)) ]))
+      ();
     (* a stranded packet means the fault subsystem failed to classify it:
        that is a bug, not a degraded-but-correct outcome *)
     let stranded =
@@ -901,8 +855,8 @@ let faults_cmd =
           optionally harden the topology with spare links until any single link \
           failure is survivable.  Exits 1 if any packet is left unclassified.")
     Term.(
-      const run $ campaign_arg $ links_arg $ samples_arg $ scenario_arg $ harden_flag
-      $ seed_arg $ library_arg $ trace_arg $ metrics_flag)
+      const run $ campaign_arg $ links_arg $ samples_arg $ scenarios $ harden_flag $ seed_arg
+      $ library_arg $ output_term)
 
 (* ------------------------------------------------------------------ *)
 (* bench                                                                *)
@@ -957,29 +911,23 @@ let bench_cmd =
              tiers run budget-bounded anytime searches with the greedy fallback and \
              skip the simulation stages.")
   in
-  let run smoke tier out rev lib trace metrics =
+  let run smoke tier out rev library o =
     let settings, scenarios, mode =
       match tier with
-      | `Scale -> (Noc_benchkit.Runner.scale, Noc_benchkit.Corpus.scale (), "scale")
-      | `Scale_smoke ->
-          ( Noc_benchkit.Runner.scale_smoke,
-            Noc_benchkit.Corpus.scale_smoke (),
-            "scale-smoke" )
+      | `Scale -> (Runner.scale, Corpus.scale (), "scale")
+      | `Scale_smoke -> (Runner.scale_smoke, Corpus.scale_smoke (), "scale-smoke")
       | `Default ->
-          ( (if smoke then Noc_benchkit.Runner.smoke else Noc_benchkit.Runner.full),
-            Noc_benchkit.Corpus.default (),
+          ( (if smoke then Runner.smoke else Runner.full),
+            Corpus.default (),
             if smoke then "smoke" else "full" )
     in
-    let library = resolve_library lib in
-    let observe = make_observer ~trace ~metrics in
     let rev = resolve_rev rev in
-    let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
-    say (Format.asprintf "%a" Noc_benchkit.Runner.pp_header ());
+    o.say "%s" (Format.asprintf "%a" Runner.pp_header ());
     let results =
       List.map
         (fun sc ->
-          let r = Noc_benchkit.Runner.run ~observe ~library ~settings sc in
-          say (Format.asprintf "%a" Noc_benchkit.Runner.pp_row r);
+          let r = Runner.run ~observe:o.observe ~library ~settings sc in
+          o.say "%s" (Format.asprintf "%a" Runner.pp_row r);
           r)
         scenarios
     in
@@ -987,8 +935,7 @@ let bench_cmd =
     let path = Option.value out ~default:(Printf.sprintf "BENCH_%s.json" rev) in
     Noc_benchkit.Record.write ~path record;
     Logs.info (fun k -> k "wrote %s (%d scenarios)" path (List.length results));
-    write_trace observe trace;
-    if metrics then print_endline (Obs.Json.to_string record)
+    o.finish ~json:record ()
   in
   Cmd.v
     (Cmd.info "bench"
@@ -996,9 +943,7 @@ let bench_cmd =
          "Run the benchmark corpus (decompose, synth, deadlock check, flit-engine \
           burst, load sweep) and persist a BENCH_<rev>.json record; compare two \
           records with bench/compare.exe.")
-    Term.(
-      const run $ smoke_flag $ tier_arg $ out $ rev_arg $ library_arg $ trace_arg
-      $ metrics_flag)
+    Term.(const run $ smoke_flag $ tier_arg $ out $ rev_arg $ library_arg $ output_term)
 
 (* ------------------------------------------------------------------ *)
 (* explore                                                              *)
@@ -1006,11 +951,8 @@ let bench_cmd =
 module Explore = Noc_explore.Explore
 
 let explore_cmd =
-  let scenario_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "scenario" ] ~docv:"NAME"
-          ~doc:"Restrict to one corpus scenario (repeatable; default: all 12).")
+  let scenarios =
+    scenarios_term ~doc:"Restrict to one corpus scenario (repeatable; default: all 12)."
   in
   let points_arg =
     Arg.(
@@ -1046,11 +988,12 @@ let explore_cmd =
       ]
   in
   let load_baseline path =
-    let contents = In_channel.with_open_text path In_channel.input_all in
-    match Obs.Json.parse contents with
-    | Error (`Msg m) ->
-        Logs.err (fun k -> k "%s: %s" path m);
-        exit 2
+    let fail why =
+      Logs.err (fun k -> k "%s: %s" path why);
+      exit 2
+    in
+    match Obs.Json.parse (In_channel.with_open_text path In_channel.input_all) with
+    | Error (`Msg m) -> fail m
     | Ok json -> (
         match Obs.Json.member "scenarios" json with
         | Some (Obs.Json.List scenarios) ->
@@ -1065,48 +1008,24 @@ let explore_cmd =
                     Some (name, (fs, hv))
                 | _ -> None)
               scenarios
-        | _ ->
-            Logs.err (fun k -> k "%s: not a nocsynth-explore-set record" path);
-            exit 2)
+        | _ -> fail "not a nocsynth-explore-set record")
   in
-  let run scenarios points seed domains lib trace metrics out baseline =
+  let run picked points seed domains library o out baseline =
     (* worker count, like everywhere else, respects the machine clamp; the
        front does not depend on it, only wall-clock does *)
     let domains = max 1 (min domains (Bb.domain_cap ())) in
-    let library = resolve_library lib in
-    let observe = make_observer ~trace ~metrics in
-    let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
-    let corpus = Noc_benchkit.Corpus.default () in
-    let picked =
-      match scenarios with
-      | [] -> corpus
-      | names ->
-          List.map
-            (fun n ->
-              match Noc_benchkit.Corpus.find n corpus with
-              | Some s -> s
-              | None ->
-                  Logs.err (fun k -> k "unknown scenario %S" n);
-                  exit 2)
-            names
-    in
-    say
-      (Printf.sprintf "%-22s %6s %7s %6s %14s" "scenario" "space" "points" "front"
-         "hypervolume");
+    o.say "%-22s %6s %7s %6s %14s" "scenario" "space" "points" "front" "hypervolume";
     let results =
       List.map
-        (fun (s : Noc_benchkit.Corpus.scenario) ->
-          let name = s.Noc_benchkit.Corpus.name in
-          let acg = s.Noc_benchkit.Corpus.acg in
+        (fun { Corpus.name; acg; _ } ->
           let axes = Explore.axes ~seed ~library acg in
-          let r = Explore.run ~observe ~domains ~points ~seed axes acg in
-          say
-            (Printf.sprintf "%-22s %6d %7d %6d %14.2f" name r.Explore.space
-               (Array.length r.Explore.evaluated)
-               (List.length r.Explore.front)
-               r.Explore.hypervolume);
+          let r = Explore.run ~observe:o.observe ~domains ~points ~seed axes acg in
+          o.say "%-22s %6d %7d %6d %14.2f" name r.Explore.space
+            (Array.length r.Explore.evaluated)
+            (List.length r.Explore.front)
+            r.Explore.hypervolume;
           (name, axes, r))
-        picked
+        (all_if_none picked)
     in
     (match out with
     | None -> ()
@@ -1123,8 +1042,7 @@ let explore_cmd =
         in
         Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
         Logs.info (fun k -> k "wrote %s (%d scenario(s))" path (List.length results)));
-    write_trace observe trace;
-    if metrics then print_endline (Obs.Json.to_string (set_json results));
+    o.finish ~json:(set_json results) ();
     let failures = ref 0 in
     let fail fmt =
       Printf.ksprintf
@@ -1168,20 +1086,13 @@ let explore_cmd =
           Deterministic for a fixed seed regardless of --domains.  With --baseline, \
           exits 1 on an empty front or a front-size/hypervolume regression.")
     Term.(
-      const run $ scenario_arg $ points_arg $ seed_arg $ domains_arg $ library_arg
-      $ trace_arg $ metrics_flag $ out_arg $ baseline_arg)
+      const run $ scenarios $ points_arg $ seed_arg $ domains_arg $ library_arg $ output_term
+      $ out_arg $ baseline_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                                *)
 
-module Serve = Noc_serve
-
 let serve_cmd =
-  let library_name = function
-    | `Default -> "default"
-    | `Minimal -> "minimal"
-    | `Extended -> "extended"
-  in
   let replay_arg =
     Arg.(
       value & opt (some int) None
@@ -1247,26 +1158,21 @@ let serve_cmd =
              never an error) and write a checksummed snapshot back on clean exit.")
   in
   let run replay corpus cache_capacity assert_hit chaos max_inflight max_cores snapshot
-      seed timeout node_budget domains lib trace metrics =
-    let observe = make_observer ~trace ~metrics in
-    let budget = make_budget ~timeout ~node_budget ~domains in
-    let library = library_name lib in
-    (match (chaos, replay) with
+      seed budget library o =
+    match (chaos, replay) with
     | Some requests, _ ->
         let stats =
-          Serve.Chaos.run ~seed ~requests ~max_inflight ~cache_capacity ~observe ()
+          Serve.Chaos.run ~seed ~requests ~max_inflight ~cache_capacity ~observe:o.observe ()
         in
-        let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
-        say (Format.asprintf "%a" Serve.Chaos.pp stats);
-        if metrics then
-          print_endline
-            (Obs.Json.to_string
-               (Obs.Json.Obj
-                  [
-                    ("chaos", Serve.Chaos.to_json stats);
-                    ("metrics", Obs.Json.Obj (Obs.metrics observe));
-                  ]));
-        write_trace observe trace;
+        o.say "%s" (Format.asprintf "%a" Serve.Chaos.pp stats);
+        o.finish
+          ~json:
+            (Obs.Json.Obj
+               [
+                 ("chaos", Serve.Chaos.to_json stats);
+                 ("metrics", Obs.Json.Obj (Obs.metrics o.observe));
+               ])
+          ();
         (match Serve.Chaos.gate stats with
         | Ok () ->
             Logs.info (fun k ->
@@ -1278,46 +1184,37 @@ let serve_cmd =
     | None, Some cases ->
         let stats =
           Serve.Replay.run ~seed ~cases ?corpus_dir:corpus ~cache_capacity ~library
-            ~budget ~observe ()
+            ~budget ~observe:o.observe ()
         in
-        let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
-        say (Format.asprintf "%a" Serve.Replay.pp stats);
-        if metrics then
-          print_endline
-            (Obs.Json.to_string
-               (Obs.Json.Obj
-                  [
-                    ("requests", Obs.Json.Int stats.Serve.Replay.requests);
-                    ("unique", Obs.Json.Int stats.Serve.Replay.unique);
-                    ("rps", Obs.Json.Float stats.Serve.Replay.rps);
-                    ("hit_rate", Obs.Json.Float stats.Serve.Replay.hit_rate);
-                    ( "repeated_hit_rate",
-                      Obs.Json.Float stats.Serve.Replay.repeated_hit_rate );
-                    ("byte_identical", Obs.Json.Bool stats.Serve.Replay.byte_identical);
-                    ("metrics", Obs.Json.Obj (Obs.metrics observe));
-                  ]));
-        write_trace observe trace;
-        let gate_failed =
-          match assert_hit with
-          | None -> false
-          | Some r ->
-              stats.Serve.Replay.repeated_hit_rate < r
-              || not stats.Serve.Replay.byte_identical
-        in
-        if gate_failed then begin
-          Logs.err (fun k ->
-              k "replay gate failed: repeated-half hit rate %.2f (want >= %.2f), \
-                 byte-identical %b"
-                stats.Serve.Replay.repeated_hit_rate
-                (Option.value ~default:0.0 assert_hit)
-                stats.Serve.Replay.byte_identical);
-          exit 1
-        end
+        o.say "%s" (Format.asprintf "%a" Serve.Replay.pp stats);
+        o.finish
+          ~json:
+            (Obs.Json.Obj
+               [
+                 ("requests", Obs.Json.Int stats.Serve.Replay.requests);
+                 ("unique", Obs.Json.Int stats.Serve.Replay.unique);
+                 ("rps", Obs.Json.Float stats.Serve.Replay.rps);
+                 ("hit_rate", Obs.Json.Float stats.Serve.Replay.hit_rate);
+                 ("repeated_hit_rate", Obs.Json.Float stats.Serve.Replay.repeated_hit_rate);
+                 ("byte_identical", Obs.Json.Bool stats.Serve.Replay.byte_identical);
+                 ("metrics", Obs.Json.Obj (Obs.metrics o.observe));
+               ])
+          ();
+        (match assert_hit with
+        | Some r
+          when stats.Serve.Replay.repeated_hit_rate < r || not stats.Serve.Replay.byte_identical
+          ->
+            Logs.err (fun k ->
+                k "replay gate failed: repeated-half hit rate %.2f (want >= %.2f), \
+                   byte-identical %b"
+                  stats.Serve.Replay.repeated_hit_rate r stats.Serve.Replay.byte_identical);
+            exit 1
+        | Some _ | None -> ())
     | None, None ->
         let config =
           { Serve.Daemon.default_config with Serve.Daemon.max_inflight; max_cores }
         in
-        let daemon = Serve.Daemon.create ~cache_capacity ~config ~observe () in
+        let daemon = Serve.Daemon.create ~cache_capacity ~config ~observe:o.observe () in
         (match snapshot with
         | None -> ()
         | Some path -> (
@@ -1339,7 +1236,7 @@ let serve_cmd =
         | Some path ->
             Serve.Cache.snapshot (Serve.Daemon.cache daemon) ~path;
             Logs.info (fun k -> k "cache snapshot written to %s" path));
-        write_trace observe trace)
+        o.finish ()
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1355,8 +1252,8 @@ let serve_cmd =
           rates.  With --chaos, run the seeded adversarial gate.")
     Term.(
       const run $ replay_arg $ corpus_arg $ cache_arg $ assert_hit_arg $ chaos_arg
-      $ max_inflight_arg $ max_cores_arg $ snapshot_arg $ seed_arg $ timeout_arg
-      $ node_budget_arg $ domains_arg $ library_arg $ trace_arg $ metrics_flag)
+      $ max_inflight_arg $ max_cores_arg $ snapshot_arg $ seed_arg $ budget_term
+      $ library_name_arg $ output_term)
 
 let main =
   Cmd.group
