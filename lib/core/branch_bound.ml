@@ -78,7 +78,6 @@ type options = {
   cost : Cost.t;
   constraints : Constraints.t option;
   max_matches_per_step : int;
-  allow_early_remainder : bool;
   role_aware : bool;
   canonical_order : bool;
   neutrals : neutral_strategy;
@@ -93,7 +92,6 @@ let default_options =
     cost = Cost.Edge_count;
     constraints = None;
     max_matches_per_step = 1;
-    allow_early_remainder = true;
     role_aware = false;
     canonical_order = true;
     neutrals = Greedy;
@@ -232,7 +230,6 @@ type env = {
   shared_best : float Atomic.t;
   task_count : int Atomic.t;
   steal_count : int Atomic.t;
-  task_seed : int;  (** base for per-task constraint-rng derivation *)
   obs : Obs.t;
   instr : Noc_graph.Vf2.Instr.t option;  (** present iff [obs] is enabled *)
   prim_slots : int;  (** 1 + max library entry id, for per-primitive arrays *)
@@ -261,7 +258,6 @@ type task = {
    result is a pure function of the task, not of scheduling. *)
 type wctx = {
   env : env;
-  mutable rng : Noc_util.Prng.t;
   mutable best : float;
   mutable best_decomp : Decomposition.t option;
   mutable best_path : int list;  (** reversed leaf path of the incumbent *)
@@ -276,10 +272,9 @@ type wctx = {
   hits : int array;  (** per library entry id: matchings instantiated *)
 }
 
-let mk_ctx env rng =
+let mk_ctx env =
   {
     env;
-    rng;
     best = infinity;
     best_decomp = None;
     best_path = [];
@@ -471,8 +466,7 @@ let accept ctx matchings_rev rest_view total ~path_rev =
     match ctx.env.opts.constraints with
     | None -> true
     | Some c ->
-        Constraints.satisfied ~rng:ctx.rng c ctx.env.acg
-          (Synthesis.of_decomposition ctx.env.acg d)
+        Constraints.satisfied c ctx.env.acg (Synthesis.of_decomposition ctx.env.acg d)
   in
   if ok then begin
     ctx.best_decomp <- Some d;
@@ -544,7 +538,6 @@ let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
         (Noc_graph.Multi_pattern.survivors_view ~slack:opts.approx_missing
            env.compiled remaining)
     in
-    let matched_any = ref false in
     let child_i = ref 0 in
     List.iter
       (fun entry ->
@@ -558,7 +551,6 @@ let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
           ctx.hits.(entry.L.id) <- ctx.hits.(entry.L.id) + List.length cands;
           List.iter
             (fun (matching, c) ->
-              matched_any := true;
               ctx.matches_tried <- ctx.matches_tried + 1;
               let i = !child_i in
               incr child_i;
@@ -593,12 +585,12 @@ let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
             cands
         end)
       env.branchable;
-    (* leaf: either nothing matched (the paper's rule) or early stop is
-       allowed; neutral primitives are re-attached greedily so loops,
-       paths and broadcasts still show up in the listing *)
-    if (not !matched_any) || opts.allow_early_remainder then
-      eval_leaf ctx remaining matchings_rev cost_so_far
-        ~path_rev:(!child_i :: path_rev)
+    (* every node is also a leaf: stopping early (leaving a matchable
+       remainder) generalizes the paper's leaves-only rule and lets the
+       search reject energy-losing matchings.  Neutral primitives are
+       re-attached greedily so loops, paths and broadcasts still show up
+       in the listing. *)
+    eval_leaf ctx remaining matchings_rev cost_so_far ~path_rev:(!child_i :: path_rev)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -627,11 +619,6 @@ module Deque = Ws.Deque
    recurses inline.  Depth-only (deterministic) by design — see above. *)
 let spawn_depth_for _domains = 3
 
-(* One independent constraint-checker rng per task, derived from the task's
-   path: the stream a task sees does not depend on which worker runs it. *)
-let task_rng env path_rev =
-  Noc_util.Prng.create ~seed:(env.task_seed lxor Hashtbl.hash path_rev)
-
 let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 =
   let n_dom = domains in
   let deques = Array.init n_dom (fun _ -> Deque.create ()) in
@@ -656,7 +643,7 @@ let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 =
   let worker slot () =
     let t_begin = Timer.now_mono_s () in
     let busy = ref 0.0 in
-    let ctx = mk_ctx env (task_rng env [ slot ]) in
+    let ctx = mk_ctx env in
     ctx.spawn_depth <- spawn_depth_for n_dom;
     ctxs.(slot) <- Some ctx;
     let my = deques.(slot) in
@@ -701,7 +688,6 @@ let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 =
       | None -> continue := false
       | Some t ->
           let t0 = Timer.now_mono_s () in
-          ctx.rng <- task_rng env t.t_path_rev;
           ctx.best <- infinity;
           ctx.best_decomp <- None;
           ctx.best_path <- [];
@@ -747,7 +733,7 @@ let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 =
 (* One search instance: sequential when it has a single domain (the exact
    seed engine — one incumbent cell, no task machinery), work-stealing
    otherwise. *)
-let run_search env root_view base_rng ~domains ~rank =
+let run_search env root_view ~domains ~rank =
   let rem0 = Cost.remainder_cost_view env.opts.cost env.acg root_view in
   let lb0 =
     Cost.lower_bound_view env.opts.cost env.acg ~min_link_ratio:env.min_ratio
@@ -755,7 +741,7 @@ let run_search env root_view base_rng ~domains ~rank =
   in
   if domains <= 1 then begin
     ignore (Atomic.fetch_and_add env.task_count 1);
-    let ctx = mk_ctx env base_rng in
+    let ctx = mk_ctx env in
     explore ctx root_view [] 0.0 0 ~rem_c:rem0 ~lb_c:lb0 ~path_rev:[] ~depth:0;
     let res =
       match ctx.best_decomp with
@@ -772,7 +758,7 @@ let run_search env root_view base_rng ~domains ~rank =
    reduction prefers the lowest cost, ties to the lowest instance index —
    instance 0 is the canonical ordering, so a completed portfolio search
    reports the same cost as the plain engine. *)
-let run_portfolio env root_view base_rng ~domains =
+let run_portfolio env root_view ~domains =
   let insts = Array.of_list all_orderings in
   let n = Array.length insts in
   let doms = Array.make n 1 in
@@ -782,11 +768,9 @@ let run_portfolio env root_view base_rng ~domains =
       doms.(k) <- base + (if k < extra then 1 else 0)
     done
   end;
-  let src = Noc_util.Prng.copy base_rng in
-  let rngs = Array.init n (fun _ -> Noc_util.Prng.split src) in
   let run k () =
     let env_k = { env with branchable = order_entries insts.(k) env.branchable } in
-    run_search env_k root_view rngs.(k) ~domains:doms.(k) ~rank:k
+    run_search env_k root_view ~domains:doms.(k) ~rank:k
   in
   let handles = Array.init (n - 1) (fun j -> Domain.spawn (run (j + 1))) in
   let r0 = run 0 () in
@@ -829,7 +813,7 @@ let reduce_results results =
    when the search found nothing at least as good. *)
 let fallback_rank = max_int
 
-let fallback_seed env root_view rng =
+let fallback_seed env root_view =
   (* the seed honours the deadline too: truncation only enlarges the
      remainder (realized as dedicated links), so the result stays a valid
      feasible decomposition even when the budget is gone before one full
@@ -850,7 +834,7 @@ let fallback_seed env root_view rng =
     match env.opts.constraints with
     | None -> true
     | Some c ->
-        Constraints.satisfied ~rng c env.acg (Synthesis.of_decomposition env.acg d)
+        Constraints.satisfied c env.acg (Synthesis.of_decomposition env.acg d)
   in
   if ok then begin
     cas_min env.shared_best total;
@@ -860,13 +844,9 @@ let fallback_seed env root_view rng =
   end
   else None
 
-let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled)
-    ?rng ~library acg =
+let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~library acg =
   let opts = options in
   let budget = resolve_budget ?budget () in
-  let base_rng =
-    match rng with Some r -> r | None -> Noc_util.Prng.create ~seed:0x5eed
-  in
   let t0 = Timer.now_mono_s () in
   let wall_deadline =
     Option.map (fun s -> Unix.gettimeofday () +. s) budget.Budget.timeout_s
@@ -915,9 +895,6 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled)
           graph;
         Some { rem_of; lb_of }
   in
-  let task_seed =
-    Int64.to_int (Noc_util.Prng.bits64 (Noc_util.Prng.copy base_rng)) land max_int
-  in
   let env =
     {
       opts;
@@ -935,7 +912,6 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled)
       shared_best = Atomic.make infinity;
       task_count = Atomic.make 0;
       steal_count = Atomic.make 0;
-      task_seed;
       obs = observe;
       instr;
       prim_slots = 1 + List.fold_left (fun m e -> max m e.L.id) 0 library;
@@ -948,7 +924,7 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled)
   let seed =
     if opts.fallback then
       Obs.span observe ~cat:"search" "greedy-fallback-seed" (fun () ->
-          fallback_seed env root_view (Noc_util.Prng.copy base_rng))
+          fallback_seed env root_view)
     else None
   in
   let search_results, workers =
@@ -960,10 +936,8 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled)
         ]
       (fun () ->
         if opts.portfolio then
-          run_portfolio env root_view base_rng ~domains:budget.Budget.domains
-        else
-          run_search env root_view base_rng ~domains:budget.Budget.domains
-            ~rank:0)
+          run_portfolio env root_view ~domains:budget.Budget.domains
+        else run_search env root_view ~domains:budget.Budget.domains ~rank:0)
   in
   let elapsed = Timer.now_mono_s () -. t0 in
   let all_results =
@@ -984,8 +958,7 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled)
           match opts.constraints with
           | None -> true
           | Some c ->
-              Constraints.satisfied ~rng:base_rng c acg
-                (Synthesis.of_decomposition acg d)
+              Constraints.satisfied c acg (Synthesis.of_decomposition acg d)
         in
         (d, Cost.remainder_cost opts.cost acg (Acg.graph acg), met, false, -1)
   in

@@ -85,19 +85,12 @@ end
 
 type options = {
   cost : Cost.t;
-  constraints : Constraints.t option;
-      (** checked (with {!constraint_rng}) before an incumbent is accepted *)
+  constraints : Constraints.t option;  (** checked before an incumbent is accepted *)
   max_matches_per_step : int;
       (** branching factor cap: how many distinct matches of each primitive
           are expanded at one tree node.  The paper's Fig. 2 tree branches
           on one isomorphism per library graph per node, which is the
           default (1); larger values widen the search *)
-  allow_early_remainder : bool;
-      (** also consider stopping the decomposition at inner nodes (leaving
-          a matchable graph as remainder).  A strict generalization of the
-          paper's leaves-only rule — never worse, and lets the algorithm
-          reject energy-losing matchings; on cost ties the deeper (more
-          matched) decomposition found first is kept. *)
   role_aware : bool;
       (** under an energy cost the vertex-role assignment of a matching
           changes its cost (which pairs ride multi-hop routes); when set,
@@ -135,8 +128,14 @@ type options = {
 
 val default_options : options
 (** [Edge_count] cost, no constraints, one match per primitive per step,
-    [allow_early_remainder = true], [role_aware = false],
-    [canonical_order = true].  Resource limits live in {!Budget.t}. *)
+    [role_aware = false], [canonical_order = true].  Resource limits live
+    in {!Budget.t}.
+
+    The search always also considers stopping the decomposition at inner
+    nodes (leaving a matchable graph as remainder).  This strictly
+    generalizes the paper's leaves-only rule — never worse, and it lets
+    the algorithm reject energy-losing matchings; on cost ties the deeper
+    (more matched) decomposition found first is kept. *)
 
 val energy_options :
   tech:Noc_energy.Technology.t -> fp:Noc_energy.Floorplan.t -> options
@@ -205,13 +204,10 @@ val decompose :
   ?options:options ->
   ?budget:Budget.t ->
   ?observe:Noc_obs.Obs.t ->
-  ?rng:Noc_util.Prng.t ->
   library:Noc_primitives.Library.t ->
   Acg.t ->
   Decomposition.t * stats
-(** Runs the search.  [rng] seeds the constraint checker's bisection
-    heuristic (default: a fixed seed, making the whole search
-    deterministic).  The returned decomposition always satisfies
+(** Runs the search.  The returned decomposition always satisfies
     {!Decomposition.is_valid_for}.
 
     [budget] gathers every resource limit and is clamped by
@@ -240,16 +236,13 @@ val decompose :
     (child indices), and the reduction minimizes (cost, instance rank,
     depth-first path), so the returned decomposition and [best_cost] are
     identical to the sequential run's — independent of steal order —
-    whenever the search completes within its budget and the constraint
-    check is deterministic (in particular always when
-    [constraints = None]).  A budget-exhausted search is an anytime
-    result: which subtrees were visited before the shared node counter
-    ran out depends on scheduling, so only validity and feasibility of
-    the incumbent are guaranteed, not bit-equality.  With randomized
-    constraint checks each
-    task draws from its own path-derived rng stream, so parallel runs are
-    reproducible for a fixed [domains] but may accept different (equally
-    feasible) incumbents than the sequential engine.  Search statistics
+    whenever the search completes within its budget.  This holds with
+    constraints too: {!Constraints.check} is a pure function of the
+    candidate, so every worker reaches the same verdict on it.  A
+    budget-exhausted search is an anytime result: which subtrees were
+    visited before the shared node counter ran out depends on scheduling,
+    so only validity and feasibility of the incumbent are guaranteed, not
+    bit-equality.  Search statistics
     ([pruned], [leaves], ...) depend on timing and are aggregated across
     workers; [steals] and per-domain busy/idle gauges expose scheduler
     health. *)

@@ -17,7 +17,7 @@ let of_technology (tech : Noc_energy.Technology.t) =
 
 let unconstrained = { link_bandwidth = infinity; max_bisection_links = max_int }
 
-let check ~rng c acg arch =
+let check c acg arch =
   let load = Synthesis.link_load acg arch in
   let overloads =
     Edge_map.fold
@@ -30,7 +30,7 @@ let check ~rng c acg arch =
   let bisection =
     if c.max_bisection_links = max_int then []
     else begin
-      let links = Synthesis.bisection_links ~rng arch in
+      let links = Synthesis.bisection_links arch in
       if links > c.max_bisection_links then
         [ Bisection_exceeded { links; budget = c.max_bisection_links } ]
       else []
@@ -38,7 +38,7 @@ let check ~rng c acg arch =
   in
   List.rev overloads @ bisection
 
-let satisfied ~rng c acg arch = check ~rng c acg arch = []
+let satisfied c acg arch = check c acg arch = []
 
 let pp_violation ppf = function
   | Link_overload { link = u, v; demand; capacity } ->

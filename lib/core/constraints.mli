@@ -18,12 +18,12 @@ val of_technology : Noc_energy.Technology.t -> t
 val unconstrained : t
 (** Infinite capacity — used when only the cost objective matters. *)
 
-val check : rng:Noc_util.Prng.t -> t -> Acg.t -> Synthesis.t -> violation list
+val check : t -> Acg.t -> Synthesis.t -> violation list
 (** Empty list = all constraints satisfied.  The bisection check uses the
-    heuristic min-cut of {!Noc_graph.Traversal.min_bisection_cut}; the
-    heuristic overestimates the true minimum cut, so a reported violation
-    is conservative. *)
+    heuristic min-cut of {!Synthesis.bisection_links}; the heuristic
+    overestimates the true minimum cut, so a reported violation is
+    conservative.  The verdict is a pure function of its arguments. *)
 
-val satisfied : rng:Noc_util.Prng.t -> t -> Acg.t -> Synthesis.t -> bool
+val satisfied : t -> Acg.t -> Synthesis.t -> bool
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -15,7 +15,7 @@ type t = {
   search : Branch_bound.stats;
 }
 
-let build ?tech ?fp ?constraints ?rng ~cost ~acg ~decomposition ~stats () =
+let build ?tech ?fp ?constraints ~cost ~acg ~decomposition ~stats () =
   let arch = Synthesis.of_decomposition acg decomposition in
   let listing =
     Format.asprintf "%a" (Decomposition.pp_with_cost cost acg) decomposition
@@ -25,12 +25,7 @@ let build ?tech ?fp ?constraints ?rng ~cost ~acg ~decomposition ~stats () =
     match constraints with
     | None -> []
     | Some c ->
-        let rng =
-          match rng with Some r -> r | None -> Noc_util.Prng.create ~seed:0x5eed
-        in
-        List.map
-          (Format.asprintf "%a" Constraints.pp_violation)
-          (Constraints.check ~rng c acg arch)
+        List.map (Format.asprintf "%a" Constraints.pp_violation) (Constraints.check c acg arch)
   in
   let energy_pj =
     match (tech, fp) with

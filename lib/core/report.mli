@@ -25,7 +25,6 @@ val build :
   ?tech:Noc_energy.Technology.t ->
   ?fp:Noc_energy.Floorplan.t ->
   ?constraints:Constraints.t ->
-  ?rng:Noc_util.Prng.t ->
   cost:Cost.t ->
   acg:Acg.t ->
   decomposition:Decomposition.t ->

@@ -155,9 +155,11 @@ let total_energy ~tech ~fp acg t =
            ~volume_bits:(Acg.volume acg u v) path)
     t.routes 0.0
 
-let bisection_links ~rng t =
-  let _, cut = Noc_graph.Traversal.min_bisection_cut ~rng t.topology in
-  cut
+(* The heuristic's restarts are seeded from the whole (sorted) link list,
+   so the count is a pure function of the architecture. *)
+let bisection_links t =
+  let seed = List.fold_left (fun h (u, v) -> Hashtbl.hash (h, u, v)) 0 (D.edges t.topology) in
+  snd (Noc_graph.Traversal.min_bisection_cut ~rng:(Noc_util.Prng.create ~seed) t.topology)
 
 let routes_valid t = routes_valid_internal t.topology t.routes
 

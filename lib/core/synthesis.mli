@@ -75,9 +75,10 @@ val total_energy :
     weighted by volume.  Works uniformly for customized and mesh
     architectures, enabling the Section 5.2 comparison. *)
 
-val bisection_links : rng:Noc_util.Prng.t -> t -> int
+val bisection_links : t -> int
 (** Heuristic minimum number of physical links crossing a balanced
-    bipartition of the topology. *)
+    bipartition of the topology.  The heuristic is seeded from the
+    topology's links, so equal architectures always get equal counts. *)
 
 val router_ports : t -> int -> int
 (** Ports of one router: the uniform radix if fixed, otherwise topology

@@ -11,8 +11,8 @@
     (enumerated by the naive {!Iso} oracle), the primitive's implementation
     link count plus the optimum of the state minus that set.  Option (a)
     at every state makes this the optimum over early-remainder
-    decompositions, the space [Branch_bound.decompose] searches with its
-    default [allow_early_remainder = true].
+    decompositions, the space [Branch_bound.decompose] searches (every
+    search node is also a leaf).
 
     By default only {e saver} primitives — implementation links strictly
     fewer than representation edges, i.e. the gossip graphs — branch.

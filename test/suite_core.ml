@@ -394,16 +394,14 @@ let test_constraints_unconstrained () =
   let acg = aes_acg () in
   let d, _ = decompose acg in
   let arch = Syn.custom acg d in
-  let rng = Prng.create ~seed:1 in
-  Alcotest.(check bool) "passes" true (Cons.satisfied ~rng Cons.unconstrained acg arch)
+  Alcotest.(check bool) "passes" true (Cons.satisfied Cons.unconstrained acg arch)
 
 let test_constraints_link_overload () =
   let acg = aes_acg () in
   let d, _ = decompose acg in
   let arch = Syn.custom acg d in
-  let rng = Prng.create ~seed:1 in
   let tight = { Cons.link_bandwidth = 1e-6; max_bisection_links = max_int } in
-  let vs = Cons.check ~rng tight acg arch in
+  let vs = Cons.check tight acg arch in
   Alcotest.(check bool) "overloads reported" true
     (List.exists (function Cons.Link_overload _ -> true | _ -> false) vs)
 
@@ -411,9 +409,8 @@ let test_constraints_bisection () =
   let acg = aes_acg () in
   let d, _ = decompose acg in
   let arch = Syn.custom acg d in
-  let rng = Prng.create ~seed:1 in
   let tight = { Cons.link_bandwidth = infinity; max_bisection_links = 0 } in
-  let vs = Cons.check ~rng tight acg arch in
+  let vs = Cons.check tight acg arch in
   Alcotest.(check bool) "bisection reported" true
     (List.exists (function Cons.Bisection_exceeded _ -> true | _ -> false) vs)
 
@@ -424,17 +421,43 @@ let test_constraints_of_technology () =
 
 let test_infeasible_constraints_fallback () =
   let acg = aes_acg () in
-  let rng = Prng.create ~seed:2 in
   let impossible = { Cons.link_bandwidth = infinity; max_bisection_links = 0 } in
   (* with no feasible incumbent nothing ever prunes, so bound the search *)
   let options = { Bb.default_options with constraints = Some impossible } in
   let d, stats =
     Bb.decompose ~options
       ~budget:Bb.Budget.(default |> with_max_nodes 300)
-      ~rng ~library:(lib ()) acg
+      ~library:(lib ()) acg
   in
   Alcotest.(check bool) "flagged unmet" false stats.Bb.constraints_met;
   Alcotest.(check bool) "fallback still valid" true (Decomp.is_valid_for acg d)
+
+(* The heuristic bisection of the AES architecture cuts 6 or 8 links
+   depending on its seed, so a budget of 7 exposes any dependence of the
+   verdict on how many checks ran before: repeated checks, interleaved
+   with checks of another architecture, must agree; the search's verdict
+   must not depend on its domain count; and the report of the searched
+   decomposition must agree with the search's own verdict. *)
+let test_bisection_verdict_is_pure () =
+  let acg = aes_acg () in
+  let d, _ = decompose acg in
+  let arch = Syn.custom acg d and mesh = Syn.mesh ~rows:4 ~cols:4 acg in
+  let c = { Cons.link_bandwidth = infinity; max_bisection_links = 7 } in
+  let first = Cons.check c acg arch in
+  for i = 1 to 8 do
+    ignore (Cons.check c acg mesh);
+    Alcotest.(check bool) (Printf.sprintf "check %d" i) true (Cons.check c acg arch = first)
+  done;
+  let options = { Bb.default_options with constraints = Some c } in
+  let search domains = decompose ~options ~budget:Bb.Budget.(default |> with_domains domains) acg in
+  let d, stats = search 1 in
+  let listing d = Format.asprintf "%a" (Decomp.pp_with_cost edge_count acg) d in
+  List.iter
+    (fun n -> Alcotest.(check string) (Printf.sprintf "domains %d" n) (listing d) (listing (fst (search n))))
+    [ 2; 4 ];
+  let r = Noc_core.Report.build ~constraints:c ~cost:edge_count ~acg ~decomposition:d ~stats () in
+  Alcotest.(check bool) "report agrees with the search" stats.Bb.constraints_met
+    (r.Noc_core.Report.violations = [])
 
 (* Every corpus scenario searched under each technology preset's
    constraints, with the edge-count and the energy objective: one digest of
@@ -1118,6 +1141,8 @@ let suite =
       Alcotest.test_case "constraints from technology" `Quick test_constraints_of_technology;
       Alcotest.test_case "infeasible constraints fallback" `Quick
         test_infeasible_constraints_fallback;
+      Alcotest.test_case "bisection verdict is a pure function of the candidate" `Quick
+        test_bisection_verdict_is_pure;
       Alcotest.test_case "constrained corpus searches are pinned" `Quick
         test_constrained_corpus_pinned;
       Alcotest.test_case "mesh XY is deadlock free" `Quick test_mesh_xy_deadlock_free;
