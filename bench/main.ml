@@ -7,7 +7,6 @@
      fig6   - the AES ACG decomposition listing (Fig. 6 / Section 5.2)
      aes    - the prototype comparison table (Section 5.2 prose)
      ablate - library / beam ablations (design choices called out in DESIGN.md)
-     micro  - Bechamel micro-benchmarks of the matching and search kernels
 
    The persisted benchmark corpus is `nocsynth bench` (see lib/benchkit).
 
@@ -628,132 +627,6 @@ let library () =
     baseline.Noc_core.Library_design.total_remainder
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                            *)
-
-let micro ?(quota = 0.5) () =
-  section "Micro-benchmarks (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let aes_graph = Acg.graph (Dist.acg ()) in
-  let mgg4 = (Option.get (L.find_by_name default_library "MGG4")).L.prim in
-  let mgg4_repr = mgg4.Noc_primitives.Primitive.repr in
-  let tgff18 =
-    let rng = Prng.create ~seed:11 in
-    Acg.of_tgff (Noc_tgff.Tgff.generate ~rng Noc_tgff.Tgff.automotive)
-  in
-  let aes_acg = Dist.acg () in
-  (* pre-frozen snapshots, as the branch-and-bound search uses them *)
-  let mgg4_c = Noc_graph.Compact.freeze mgg4_repr in
-  let aes_view = Noc_graph.Compact.(view (freeze aes_graph)) in
-  (* Fig. 4b-style random ACGs (expected degree 3) for the domain-scaling
-     rows.  The greedy search solves these at the root, so the scaling rows
-     use the paper-literal branching strategy, whose tree is deep enough to
-     fan out; 12 vertices keeps a single run in the tens of milliseconds. *)
-  let fig4b n =
-    let rng = Prng.create ~seed:3 in
-    Acg.uniform ~volume:16 ~bandwidth:0.1
-      (G.erdos_renyi ~rng ~n ~p:(3.0 /. float_of_int (n - 1)))
-  in
-  let fig4b16 = fig4b 16 in
-  let fig4b12 = fig4b 12 in
-  let literal = { Bb.default_options with neutrals = Bb.Branch } in
-  let tests =
-    Test.make_grouped ~name:"kernels"
-      [
-        Test.make ~name:"vf2(map): first MGG4 in AES ACG"
-          (Staged.stage (fun () ->
-               ignore
-                 (Noc_graph.Vf2_map.find_first ~pattern:mgg4_repr ~target:aes_graph ())));
-        Test.make ~name:"vf2: first MGG4 in AES ACG"
-          (Staged.stage (fun () ->
-               ignore (Noc_graph.Vf2.find_first ~pattern:mgg4_repr ~target:aes_graph ())));
-        Test.make ~name:"vf2(map): distinct MGG4 images in AES"
-          (Staged.stage (fun () ->
-               ignore
-                 (Noc_graph.Vf2_map.find_distinct_images ~max_matches:8
-                    ~pattern:mgg4_repr ~target:aes_graph ())));
-        Test.make ~name:"vf2: distinct MGG4 images in AES"
-          (Staged.stage (fun () ->
-               ignore
-                 (Noc_graph.Vf2.find_distinct_images ~max_matches:8 ~pattern:mgg4_repr
-                    ~target:aes_graph ())));
-        Test.make ~name:"vf2(view): distinct MGG4 images in AES"
-          (Staged.stage (fun () ->
-               ignore
-                 (Noc_graph.Vf2.find_distinct_images_view ~max_matches:8
-                    ~pattern:mgg4_c ~target:aes_view ())));
-        Test.make ~name:"decompose: AES ACG (Fig. 6)"
-          (Staged.stage (fun () -> ignore (Bb.decompose ~library:default_library aes_acg)));
-        Test.make ~name:"decompose: TGFF automotive (Fig. 4a)"
-          (Staged.stage (fun () -> ignore (Bb.decompose ~library:default_library tgff18)));
-        Test.make ~name:"decompose: random 16v (Fig. 4b)"
-          (Staged.stage (fun () ->
-               ignore (Bb.decompose ~library:default_library fig4b16)));
-        Test.make ~name:"decompose[lit,domains=1]: random 12v"
-          (Staged.stage (fun () ->
-               ignore (Bb.decompose ~options:literal ~library:default_library fig4b12)));
-        Test.make ~name:"decompose[lit,domains=2]: random 12v"
-          (Staged.stage (fun () ->
-               ignore
-                 (Bb.decompose ~options:literal ~budget:Bb.Budget.(default |> with_domains 2)
-                    ~library:default_library
-                    fig4b12)));
-        Test.make ~name:"decompose[lit,domains=4]: random 12v"
-          (Staged.stage (fun () ->
-               ignore
-                 (Bb.decompose ~options:literal ~budget:Bb.Budget.(default |> with_domains 4)
-                    ~library:default_library
-                    fig4b12)));
-        Test.make ~name:"build: gossip primitive MGG8"
-          (Staged.stage (fun () -> ignore (Noc_primitives.Primitive.gossip 8)));
-      ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second quota) ~stabilize:false () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols_result acc ->
-        let est =
-          match Analyze.OLS.estimates ols_result with
-          | Some (e :: _) -> e
-          | Some [] | None -> nan
-        in
-        (name, est) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, ns) ->
-      if ns > 1e6 then Printf.printf "  %-45s %10.3f ms/run\n" name (ns /. 1e6)
-      else Printf.printf "  %-45s %10.1f ns/run\n" name ns)
-    rows;
-  let est name = List.assoc_opt ("kernels/" ^ name) rows in
-  (match (est "vf2(map): distinct MGG4 images in AES", est "vf2: distinct MGG4 images in AES")
-   with
-  | Some m, Some c when c > 0. ->
-      Printf.printf "  vf2 distinct-images speedup (map -> compact): %.2fx\n" (m /. c)
-  | _ -> ());
-  (match
-     ( est "decompose[lit,domains=1]: random 12v",
-       est "decompose[lit,domains=4]: random 12v" )
-   with
-  | Some s1, Some s4 when s4 > 0. ->
-      let _, st1 = Bb.decompose ~options:literal ~library:default_library fig4b12 in
-      let _, st4 =
-        Bb.decompose ~options:literal
-          ~budget:Bb.Budget.(default |> with_domains 4)
-          ~library:default_library fig4b12
-      in
-      Printf.printf
-        "  decompose speedup (1 -> 4 domains): %.2fx on %d core(s) (best cost %.0f = %.0f)\n"
-        (s1 /. s4)
-        (Domain.recommended_domain_count ())
-        st1.Bb.best_cost st4.Bb.best_cost
-  | _ -> ())
-
-(* ------------------------------------------------------------------ *)
 
 let sections =
   [
@@ -771,10 +644,6 @@ let sections =
     ("apps", apps);
     ("mapping", mapping);
     ("library", library);
-    ("micro", fun () -> micro ());
-    (* a seconds-long variant for the bench-smoke alias: same rows, tiny
-       measurement quota *)
-    ("micro-smoke", fun () -> micro ~quota:0.02 ());
   ]
 
 let () =

@@ -6,8 +6,7 @@
     CSR kernel and enumerates matchings in exactly the same order; this
     module is retained as the {e executable specification} — the qcheck
     differential suites check the compact engine against it on random
-    graphs, and the [micro] benchmark section reports the speedup of the
-    compact kernel over this baseline.  It sees no production traffic. *)
+    graphs.  It sees no production traffic. *)
 
 type mapping = int Digraph.Vmap.t
 (** Pattern vertex [->] target vertex. *)
