@@ -63,8 +63,6 @@ let cmos_100nm =
 
 let presets = [ cmos_180nm; cmos_130nm; cmos_100nm ]
 
-let find name = List.find_opt (fun t -> t.name = name) presets
-
 let link_energy_per_bit t ~length_mm =
   if length_mm < 0. then invalid_arg "Technology.link_energy_per_bit: negative length";
   let repeaters = int_of_float (length_mm /. t.repeater_spacing_mm) in

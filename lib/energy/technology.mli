@@ -40,9 +40,6 @@ val cmos_100nm : t
 
 val presets : t list
 
-val find : string -> t option
-(** Look up a preset by [name]. *)
-
 val link_energy_per_bit : t -> length_mm:float -> float
 (** EL_bit for a physical link of the given length, pJ, including
     repeaters: [el_bit_per_mm * length + floor(length / spacing) *

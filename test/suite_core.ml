@@ -1141,10 +1141,6 @@ let suite =
       Alcotest.test_case "constraints from technology" `Quick test_constraints_of_technology;
       Alcotest.test_case "infeasible constraints fallback" `Quick
         test_infeasible_constraints_fallback;
-      Alcotest.test_case "bisection verdict is a pure function of the candidate" `Quick
-        test_bisection_verdict_is_pure;
-      Alcotest.test_case "constrained corpus searches are pinned" `Quick
-        test_constrained_corpus_pinned;
       Alcotest.test_case "mesh XY is deadlock free" `Quick test_mesh_xy_deadlock_free;
       Alcotest.test_case "custom arch deadlock report" `Quick test_custom_deadlock_report;
       Alcotest.test_case "cdg edges chain" `Quick test_cdg_edges;
@@ -1185,4 +1181,8 @@ let suite =
       Alcotest.test_case "parallel decompose: Fig. 2" `Quick test_parallel_fig2;
       QCheck_alcotest.to_alcotest qcheck_parallel_equals_sequential;
       QCheck_alcotest.to_alcotest qcheck_parallel_equals_sequential_beam;
+      Alcotest.test_case "bisection verdict is a pure function of the candidate" `Quick
+        test_bisection_verdict_is_pure;
+      Alcotest.test_case "constrained corpus searches are pinned" `Quick
+        test_constrained_corpus_pinned;
     ] )

@@ -13,11 +13,11 @@ let t180 = Tech.cmos_180nm
 (* Technology                                                            *)
 
 let test_presets () =
-  Alcotest.(check int) "three presets" 3 (List.length Tech.presets);
-  (match Tech.find "cmos-130nm" with
-  | Some t -> Alcotest.(check int) "feature" 130 t.Tech.feature_nm
-  | None -> Alcotest.fail "130nm preset exists");
-  Alcotest.(check bool) "unknown" true (Tech.find "cmos-7nm" = None);
+  (* the names nocsynth's --tech accepts *)
+  Alcotest.(check (list string)) "names" [ "cmos-180nm"; "cmos-130nm"; "cmos-100nm" ]
+    (List.map (fun t -> t.Tech.name) Tech.presets);
+  Alcotest.(check (list int)) "features" [ 180; 130; 100 ]
+    (List.map (fun t -> t.Tech.feature_nm) Tech.presets);
   (* scaling sanity: smaller nodes use less energy per bit *)
   Alcotest.(check bool) "es scales down" true
     (Tech.cmos_100nm.Tech.es_bit < Tech.cmos_130nm.Tech.es_bit
