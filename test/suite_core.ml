@@ -449,11 +449,17 @@ let test_bisection_verdict_is_pure () =
     Alcotest.(check bool) (Printf.sprintf "check %d" i) true (Cons.check c acg arch = first)
   done;
   let options = { Bb.default_options with constraints = Some c } in
-  let search domains = decompose ~options ~budget:Bb.Budget.(default |> with_domains domains) acg in
+  let search domains =
+    decompose ~options ~budget:Bb.Budget.(default |> with_domains domains) acg
+  in
   let d, stats = search 1 in
   let listing d = Format.asprintf "%a" (Decomp.pp_with_cost edge_count acg) d in
   List.iter
-    (fun n -> Alcotest.(check string) (Printf.sprintf "domains %d" n) (listing d) (listing (fst (search n))))
+    (fun n ->
+      Alcotest.(check string)
+        (Printf.sprintf "domains %d" n)
+        (listing d)
+        (listing (fst (search n))))
     [ 2; 4 ];
   let r = Noc_core.Report.build ~constraints:c ~cost:edge_count ~acg ~decomposition:d ~stats () in
   Alcotest.(check bool) "report agrees with the search" stats.Bb.constraints_met
