@@ -972,6 +972,91 @@ let test_acg_pp () =
   Alcotest.(check bool) "mentions cores" true (contains s "2 cores");
   Alcotest.(check bool) "mentions flow" true (contains s "1 -> 2")
 
+(* Unconstrained searches: one digest per search configuration over every
+   input's name, exact cost, search counters and listing.  The inputs are
+   the corpus, fuzz-generator ACGs and planted graphs holding two gossip
+   cliques with random volumes, where the energy cost's role choice
+   matters.  To regenerate after an intended change, empty the table and
+   copy the printed lines from the test's output log. *)
+let pinned_unconstrained =
+  [
+    ("default", "0336478a648307bab0e0d3e08d4e1baa");
+    ("extended", "59805079525a0bfdbab9b512626248c8");
+    ("beam-4", "cf9201621e05966d2cedf88f986fbf9b");
+    ("energy", "0f6584338f0607014ffa32fee6434291");
+    ("energy-beam-3", "a11a8ab49e2e3c0ecce76e9809cf6c54");
+    ("branch", "75736b046f1b6a9e5f9fab32f52f1704");
+    ("fallback", "70b43cf17a76f5f9ea5c4e0e5a20699b");
+  ]
+
+let pin_inputs () =
+  let corpus =
+    List.map
+      (fun (s : Noc_benchkit.Corpus.scenario) ->
+        (s.Noc_benchkit.Corpus.name, s.Noc_benchkit.Corpus.acg))
+      (Noc_benchkit.Corpus.default ())
+  in
+  let fuzz =
+    List.init 20 (fun i ->
+        ( Printf.sprintf "fuzz-%d" i,
+          Noc_oracle.Fuzz.gen_acg ~rng:(Prng.create ~seed:(9100 + i)) ))
+  in
+  let planted =
+    List.init 12 (fun i ->
+        let rng = Prng.create ~seed:(9200 + i) in
+        let second = G.complete (if i mod 2 = 0 then 4 else 5) in
+        let g = G.planted ~rng ~n:(8 + (i mod 4)) ~parts:[ G.complete 4; second ] in
+        let flows =
+          List.map (fun (u, v) -> (u, v, Prng.int_in rng 1 256, 0.1)) (D.edges g)
+        in
+        (Printf.sprintf "planted-%d" i, Acg.of_weighted_edges flows))
+  in
+  corpus @ fuzz @ planted
+
+let test_unconstrained_searches_pinned () =
+  let tech = Noc_energy.Technology.cmos_180nm in
+  let energy beam acg =
+    let n = D.fold_vertices max (Acg.graph acg) 1 in
+    let fp = Noc_energy.Floorplan.(grid (uniform_cores ~n ~size_mm:2.0)) in
+    { (Bb.energy_options ~tech ~fp) with constraints = None; max_matches_per_step = beam }
+  in
+  let nodes n = Bb.Budget.(default |> with_max_nodes n) in
+  let configs =
+    [
+      ("default", lib (), Fun.const Bb.default_options, Bb.Budget.default);
+      ("extended", L.extended (), Fun.const Bb.default_options, Bb.Budget.default);
+      ( "beam-4",
+        lib (),
+        Fun.const { Bb.default_options with max_matches_per_step = 4 },
+        Bb.Budget.default );
+      ("energy", lib (), energy 1, Bb.Budget.default);
+      ("energy-beam-3", lib (), energy 3, Bb.Budget.default);
+      ( "branch",
+        lib (),
+        Fun.const { Bb.default_options with neutrals = Bb.Branch },
+        nodes 5_000 );
+      ("fallback", lib (), Fun.const { Bb.default_options with fallback = true }, nodes 1);
+    ]
+  in
+  let inputs = pin_inputs () in
+  let got =
+    List.map
+      (fun (cname, library, options, budget) ->
+        let lines =
+          List.map
+            (fun (name, acg) ->
+              let options = options acg in
+              let d, st = Bb.decompose ~options ~budget ~library acg in
+              Format.asprintf "%s %h %d %d %d@.%a" name st.Bb.best_cost st.Bb.nodes
+                st.Bb.pruned st.Bb.leaves (Decomp.pp_with_cost options.Bb.cost acg) d)
+            inputs
+        in
+        (cname, Digest.to_hex (Digest.string (String.concat "" lines))))
+      configs
+  in
+  List.iter (fun (k, h) -> Printf.printf "    (%S, %S);\n" k h) got;
+  Alcotest.(check (list (pair string string))) "digests" pinned_unconstrained got
+
 let test_non_canonical_order_same_cost () =
   let rng = Prng.create ~seed:55 in
   let g = G.planted ~rng ~n:9 ~parts:[ G.complete 4; G.loop 4 ] in
@@ -1174,6 +1259,8 @@ let suite =
       Alcotest.test_case "acg pretty printer" `Quick test_acg_pp;
       Alcotest.test_case "non-canonical order same cost" `Quick
         test_non_canonical_order_same_cost;
+      Alcotest.test_case "unconstrained searches are pinned" `Quick
+        test_unconstrained_searches_pinned;
       Alcotest.test_case "mapping identity" `Quick test_mapping_identity_apply;
       Alcotest.test_case "mapping relabels attributes" `Quick test_mapping_apply_relabels;
       Alcotest.test_case "mapping optimization improves" `Quick test_mapping_optimize_improves;
