@@ -63,9 +63,19 @@ let library_arg =
 let acg_file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"ACG" ~doc:"ACG file (see Acg_io format).")
 
+(* A width below 1 is a usage error, not an empty or cost-dependent search. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let beam_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "beam" ] ~docv:"K"
         ~doc:"Matches of each primitive expanded per search node (the paper uses 1).")
 
@@ -179,7 +189,6 @@ let search_term =
           | `Edge -> Noc_core.Cost.Edge_count
           | `Energy -> Noc_core.Cost.Energy { tech; fp = grid_floorplan acg });
         max_matches_per_step = beam;
-        role_aware = cost = `Energy;
         portfolio;
         fallback;
       }

@@ -78,10 +78,7 @@ type options = {
   cost : Cost.t;
   constraints : Constraints.t option;
   max_matches_per_step : int;
-  role_aware : bool;
-  canonical_order : bool;
   neutrals : neutral_strategy;
-  approx_missing : int;
   ordering : ordering;
   portfolio : bool;
   fallback : bool;
@@ -92,10 +89,7 @@ let default_options =
     cost = Cost.Edge_count;
     constraints = None;
     max_matches_per_step = 1;
-    role_aware = false;
-    canonical_order = true;
     neutrals = Greedy;
-    approx_missing = 0;
     ordering = Canonical;
     portfolio = false;
     fallback = false;
@@ -106,7 +100,6 @@ let energy_options ~tech ~fp =
     default_options with
     cost = Cost.Energy { tech; fp };
     constraints = Some (Constraints.of_technology tech);
-    role_aware = true;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -224,7 +217,6 @@ type env = {
   frozen : (int, C.t) Hashtbl.t;  (** entry id -> frozen representation graph *)
   min_ratio : float;
   inc : inc_tables option;
-  wall_deadline : float option;  (** absolute wall clock, for the Vf2 API *)
   mono_deadline : Timer.Deadline.t;
   nodes : int Atomic.t;
   shared_best : float Atomic.t;
@@ -327,70 +319,53 @@ let child_bounds env ~rem_c ~lb_c covered view' =
         (rem_c, lb_c) covered
 
 (* Enumerate up to [max_matches_per_step] candidate matchings of [entry] in
-   [remaining].  Without role awareness, one representative per
-   covered-edge set (the remaining graph after subtraction only depends on
-   that set); with role awareness the cheapest representative per set is
-   kept, because under an energy cost the vertex roles decide which flows
-   ride multi-hop routes. *)
+   [remaining], one representative per covered-edge set: the remaining
+   graph after subtraction only depends on that set.  Under [Edge_count]
+   every representative costs the same, so the first one found is kept.
+   Under [Energy] the vertex roles decide which flows ride multi-hop
+   routes, so the cheapest representative per set is kept, out of at most
+   16 enumerated matches per requested set (at least 32; the cap
+   saturates instead of wrapping). *)
 let candidate_matchings ~env entry remaining =
   let opts = env.opts in
-  let deadline = env.wall_deadline in
+  let deadline = env.mono_deadline in
   let instr = env.instr in
   let acg = env.acg in
   let pattern = Hashtbl.find env.frozen entry.L.id in
   let cap = opts.max_matches_per_step in
-  if opts.approx_missing > 0 then begin
-    (* relaxed matching: dedup by realized edge set, keep discovery order *)
-    let seen = Hashtbl.create 16 in
-    let acc = ref [] in
-    let count = ref 0 in
-    let _ =
-      Noc_graph.Vf2.iter_approx_view ?deadline ?instr
-        ~max_missing:opts.approx_missing ~pattern ~target:remaining (fun a ->
-          let matching = Matching.of_approx_view entry ~pattern ~target:remaining a in
-          let key = matching.Matching.covered in
-          if key = [] || Hashtbl.mem seen key then `Continue
-          else begin
-            Hashtbl.replace seen key true;
-            acc := (matching, Matching.cost opts.cost acg matching) :: !acc;
+  match opts.cost with
+  | Cost.Edge_count ->
+      Noc_graph.Vf2.find_distinct_images_view ~deadline ?instr ~max_matches:cap
+        ~pattern ~target:remaining ()
+      |> List.map (fun m ->
+             let matching = Matching.of_vf2 entry m in
+             (matching, Matching.cost opts.cost acg matching))
+  | Cost.Energy _ ->
+      let groups = Hashtbl.create 16 in
+      let order = ref [] in
+      let hard_cap = if cap > max_int / 16 then max_int else max 32 (cap * 16) in
+      let count = ref 0 in
+      let _ =
+        Noc_graph.Vf2.iter_view ~deadline ?instr ~pattern ~target:remaining (fun m ->
+            let matching = Matching.of_vf2 entry m in
+            let c = Matching.cost opts.cost acg matching in
+            let key = matching.Matching.covered in
+            (match Hashtbl.find_opt groups key with
+            | None ->
+                Hashtbl.replace groups key (matching, c);
+                order := key :: !order
+            | Some (_, best_c) ->
+                if c < best_c then Hashtbl.replace groups key (matching, c));
             incr count;
-            if !count >= cap then `Stop else `Continue
-          end)
-    in
-    List.rev !acc
-  end
-  else if opts.role_aware then begin
-    let groups = Hashtbl.create 16 in
-    let order = ref [] in
-    let hard_cap = max 32 (cap * 16) in
-    let count = ref 0 in
-    let _ =
-      Noc_graph.Vf2.iter_view ?deadline ?instr ~pattern ~target:remaining (fun m ->
-          let matching = Matching.of_vf2 entry m in
-          let c = Matching.cost opts.cost acg matching in
-          let key = matching.Matching.covered in
-          (match Hashtbl.find_opt groups key with
-          | None ->
-              Hashtbl.replace groups key (matching, c);
-              order := key :: !order
-          | Some (_, best_c) -> if c < best_c then Hashtbl.replace groups key (matching, c));
-          incr count;
-          if !count >= hard_cap then `Stop else `Continue)
-    in
-    let keys = List.rev !order in
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | k :: rest -> Hashtbl.find groups k :: take (n - 1) rest
-    in
-    take cap keys
-  end
-  else
-    Noc_graph.Vf2.find_distinct_images_view ?deadline ?instr ~max_matches:cap
-      ~pattern ~target:remaining ()
-    |> List.map (fun m ->
-           let matching = Matching.of_vf2 entry m in
-           (matching, Matching.cost opts.cost acg matching))
+            if !count >= hard_cap then `Stop else `Continue)
+      in
+      let keys = List.rev !order in
+      let rec take n = function
+        | [] -> []
+        | _ when n = 0 -> []
+        | k :: rest -> Hashtbl.find groups k :: take (n - 1) rest
+      in
+      take cap keys
 
 (* A library entry is a "saver" when its implementation uses strictly fewer
    physical links than the number of ACG edges it covers (gossip graphs);
@@ -417,8 +392,9 @@ let is_saver entry =
    returned flag reports truncation — a truncated pass still produces a
    valid (just costlier) completion, but the caller must downgrade the
    result to anytime semantics. *)
-let greedy_finish ?(deadline = Timer.Deadline.none) ~env remaining =
+let greedy_finish ~env remaining =
   let opts = env.opts in
+  let deadline = env.mono_deadline in
   let rec go rem acc_rev acc_cost =
     if Timer.Deadline.expired deadline then (acc_rev, rem, acc_cost, true)
     else
@@ -430,8 +406,7 @@ let greedy_finish ?(deadline = Timer.Deadline.none) ~env remaining =
           (fun entry ->
             if Hashtbl.mem alive entry.L.id then
               match
-                Noc_graph.Vf2.find_first_view ?deadline:env.wall_deadline
-                  ?instr:env.instr
+                Noc_graph.Vf2.find_first_view ~deadline ?instr:env.instr
                   ~pattern:(Hashtbl.find env.frozen entry.L.id) ~target:rem ()
               with
               | Some m ->
@@ -497,7 +472,7 @@ let eval_leaf ctx remaining matchings_rev cost_so_far ~path_rev =
     | Branch -> ([], remaining, 0.0)
     | Greedy ->
         let extra_rev, rest, extra_cost, truncated =
-          greedy_finish ~deadline:env.mono_deadline ~env remaining
+          greedy_finish ~env remaining
         in
         (* a cut-short greedy pass means this leaf's total is budget-
            dependent: report the whole search as exhausted so callers
@@ -508,10 +483,10 @@ let eval_leaf ctx remaining matchings_rev cost_so_far ~path_rev =
   let total = cost_so_far +. extra_cost +. Cost.remainder_cost_view env.opts.cost env.acg rest in
   if total < ctx.best then accept ctx (extra_rev @ matchings_rev) rest total ~path_rev
 
-(* [min_id]: when canonical ordering is on, only primitives with id >=
-   min_id may be matched below this node.  Decompositions are multisets
-   of matchings, so exploring them in non-decreasing library order visits
-   each multiset once instead of once per permutation.
+(* [min_id]: only primitives with id >= min_id may be matched below this
+   node.  Decompositions are multisets of matchings, so exploring them in
+   non-decreasing library order visits each multiset once instead of once
+   per permutation.
 
    A branch is explored when its bound beats both the task-local best
    (strictly — preserving the seed engine's first-of-equal-cost tie-break)
@@ -529,20 +504,17 @@ let eval_leaf ctx remaining matchings_rev cost_so_far ~path_rev =
 let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
     ~path_rev ~depth =
   let env = ctx.env in
-  let opts = env.opts in
   ignore (Atomic.fetch_and_add env.nodes 1);
   if budget_exhausted ctx then ()
   else begin
     let alive =
-      int_set_of_list
-        (Noc_graph.Multi_pattern.survivors_view ~slack:opts.approx_missing
-           env.compiled remaining)
+      int_set_of_list (Noc_graph.Multi_pattern.survivors_view env.compiled remaining)
     in
     let child_i = ref 0 in
     List.iter
       (fun entry ->
         if
-          ((not opts.canonical_order) || entry.L.id >= min_id)
+          entry.L.id >= min_id
           && Hashtbl.mem alive entry.L.id
           && not (budget_exhausted ctx)
         then begin
@@ -818,9 +790,7 @@ let fallback_seed env root_view =
      remainder (realized as dedicated links), so the result stays a valid
      feasible decomposition even when the budget is gone before one full
      greedy pass fits *)
-  let matchings_rev, rest, cost, _truncated =
-    greedy_finish ~deadline:env.mono_deadline ~env root_view
-  in
+  let matchings_rev, rest, cost, _truncated = greedy_finish ~env root_view in
   let total =
     cost +. Cost.remainder_cost_view env.opts.cost env.acg rest
   in
@@ -846,11 +816,10 @@ let fallback_seed env root_view =
 
 let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~library acg =
   let opts = options in
+  if opts.max_matches_per_step < 1 then
+    invalid_arg "Branch_bound.decompose: max_matches_per_step must be >= 1";
   let budget = resolve_budget ?budget () in
   let t0 = Timer.now_mono_s () in
-  let wall_deadline =
-    Option.map (fun s -> Unix.gettimeofday () +. s) budget.Budget.timeout_s
-  in
   let mono_deadline = Timer.Deadline.after_opt budget.Budget.timeout_s in
 
   let min_ratio = Cost.min_link_ratio_of_library library in
@@ -906,7 +875,6 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~li
       frozen;
       min_ratio;
       inc;
-      wall_deadline;
       mono_deadline;
       nodes = Atomic.make 0;
       shared_best = Atomic.make infinity;

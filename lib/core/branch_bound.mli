@@ -5,11 +5,13 @@
     remaining graph; a branch instantiates one subgraph isomorphism of one
     library primitive (a {!Matching.t}) and subtracts its covered edges.  A
     branch is cut when its accumulated cost plus an admissible lower bound
-    on the cost of the remaining graph ({!Cost.lower_bound}) cannot beat
-    the best complete decomposition found so far.  When no primitive
-    matches, the remaining graph becomes the remainder of a complete
-    decomposition (Eq. 2); the minimum-cost legal decomposition is
-    returned (Eq. 4).
+    on the cost of the remaining graph ({!Cost.lower_bound_view}) cannot
+    beat the best complete decomposition found so far.  Decompositions are
+    multisets of matchings, so along any root-to-leaf path matchings are
+    explored in non-decreasing library-id order, which visits each multiset
+    once instead of once per permutation.  When no primitive matches, the
+    remaining graph becomes the remainder of a complete decomposition
+    (Eq. 2); the minimum-cost legal decomposition is returned (Eq. 4).
 
     Following Section 5.1's advice, both the isomorphism search and the
     overall decomposition accept a wall-clock budget: on time-out the best
@@ -87,27 +89,15 @@ type options = {
   cost : Cost.t;
   constraints : Constraints.t option;  (** checked before an incumbent is accepted *)
   max_matches_per_step : int;
-      (** branching factor cap: how many distinct matches of each primitive
-          are expanded at one tree node.  The paper's Fig. 2 tree branches
-          on one isomorphism per library graph per node, which is the
-          default (1); larger values widen the search *)
-  role_aware : bool;
-      (** under an energy cost the vertex-role assignment of a matching
-          changes its cost (which pairs ride multi-hop routes); when set,
-          matches with the same covered-edge set are represented by their
-          cheapest role assignment rather than the first one found *)
-  canonical_order : bool;
-      (** explore matchings in non-decreasing library-id order along any
-          root-to-leaf path: decompositions are multisets of matchings, so
-          this visits each multiset once instead of once per permutation
-          (default true) *)
+      (** branching factor cap, at least 1: how many distinct covered-edge
+          sets of each primitive are expanded at one tree node.  The paper's
+          Fig. 2 tree branches on one isomorphism per library graph per
+          node, which is the default (1); larger values widen the search.
+          Under [Edge_count] each set is represented by the first match
+          found; under [Energy] the vertex-role assignment changes a
+          matching's cost (which pairs ride multi-hop routes), so each set
+          is represented by its cheapest role assignment *)
   neutrals : neutral_strategy;  (** default [Greedy] *)
-  approx_missing : int;
-      (** tolerance of the relaxed matching the paper suggests in
-          Section 5.1: a primitive may be matched even when up to this many
-          of its pattern edges have no counterpart in the remaining graph
-          (the implementation still provides the full wiring).  0 = exact
-          matching only (default). *)
   ordering : ordering;
       (** branch ordering for a single-instance search (default
           [Canonical]); ignored when [portfolio] is set *)
@@ -128,8 +118,8 @@ type options = {
 
 val default_options : options
 (** [Edge_count] cost, no constraints, one match per primitive per step,
-    [role_aware = false], [canonical_order = true].  Resource limits live
-    in {!Budget.t}.
+    [Greedy] neutrals, the [Canonical] ordering, no portfolio and no
+    fallback.  Resource limits live in {!Budget.t}.
 
     The search always also considers stopping the decomposition at inner
     nodes (leaving a matchable graph as remainder).  This strictly
@@ -139,8 +129,8 @@ val default_options : options
 
 val energy_options :
   tech:Noc_energy.Technology.t -> fp:Noc_energy.Floorplan.t -> options
-(** Energy cost with role-aware matching, constraints from the
-    technology. *)
+(** Energy cost (so each covered-edge set keeps its cheapest role
+    assignment) and constraints from the technology. *)
 
 type prim_stats = {
   attempts : int;  (** candidate enumerations run for this primitive *)
@@ -245,4 +235,6 @@ val decompose :
     bit-equality.  Search statistics
     ([pruned], [leaves], ...) depend on timing and are aggregated across
     workers; [steals] and per-domain busy/idle gauges expose scheduler
-    health. *)
+    health.
+
+    @raise Invalid_argument when [max_matches_per_step < 1]. *)

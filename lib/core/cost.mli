@@ -20,7 +20,7 @@ type t =
 val remainder_cost : t -> Acg.t -> Noc_graph.Digraph.t -> float
 (** Cost of leaving [remaining] uncovered: [Edge_count] counts its directed
     edges; [Energy] charges each edge volume × (2 routers + the direct
-    link). *)
+    link), the sum of {!edge_remainder_cost} over its edges. *)
 
 val remainder_cost_view : t -> Acg.t -> Noc_graph.Compact.view -> float
 (** {!remainder_cost} evaluated directly on a CSR remainder view (original
@@ -32,8 +32,10 @@ val route_cost : t -> Acg.t -> src:int -> dst:int -> int list -> float
     ACG coordinates ([Edge_count] gives 0; link counting is handled at the
     matching level). *)
 
-val lower_bound : t -> Acg.t -> min_link_ratio:float -> Noc_graph.Digraph.t -> float
-(** An admissible lower bound on the cost of decomposing [remaining] —
+val lower_bound_view :
+  t -> Acg.t -> min_link_ratio:float -> Noc_graph.Compact.view -> float
+(** An admissible lower bound on the cost of decomposing the CSR remainder
+    view [remaining], the sum of {!edge_lower_bound} over its edges —
     used to prune branches (Section 4.4: "the current cost of a
     decomposition and the minimum possible cost decomposing the remaining
     graph").
@@ -46,10 +48,6 @@ val lower_bound : t -> Acg.t -> min_link_ratio:float -> Noc_graph.Digraph.t -> f
     repeaters) — any route visits ≥ 2 routers and, by the triangle
     inequality for Manhattan distance, total wire ≥ direct distance. *)
 
-val lower_bound_view :
-  t -> Acg.t -> min_link_ratio:float -> Noc_graph.Compact.view -> float
-(** {!lower_bound} evaluated directly on a CSR remainder view. *)
-
 val edge_remainder_cost : t -> Acg.t -> int -> int -> float
 (** [edge_remainder_cost cost acg u v] is the single edge [u -> v]'s
     contribution to {!remainder_cost}: both functions are sums of
@@ -58,7 +56,7 @@ val edge_remainder_cost : t -> Acg.t -> int -> int -> float
     contributions) instead of re-folding the whole view at every node. *)
 
 val edge_lower_bound : t -> Acg.t -> min_link_ratio:float -> int -> int -> float
-(** The single-edge contribution to {!lower_bound}, for the same
+(** The single-edge contribution to {!lower_bound_view}, for the same
     incremental maintenance. *)
 
 val min_link_ratio_of_library : Noc_primitives.Library.t -> float

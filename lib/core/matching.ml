@@ -13,20 +13,6 @@ let of_vf2 entry m =
   let covered = Noc_graph.Vf2.edge_image ~pattern:entry.L.prim.P.repr m in
   { entry; mapping = m; covered }
 
-let of_approx entry ~target (a : Noc_graph.Vf2.approx) =
-  let covered =
-    Noc_graph.Vf2.covered_edge_image ~pattern:entry.L.prim.P.repr ~target
-      a.Noc_graph.Vf2.approx_mapping
-  in
-  { entry; mapping = a.Noc_graph.Vf2.approx_mapping; covered }
-
-let of_approx_view entry ~pattern ~target (a : Noc_graph.Vf2.approx) =
-  let covered =
-    Noc_graph.Vf2.covered_edge_image_view ~pattern ~target
-      a.Noc_graph.Vf2.approx_mapping
-  in
-  { entry; mapping = a.Noc_graph.Vf2.approx_mapping; covered }
-
 let primitive t = t.entry.L.prim
 
 let impl_in_acg t =

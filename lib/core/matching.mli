@@ -12,22 +12,9 @@ type t = private {
 }
 
 val of_vf2 : Noc_primitives.Library.entry -> Noc_graph.Vf2.mapping -> t
-
-val of_approx :
-  Noc_primitives.Library.entry -> target:Noc_graph.Digraph.t -> Noc_graph.Vf2.approx -> t
-(** A matching from an approximate monomorphism (Section 5.1's relaxed
-    matching): only the pattern edges actually present in [target] are
-    covered; the implementation graph (and hence the wiring cost) is the
-    full primitive. *)
-
-val of_approx_view :
-  Noc_primitives.Library.entry ->
-  pattern:Noc_graph.Compact.t ->
-  target:Noc_graph.Compact.view ->
-  Noc_graph.Vf2.approx ->
-  t
-(** {!of_approx} against a CSR remainder view; [pattern] must be the frozen
-    representation graph of [entry]. *)
+(** The matching of an exact monomorphism of [entry]'s representation
+    graph (Definition 3): it covers the image of every representation
+    edge. *)
 
 val primitive : t -> Noc_primitives.Primitive.t
 

@@ -1,5 +1,3 @@
-module Vset = Digraph.Vset
-
 type profile = {
   n_vertices : int;
   n_edges : int;
@@ -7,7 +5,7 @@ type profile = {
   in_desc : int array;  (* in-degrees, descending *)
 }
 
-type entry = { id : int; graph : Digraph.t; prof : profile }
+type entry = { id : int; prof : profile }
 
 type t = entry list
 
@@ -33,35 +31,26 @@ let compile patterns =
       if Hashtbl.mem seen id then
         invalid_arg (Printf.sprintf "Multi_pattern.compile: duplicate id %d" id);
       Hashtbl.replace seen id true;
-      { id; graph; prof = profile_of graph })
+      { id; prof = profile_of graph })
     patterns
-
-let pattern t id =
-  List.find_map (fun e -> if e.id = id then Some e.graph else None) t
 
 (* sorted-dominance: for every k, the k-th largest pattern degree must not
    exceed the k-th largest target degree *)
-(* sorted-dominance with slack: up to [slack] missing pattern edges can
-   absorb a per-vertex degree deficit of at most [slack] *)
-let dominated_slack slack pat tgt =
+let dominated pat tgt =
   let np = Array.length pat in
   np <= Array.length tgt
   &&
   let ok = ref true in
   for i = 0 to np - 1 do
-    if pat.(i) - slack > tgt.(i) then ok := false
+    if pat.(i) > tgt.(i) then ok := false
   done;
   !ok
 
-let passes ?(slack = 0) prof tprof =
+let passes prof tprof =
   prof.n_vertices <= tprof.n_vertices
-  && prof.n_edges - slack <= tprof.n_edges
-  && dominated_slack slack prof.out_desc tprof.out_desc
-  && dominated_slack slack prof.in_desc tprof.in_desc
-
-let survivors ?slack t target =
-  let tprof = profile_of target in
-  List.filter_map (fun e -> if passes ?slack e.prof tprof then Some e.id else None) t
+  && prof.n_edges <= tprof.n_edges
+  && dominated prof.out_desc tprof.out_desc
+  && dominated prof.in_desc tprof.in_desc
 
 let profile_of_view v =
   let out_desc, in_desc = Compact.degree_profile v in
@@ -72,30 +61,6 @@ let profile_of_view v =
     in_desc;
   }
 
-let survivors_view ?slack t target =
+let survivors_view t target =
   let tprof = profile_of_view target in
-  List.filter_map (fun e -> if passes ?slack e.prof tprof then Some e.id else None) t
-
-let screened_out ?slack t target =
-  let tprof = profile_of target in
-  List.filter_map (fun e -> if passes ?slack e.prof tprof then None else Some e.id) t
-
-let find_first ?deadline t ~id target =
-  match List.find_opt (fun e -> e.id = id) t with
-  | None -> invalid_arg (Printf.sprintf "Multi_pattern.find_first: unknown id %d" id)
-  | Some e ->
-      let tprof = profile_of target in
-      if passes e.prof tprof then
-        Vf2.find_first ?deadline ~pattern:e.graph ~target ()
-      else None
-
-let matching_patterns ?deadline t target =
-  let tprof = profile_of target in
-  List.filter_map
-    (fun e ->
-      if passes e.prof tprof then
-        match Vf2.find_first ?deadline ~pattern:e.graph ~target () with
-        | Some m -> Some (e.id, m)
-        | None -> None
-      else None)
-    t
+  List.filter_map (fun e -> if passes e.prof tprof then Some e.id else None) t

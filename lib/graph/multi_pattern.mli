@@ -5,15 +5,18 @@
     communication library) against an input faster than running the
     isomorphism test once per model.  This module implements the practical
     core of that idea: the pattern set is compiled once into a table of
-    cheap structural invariants (vertex/edge counts, degree bounds, sorted
-    degree sequences), the target's invariants are computed once per query,
-    and full VF2 search runs only for the patterns that survive the screen.
+    cheap structural invariants (vertex/edge counts, sorted degree
+    sequences), the target's invariants are computed once per query, and
+    the caller runs full VF2 search only for the patterns that survive the
+    screen.
 
     The screen is sound for subgraph {e monomorphism}: a pattern can only
     embed if its vertex count, edge count and sorted degree sequences are
     dominated by the target's (the k-th largest pattern out-degree can not
     exceed the k-th largest target out-degree, since an embedding maps each
-    pattern vertex onto a target vertex of at least its degree). *)
+    pattern vertex onto a target vertex of at least its degree).  Every
+    invariant only falls as edges are deleted, so a pattern screened out of
+    a view stays screened out of every view that deletes more. *)
 
 type t
 (** A compiled pattern set. *)
@@ -22,34 +25,9 @@ val compile : (int * Digraph.t) list -> t
 (** [compile [(id, pattern); ...]] precomputes the invariants.  Ids must be
     distinct. @raise Invalid_argument on duplicate ids. *)
 
-val pattern : t -> int -> Digraph.t option
-(** Retrieve a compiled pattern by id. *)
-
-val survivors : ?slack:int -> t -> Digraph.t -> int list
+val survivors_view : t -> Compact.view -> int list
 (** Ids of the patterns that pass the invariant screen against the target,
-    in compile order.  Every pattern with at least one monomorphism into
-    the target is guaranteed to be included (no false negatives); some
-    survivors may still fail the full search.  [slack] (default 0) relaxes
-    the screen for approximate matching: a pattern missing up to [slack]
-    edges in the target must also survive, so the edge-count and
-    degree-dominance tests are loosened by that amount. *)
-
-val survivors_view : ?slack:int -> t -> Compact.view -> int list
-(** {!survivors} against a {!Compact.view} target: the degree profile is
-    read straight off the CSR snapshot and its deletion overlay, without
-    materializing a digraph. *)
-
-val screened_out : ?slack:int -> t -> Digraph.t -> int list
-(** Complement of {!survivors}: patterns rejected without any search. *)
-
-val find_first :
-  ?deadline:float -> t -> id:int -> Digraph.t -> Vf2.mapping option
-(** Full VF2 search for one pattern — but only after the screen; returns
-    [None] immediately when the screen rejects.
-    @raise Invalid_argument on unknown ids. *)
-
-val matching_patterns :
-  ?deadline:float -> t -> Digraph.t -> (int * Vf2.mapping) list
-(** First monomorphism for every pattern that has one, in compile order —
-    the "which library graphs appear in this input" query the
-    decomposition's branch step performs. *)
+    in compile order, with the degree profile read straight off the CSR
+    snapshot and its deletion overlay.  Every pattern with at least one
+    monomorphism into the target is guaranteed to be included (no false
+    negatives); some survivors may still fail the full search. *)

@@ -1,5 +1,6 @@
 module Vmap = Digraph.Vmap
 module C = Compact
+module Deadline = Noc_util.Timer.Deadline
 
 type mapping = int Vmap.t
 
@@ -50,18 +51,6 @@ let[@inline] ntz64 x =
   end;
   if Int64.logand !x 1L = 0L then incr n;
   !n
-
-(* The one deadline helper shared by the exact and approximate kernels: the
-   absolute wall-clock deadline of the public API is converted to a
-   monotonic target once, and the monotonic clock is polled every
-   [deadline_check_period] expansions. *)
-let deadline_checker deadline =
-  let dl = Noc_util.Timer.Deadline.of_wall_opt deadline in
-  let ticks = ref 0 in
-  fun () ->
-    incr ticks;
-    if !ticks mod deadline_check_period = 0 && Noc_util.Timer.Deadline.expired dl
-    then raise (Stop_search Timed_out)
 
 (* Pattern vertices are matched in a connectivity-aware static order: start
    from a vertex of maximum degree, then repeatedly pick the unmatched vertex
@@ -134,7 +123,7 @@ let pattern_order (p : C.t) =
   done;
   order
 
-let iter_view ?deadline ?instr ~(pattern : C.t) ~(target : C.view) f =
+let iter_view ?(deadline = Deadline.none) ?instr ~(pattern : C.t) ~(target : C.view) f =
   let np = pattern.C.n in
   let tb = target.C.base in
   let nt = tb.C.n in
@@ -142,7 +131,12 @@ let iter_view ?deadline ?instr ~(pattern : C.t) ~(target : C.view) f =
   else if np > nt || pattern.C.n_edges > C.num_edges target then Exhausted
   else begin
     let order = pattern_order pattern in
-    let check_deadline = deadline_checker deadline in
+    let ticks = ref 0 in
+    let check_deadline () =
+      incr ticks;
+      if !ticks mod deadline_check_period = 0 && Deadline.expired deadline then
+        raise (Stop_search Timed_out)
+    in
     (* counting is hoisted so the disabled path pays one predictable branch
        per probe instead of two ref writes in the innermost loop *)
     let counting = instr <> None in
@@ -286,8 +280,10 @@ let iter_view ?deadline ?instr ~(pattern : C.t) ~(target : C.view) f =
         o
   end
 
+(* The [Digraph] entry points take an absolute wall-clock deadline and
+   convert it to a monotonic target once, here. *)
 let iter ?deadline ?instr ~pattern ~target f =
-  iter_view ?deadline ?instr ~pattern:(C.freeze pattern)
+  iter_view ~deadline:(Deadline.of_wall_opt deadline) ?instr ~pattern:(C.freeze pattern)
     ~target:(C.view (C.freeze target))
     f
 
@@ -301,7 +297,7 @@ let find_first_view ?deadline ?instr ~pattern ~target () =
   !result
 
 let find_first ?deadline ~pattern ~target () =
-  find_first_view ?deadline ~pattern:(C.freeze pattern)
+  find_first_view ~deadline:(Deadline.of_wall_opt deadline) ~pattern:(C.freeze pattern)
     ~target:(C.view (C.freeze target))
     ()
 
@@ -359,7 +355,8 @@ let find_distinct_images_view ?deadline ?instr ?max_matches ~pattern ~target () 
   List.rev !acc
 
 let find_distinct_images ?deadline ?max_matches ~pattern ~target () =
-  find_distinct_images_view ?deadline ?max_matches ~pattern:(C.freeze pattern)
+  find_distinct_images_view ~deadline:(Deadline.of_wall_opt deadline) ?max_matches
+    ~pattern:(C.freeze pattern)
     ~target:(C.view (C.freeze target))
     ()
 
@@ -375,151 +372,3 @@ let is_monomorphism ~pattern ~target m =
   && Digraph.fold_edges
        (fun u v ok -> ok && Digraph.mem_edge target (Vmap.find u m) (Vmap.find v m))
        pattern true
-
-(* ---------------- approximate matching ---------------- *)
-
-type approx = {
-  approx_mapping : mapping;
-  missing : Digraph.Edge.t list;
-}
-
-let iter_approx_view ?deadline ?instr ~max_missing ~(pattern : C.t) ~(target : C.view) f =
-  if max_missing < 0 then invalid_arg "Vf2.iter_approx: negative budget";
-  let np = pattern.C.n in
-  let tb = target.C.base in
-  let nt = tb.C.n in
-  if np = 0 then Exhausted
-  else if np > nt then Exhausted
-  else if pattern.C.n_edges - max_missing > C.num_edges target then Exhausted
-  else begin
-    let order = pattern_order pattern in
-    let check_deadline = deadline_checker deadline in
-    let counting = instr <> None in
-    let n_probes = ref 0 and n_backtracks = ref 0 in
-    let core = Array.make np (-1) in
-    let used = Bytes.make nt '\000' in
-    let ps_off = pattern.C.succ_off and ps = pattern.C.succ_arr in
-    let pp_off = pattern.C.pred_off and pp = pattern.C.pred_arr in
-    (* number of pattern edges between mapped vertices with no target image *)
-    let misses u v =
-      let count = ref 0 in
-      for i = ps_off.(u) to ps_off.(u + 1) - 1 do
-        let w' = core.(ps.(i)) in
-        if w' >= 0 && not (C.mem_edge_d target v w') then incr count
-      done;
-      for i = pp_off.(u) to pp_off.(u + 1) - 1 do
-        let w' = core.(pp.(i)) in
-        if w' >= 0 && not (C.mem_edge_d target w' v) then incr count
-      done;
-      !count
-    in
-    let emit () =
-      let m = ref Vmap.empty in
-      for u = 0 to np - 1 do
-        m := Vmap.add pattern.C.verts.(u) tb.C.verts.(core.(u)) !m
-      done;
-      (* pattern dense edges iterate in lexicographic original order, so the
-         missing list is born sorted by Edge.compare *)
-      let missing = ref [] in
-      for u = np - 1 downto 0 do
-        for i = ps_off.(u + 1) - 1 downto ps_off.(u) do
-          let v = ps.(i) in
-          if not (C.mem_edge_d target core.(u) core.(v)) then
-            missing := (pattern.C.verts.(u), pattern.C.verts.(v)) :: !missing
-        done
-      done;
-      match f { approx_mapping = !m; missing = !missing } with
-      | `Continue -> ()
-      | `Stop -> raise (Stop_search Stopped)
-    in
-    let rec extend depth missing_so_far =
-      if depth = np then emit ()
-      else begin
-        check_deadline ();
-        let u = order.(depth) in
-        let budget = max_missing - missing_so_far in
-        let out_p = ps_off.(u + 1) - ps_off.(u) in
-        let in_p = pp_off.(u + 1) - pp_off.(u) in
-        for v = 0 to nt - 1 do
-          if Bytes.unsafe_get used v = '\000' then begin
-            if counting then incr n_probes;
-            (* relaxed degree look-ahead: missing edges may absorb the
-               degree deficit *)
-            let deg_ok =
-              C.out_degree_d target v >= out_p - budget
-              && C.in_degree_d target v >= in_p - budget
-            in
-            if deg_ok then begin
-              let miss = misses u v in
-              if miss <= budget then begin
-                core.(u) <- v;
-                Bytes.unsafe_set used v '\001';
-                extend (depth + 1) (missing_so_far + miss);
-                if counting then incr n_backtracks;
-                core.(u) <- -1;
-                Bytes.unsafe_set used v '\000'
-              end
-            end
-          end
-        done
-      end
-    in
-    let flush () =
-      match instr with
-      | Some i -> Instr.flush i ~probes:!n_probes ~backtracks:!n_backtracks
-      | None -> ()
-    in
-    match extend 0 0 with
-    | () ->
-        flush ();
-        Exhausted
-    | exception Stop_search o ->
-        flush ();
-        o
-  end
-
-let iter_approx ?deadline ?instr ~max_missing ~pattern ~target f =
-  iter_approx_view ?deadline ?instr ~max_missing ~pattern:(C.freeze pattern)
-    ~target:(C.view (C.freeze target))
-    f
-
-let find_first_approx ?deadline ~max_missing ~pattern ~target () =
-  let result = ref None in
-  let _ =
-    iter_approx ?deadline ~max_missing ~pattern ~target (fun a ->
-        result := Some a;
-        `Stop)
-  in
-  !result
-
-let find_all_approx ?deadline ?max_matches ~max_missing ~pattern ~target () =
-  let acc = ref [] in
-  let count = ref 0 in
-  let _ =
-    iter_approx ?deadline ~max_missing ~pattern ~target (fun a ->
-        acc := a :: !acc;
-        incr count;
-        match max_matches with
-        | Some k when !count >= k -> `Stop
-        | Some _ | None -> `Continue)
-  in
-  List.rev !acc
-
-let covered_edge_image ~pattern ~target m =
-  Digraph.fold_edges
-    (fun u v acc ->
-      let u' = Vmap.find u m and v' = Vmap.find v m in
-      if Digraph.mem_edge target u' v' then (u', v') :: acc else acc)
-    pattern []
-  |> List.sort Digraph.Edge.compare
-
-let covered_edge_image_view ~(pattern : C.t) ~(target : C.view) m =
-  let acc = ref [] in
-  for u = 0 to pattern.C.n - 1 do
-    for i = pattern.C.succ_off.(u) to pattern.C.succ_off.(u + 1) - 1 do
-      let v = pattern.C.succ_arr.(i) in
-      let u' = Vmap.find pattern.C.verts.(u) m and v' = Vmap.find pattern.C.verts.(v) m in
-      if C.mem_edge target u' v' then acc := (u', v') :: !acc
-    done
-  done;
-  List.sort Digraph.Edge.compare !acc

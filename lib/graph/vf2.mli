@@ -106,64 +106,18 @@ val edge_image : pattern:Digraph.t -> mapping -> Digraph.Edge.t list
 val is_monomorphism : pattern:Digraph.t -> target:Digraph.t -> mapping -> bool
 (** Checks injectivity and edge preservation; used by tests. *)
 
-(** {1 Approximate matching}
-
-    Section 5.1 of the paper suggests relaxing "the requirement for perfect
-    matching" so that graphs {e sufficiently close} to a library pattern are
-    still detected.  An approximate monomorphism maps every pattern vertex
-    injectively but tolerates up to [max_missing] pattern edges whose images
-    are not present in the target; near-gossip traffic can then still be
-    implemented by a Minimum Gossip Graph. *)
-
-type approx = {
-  approx_mapping : mapping;
-  missing : Digraph.Edge.t list;
-      (** pattern edges (in pattern vertex names) with no target edge *)
-}
-
-val iter_approx :
-  ?deadline:float ->
-  ?instr:Instr.t ->
-  max_missing:int ->
-  pattern:Digraph.t ->
-  target:Digraph.t ->
-  (approx -> [ `Continue | `Stop ]) ->
-  outcome
-(** Like {!iter} but tolerating up to [max_missing] unrealized pattern
-    edges.  With [max_missing = 0] it enumerates exactly the monomorphisms
-    of {!iter}. *)
-
-val find_first_approx :
-  ?deadline:float ->
-  max_missing:int ->
-  pattern:Digraph.t ->
-  target:Digraph.t ->
-  unit ->
-  approx option
-
-val find_all_approx :
-  ?deadline:float ->
-  ?max_matches:int ->
-  max_missing:int ->
-  pattern:Digraph.t ->
-  target:Digraph.t ->
-  unit ->
-  approx list
-
-val covered_edge_image : pattern:Digraph.t -> target:Digraph.t -> mapping -> Digraph.Edge.t list
-(** Target edges actually realized by a (possibly approximate) mapping:
-    images of pattern edges that exist in the target, sorted. *)
-
 (** {1 Compact-kernel entry points}
 
     Same semantics and enumeration order as the functions above, but
     operating on pre-frozen {!Compact} snapshots: the pattern is a frozen
-    base, the target an edge-deletion {!Compact.view}.  Mappings and missing
-    edges are still expressed in {e original} vertex ids, so the results are
-    interchangeable with the [Digraph] API. *)
+    base, the target an edge-deletion {!Compact.view}.  Mappings are still
+    expressed in {e original} vertex ids, so the results are
+    interchangeable with the [Digraph] API.  The deadline is a monotonic
+    {!Noc_util.Timer.Deadline.t} (default [none]), so a search that already
+    holds one polls it directly. *)
 
 val iter_view :
-  ?deadline:float ->
+  ?deadline:Noc_util.Timer.Deadline.t ->
   ?instr:Instr.t ->
   pattern:Compact.t ->
   target:Compact.view ->
@@ -171,7 +125,7 @@ val iter_view :
   outcome
 
 val find_first_view :
-  ?deadline:float ->
+  ?deadline:Noc_util.Timer.Deadline.t ->
   ?instr:Instr.t ->
   pattern:Compact.t ->
   target:Compact.view ->
@@ -179,22 +133,10 @@ val find_first_view :
   mapping option
 
 val find_distinct_images_view :
-  ?deadline:float ->
+  ?deadline:Noc_util.Timer.Deadline.t ->
   ?instr:Instr.t ->
   ?max_matches:int ->
   pattern:Compact.t ->
   target:Compact.view ->
   unit ->
   mapping list
-
-val iter_approx_view :
-  ?deadline:float ->
-  ?instr:Instr.t ->
-  max_missing:int ->
-  pattern:Compact.t ->
-  target:Compact.view ->
-  (approx -> [ `Continue | `Stop ]) ->
-  outcome
-
-val covered_edge_image_view :
-  pattern:Compact.t -> target:Compact.view -> mapping -> Digraph.Edge.t list

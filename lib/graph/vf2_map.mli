@@ -5,8 +5,8 @@
     The production engine ({!Vf2}) runs the same search on the {!Compact}
     CSR kernel and enumerates matchings in exactly the same order; this
     module is retained as the {e executable specification} — the qcheck
-    differential suites check the compact engine against it on random
-    graphs.  It sees no production traffic. *)
+    differential suite and the fuzz harness check the compact engine
+    against it on random graphs.  It sees no production traffic. *)
 
 type mapping = int Digraph.Vmap.t
 (** Pattern vertex [->] target vertex. *)
@@ -61,50 +61,3 @@ val edge_image : pattern:Digraph.t -> mapping -> Digraph.Edge.t list
 
 val is_monomorphism : pattern:Digraph.t -> target:Digraph.t -> mapping -> bool
 (** Checks injectivity and edge preservation; used by tests. *)
-
-(** {1 Approximate matching}
-
-    Section 5.1 of the paper suggests relaxing "the requirement for perfect
-    matching" so that graphs {e sufficiently close} to a library pattern are
-    still detected.  An approximate monomorphism maps every pattern vertex
-    injectively but tolerates up to [max_missing] pattern edges whose images
-    are not present in the target; near-gossip traffic can then still be
-    implemented by a Minimum Gossip Graph. *)
-
-type approx = {
-  approx_mapping : mapping;
-  missing : Digraph.Edge.t list;
-      (** pattern edges (in pattern vertex names) with no target edge *)
-}
-
-val iter_approx :
-  ?deadline:float ->
-  max_missing:int ->
-  pattern:Digraph.t ->
-  target:Digraph.t ->
-  (approx -> [ `Continue | `Stop ]) ->
-  outcome
-(** Like {!iter} but tolerating up to [max_missing] unrealized pattern
-    edges.  With [max_missing = 0] it enumerates exactly the monomorphisms
-    of {!iter}. *)
-
-val find_first_approx :
-  ?deadline:float ->
-  max_missing:int ->
-  pattern:Digraph.t ->
-  target:Digraph.t ->
-  unit ->
-  approx option
-
-val find_all_approx :
-  ?deadline:float ->
-  ?max_matches:int ->
-  max_missing:int ->
-  pattern:Digraph.t ->
-  target:Digraph.t ->
-  unit ->
-  approx list
-
-val covered_edge_image : pattern:Digraph.t -> target:Digraph.t -> mapping -> Digraph.Edge.t list
-(** Target edges actually realized by a (possibly approximate) mapping:
-    images of pattern edges that exist in the target, sorted. *)

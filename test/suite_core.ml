@@ -86,9 +86,16 @@ let test_remainder_cost_edge_count () =
 let test_lower_bound_admissible () =
   (* the lower bound must never exceed the true optimal cost *)
   let acg = Acg.uniform ~volume:1 ~bandwidth:0.0 (G.complete 4) in
-  let lb = Cost.lower_bound edge_count acg ~min_link_ratio:(1.0 /. 3.0) (Acg.graph acg) in
+  let root = Noc_graph.Compact.(view (freeze (Acg.graph acg))) in
+  let lb = Cost.lower_bound_view edge_count acg ~min_link_ratio:(1.0 /. 3.0) root in
   let _, stats = Bb.decompose ~library:(lib ()) acg in
-  Alcotest.(check bool) "admissible" true (lb <= stats.Bb.best_cost +. 1e-9)
+  Alcotest.(check bool) "admissible" true (lb <= stats.Bb.best_cost +. 1e-9);
+  let tech = Noc_energy.Technology.cmos_180nm in
+  let fp = Noc_energy.Floorplan.(grid (uniform_cores ~n:4 ~size_mm:2.0)) in
+  let options = { (Bb.energy_options ~tech ~fp) with constraints = None } in
+  let lb = Cost.lower_bound_view options.Bb.cost acg ~min_link_ratio:(1.0 /. 3.0) root in
+  let _, stats = Bb.decompose ~options ~library:(lib ()) acg in
+  Alcotest.(check bool) "admissible under energy" true (lb <= stats.Bb.best_cost +. 1e-9)
 
 (* -------------------------------------------------------------------- *)
 (* Matching                                                              *)
@@ -572,40 +579,32 @@ let test_vc_of_hop () =
         (Dead.vc_of_hop arch ~src ~dst ~hop:5)
 
 (* -------------------------------------------------------------------- *)
-(* Approximate matching in the decomposition                             *)
+(* Branching width                                                       *)
 
-let test_approx_decomposition () =
-  (* K4 with one edge knocked out: exact matching leaves 11 dedicated
-     links; 1-tolerant matching still implements it as an MGG4 (4 links) *)
-  let g = D.remove_edge (G.complete 4) 1 4 in
-  let acg = Acg.uniform ~volume:1 ~bandwidth:0.0 g in
-  let exact_d, exact_stats = decompose acg in
-  Alcotest.(check (float 1e-9)) "exact cost = 11 dedicated links" 11.0
-    exact_stats.Bb.best_cost;
-  (* neutral primitives (broadcasts) may still structure the traffic, but
-     no gossip graph matches exactly *)
-  Alcotest.(check bool) "no exact MGG4" true
-    (not (List.mem_assoc "MGG4" (Decomp.primitive_histogram exact_d)));
-  let options = { Bb.default_options with approx_missing = 1 } in
-  let d, stats = decompose ~options acg in
-  Alcotest.(check (float 1e-9)) "approx cost = 4 links" 4.0 stats.Bb.best_cost;
-  Alcotest.(check (list (pair string int))) "MGG4 used" [ ("MGG4", 1) ]
-    (Decomp.primitive_histogram d);
-  (* still a valid decomposition: only real edges are covered *)
-  Alcotest.(check bool) "valid" true (Decomp.is_valid_for acg d);
-  (* and the synthesized architecture still routes every flow *)
-  Alcotest.(check bool) "routes valid" true (Syn.routes_valid (Syn.custom acg d))
+(* Under the energy cost a node enumerates up to 16 matches per kept
+   representative; past [max_int / 16] that cap must saturate, not wrap,
+   so any width that exhausts the enumeration searches the same tree. *)
+let test_energy_width_saturates () =
+  let tech, fp = energy_setup () in
+  let acg = Acg.uniform ~volume:8 ~bandwidth:0.1 (G.complete 6) in
+  let run beam =
+    let options =
+      { (Bb.energy_options ~tech ~fp) with constraints = None; max_matches_per_step = beam }
+    in
+    let _, st = decompose ~options acg in
+    (st.Bb.matches_tried, st.Bb.nodes)
+  in
+  Alcotest.(check (pair int int)) "width max_int = width 1000" (run 1000) (run max_int)
 
-let test_approx_does_not_invent_flows () =
-  let g = D.remove_edge (G.complete 4) 1 4 in
-  let acg = Acg.uniform ~volume:1 ~bandwidth:0.0 g in
-  let options = { Bb.default_options with approx_missing = 1 } in
-  let d, _ = decompose ~options acg in
-  let m = List.hd d.Decomp.matchings in
-  Alcotest.(check int) "covers 11 real edges" 11 (List.length m.Matching.covered);
+let test_width_below_one_rejected () =
+  let acg = Acg.uniform ~volume:1 ~bandwidth:0.0 (G.complete 4) in
   List.iter
-    (fun (u, v) -> Alcotest.(check bool) "acg edge" true (D.mem_edge g u v))
-    m.Matching.covered
+    (fun beam ->
+      let options = { Bb.default_options with max_matches_per_step = beam } in
+      Alcotest.check_raises (Printf.sprintf "width %d" beam)
+        (Invalid_argument "Branch_bound.decompose: max_matches_per_step must be >= 1")
+        (fun () -> ignore (decompose ~options acg)))
+    [ 0; -3; min_int ]
 
 (* -------------------------------------------------------------------- *)
 (* Co-design (floorplan relaxation)                                      *)
@@ -960,7 +959,7 @@ let test_energy_listing_format () =
   in
   let cost = Cost.Energy { tech; fp } in
   let acg = Acg.uniform ~volume:3 ~bandwidth:0.1 (G.complete 4) in
-  let options = { Bb.default_options with cost; role_aware = true } in
+  let options = { Bb.default_options with cost } in
   let d, _ = decompose ~options acg in
   let s = Format.asprintf "%a" (Decomp.pp_with_cost cost acg) d in
   Alcotest.(check bool) "has COST header" true (String.sub s 0 5 = "COST:");
@@ -1056,15 +1055,6 @@ let test_unconstrained_searches_pinned () =
   in
   List.iter (fun (k, h) -> Printf.printf "    (%S, %S);\n" k h) got;
   Alcotest.(check (list (pair string string))) "digests" pinned_unconstrained got
-
-let test_non_canonical_order_same_cost () =
-  let rng = Prng.create ~seed:55 in
-  let g = G.planted ~rng ~n:9 ~parts:[ G.complete 4; G.loop 4 ] in
-  let acg = Acg.uniform ~volume:1 ~bandwidth:0.0 g in
-  let _, s1 = decompose acg in
-  let options = { Bb.default_options with canonical_order = false } in
-  let _, s2 = decompose ~options acg in
-  Alcotest.(check (float 1e-9)) "same best cost" s1.Bb.best_cost s2.Bb.best_cost
 
 (* -------------------------------------------------------------------- *)
 (* Properties                                                            *)
@@ -1236,9 +1226,8 @@ let suite =
       Alcotest.test_case "custom arch deadlock report" `Quick test_custom_deadlock_report;
       Alcotest.test_case "cdg edges chain" `Quick test_cdg_edges;
       Alcotest.test_case "vc assignment per hop" `Quick test_vc_of_hop;
-      Alcotest.test_case "approx matching in decomposition" `Quick test_approx_decomposition;
-      Alcotest.test_case "approx covers only real flows" `Quick
-        test_approx_does_not_invent_flows;
+      Alcotest.test_case "energy width saturates" `Quick test_energy_width_saturates;
+      Alcotest.test_case "width below 1 rejected" `Quick test_width_below_one_rejected;
       Alcotest.test_case "co-design link weights" `Quick test_link_volume_weights;
       Alcotest.test_case "co-design improves energy" `Quick test_co_design_improves_or_equals;
       Alcotest.test_case "co-design deterministic" `Quick test_co_design_deterministic;
@@ -1257,8 +1246,6 @@ let suite =
       Alcotest.test_case "violation printers" `Quick test_violation_printers;
       Alcotest.test_case "energy listing format" `Quick test_energy_listing_format;
       Alcotest.test_case "acg pretty printer" `Quick test_acg_pp;
-      Alcotest.test_case "non-canonical order same cost" `Quick
-        test_non_canonical_order_same_cost;
       Alcotest.test_case "unconstrained searches are pinned" `Quick
         test_unconstrained_searches_pinned;
       Alcotest.test_case "mapping identity" `Quick test_mapping_identity_apply;
