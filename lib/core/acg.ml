@@ -57,6 +57,10 @@ let bandwidth t u v =
 let num_cores t = D.num_vertices t.graph
 let num_flows t = D.num_edges t.graph
 
+let grid_floorplan t =
+  let max_id = D.fold_vertices max t.graph 1 in
+  Noc_energy.Floorplan.(grid (uniform_cores ~n:max_id ~size_mm:2.0))
+
 let total_volume t = D.fold_edges (fun u v acc -> acc + volume t u v) t.graph 0
 
 let restrict t g =

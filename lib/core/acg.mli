@@ -40,6 +40,11 @@ val bandwidth : t -> int -> int -> float
 val num_cores : t -> int
 val num_flows : t -> int
 
+val grid_floorplan : t -> Noc_energy.Floorplan.t
+(** The row-major grid of 2 mm cores that places every core the ACG
+    names: sized by the largest core id, not the core count, since ids need
+    not be contiguous. *)
+
 val total_volume : t -> int
 
 val restrict : t -> Noc_graph.Digraph.t -> t

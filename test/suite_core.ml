@@ -1056,6 +1056,90 @@ let test_unconstrained_searches_pinned () =
   List.iter (fun (k, h) -> Printf.printf "    (%S, %S);\n" k h) got;
   Alcotest.(check (list (pair string string))) "digests" pinned_unconstrained got
 
+(* Searches shaped like the service's cold misses: benchmark-corpus
+   clustered, layered and random graphs, each on its canonical form as the
+   daemon searches it, under a 20k-node budget.  Clustered searches are
+   chains of gossip branches, each node's leaf completed by the greedy
+   pass; the extended library adds savers so some children branch away
+   from the pass, and zero switch energy makes a primitive's cost verdict
+   depend on its vertex roles.  To regenerate after an intended change,
+   empty the table and copy the printed lines from the test's output log. *)
+let pinned_synth_cold =
+  [
+    ("default", "2ab4f7e6a910602943c6cd7082559fe9");
+    ("extended", "2709158d31db5df00139229cc314d136");
+    ("energy", "53e6c481e8b80b675e1dab68f6379943");
+    ("energy-no-switch", "8fe7e3be00d70125d506df40421d66c3");
+    ("domains-2", "b5b6e3e47413f88c9853f91ae63d5d02");
+    ("fallback", "716437d59c43429d7cae8e800763133e");
+  ]
+
+let test_synth_cold_searches_pinned () =
+  let canonical acg =
+    match Acg.canonical_form acg with Some (c, _) -> c | None -> acg
+  in
+  let module Cp = Noc_benchkit.Corpus in
+  let gen name f ~seed ~n = (Printf.sprintf "%s-%d-s%d" name n seed, canonical (f ~seed ~n)) in
+  let clustered ~seed ~n = gen "clustered" Cp.clustered ~seed ~n in
+  let chains =
+    List.concat_map
+      (fun (n, seeds) -> List.init seeds (fun i -> clustered ~seed:(i + 1) ~n))
+      [ (32, 5); (48, 4); (64, 2); (96, 1) ]
+  in
+  let sparse =
+    List.concat_map
+      (fun n -> [ gen "layered" Cp.layered ~seed:1 ~n; gen "random" Cp.random ~seed:1 ~n ])
+      [ 64; 128 ]
+  in
+  let few = [ clustered ~seed:1 ~n:32; clustered ~seed:2 ~n:32; clustered ~seed:1 ~n:48 ] in
+  let energy tech acg =
+    let fp = Acg.grid_floorplan acg in
+    { (Bb.energy_options ~tech ~fp) with constraints = None }
+  in
+  let cmos = Noc_energy.Technology.cmos_180nm in
+  let no_switch = { cmos with Noc_energy.Technology.es_bit = 0.; e_repeater = 0. } in
+  let nodes n = Bb.Budget.(default |> with_max_nodes n) in
+  let budget = nodes 20_000 in
+  let full name st d =
+    Format.asprintf "%s %h %d %d %d %b@.%a" name st.Bb.best_cost st.Bb.nodes st.Bb.pruned
+      st.Bb.leaves st.Bb.timed_out Decomp.pp d
+  in
+  let configs =
+    [
+      ("default", lib (), Fun.const Bb.default_options, budget, chains @ sparse, full);
+      ("extended", L.extended (), Fun.const Bb.default_options, budget, few, full);
+      ("energy", lib (), energy cmos, budget, few @ sparse, full);
+      ("energy-no-switch", lib (), energy no_switch, budget, few @ sparse, full);
+      ( "domains-2",
+        lib (),
+        Fun.const Bb.default_options,
+        Bb.Budget.with_domains 2 budget,
+        [ clustered ~seed:1 ~n:48 ],
+        fun name st d -> Format.asprintf "%s %h@.%a" name st.Bb.best_cost Decomp.pp d );
+      ( "fallback",
+        lib (),
+        Fun.const { Bb.default_options with fallback = true },
+        nodes 1,
+        chains @ sparse,
+        full );
+    ]
+  in
+  let got =
+    List.map
+      (fun (cname, library, options, budget, inputs, line) ->
+        let lines =
+          List.map
+            (fun (name, acg) ->
+              let d, st = Bb.decompose ~options:(options acg) ~budget ~library acg in
+              line name st d)
+            inputs
+        in
+        (cname, Digest.to_hex (Digest.string (String.concat "" lines))))
+      configs
+  in
+  List.iter (fun (k, h) -> Printf.printf "    (%S, %S);\n" k h) got;
+  Alcotest.(check (list (pair string string))) "digests" pinned_synth_cold got
+
 (* -------------------------------------------------------------------- *)
 (* Properties                                                            *)
 
@@ -1265,4 +1349,6 @@ let suite =
         test_bisection_verdict_is_pure;
       Alcotest.test_case "constrained corpus searches are pinned" `Quick
         test_constrained_corpus_pinned;
+      Alcotest.test_case "synth-cold-shaped searches are pinned" `Quick
+        test_synth_cold_searches_pinned;
     ] )
