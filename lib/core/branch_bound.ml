@@ -227,11 +227,21 @@ type env = {
   prim_slots : int;  (** 1 + max library entry id, for per-primitive arrays *)
 }
 
+(* A node's greedy leaf completion (see [greedy_pass]): the neutral
+   matchings it takes, in order, each with its cost, and the view they
+   leave. *)
+type pass = {
+  steps : (Matching.t * float) list;
+  rest : C.view;
+  truncated : bool;  (** cut short by the deadline *)
+}
+
 (* An open subproblem, self-contained so any worker can run it: the
    remaining graph, the partial decomposition, its exact cost, the
    incrementally-maintained remainder/lower-bound values, the canonical
-   [min_id] floor, and the node's path (child indices from the root) which
-   makes the final reduction independent of steal order. *)
+   [min_id] floor, the node's path (child indices from the root) which
+   makes the final reduction independent of steal order, and the leaf pass
+   it inherits from its parent, if any. *)
 type task = {
   t_view : C.view;
   t_matchings : Matching.t list;  (** reversed *)
@@ -241,6 +251,7 @@ type task = {
   t_lb_c : float;
   t_path_rev : int list;
   t_depth : int;
+  t_pass : pass option;
 }
 
 (* Worker-local search state.  The sequential driver has exactly one of
@@ -381,54 +392,112 @@ let is_saver entry =
 
 (* Deterministic completion: repeatedly take the first matching, in library
    order, whose cost does not exceed realizing its covered edges as
-   dedicated links, and subtract it.  [compiled] holds the Messmer-Bunke
-   style invariant screen (Section 5.1's decision-tree suggestion), so
-   impossible patterns are rejected without any VF2 search.
+   dedicated links, and subtract it.  The result is a [pass]: the
+   matchings taken, in order, each with its cost, and the view they leave.
+   A complete pass is a pure function of the view it starts from, so the
+   pass of [view - covered(first step)] is exactly the rest of the pass of
+   [view]; [explore] hands that suffix to the child whose branch covers
+   those edges instead of running it again.
 
-   At large core counts a single greedy pass can dominate wall time (each
-   iteration re-screens the whole library against the shrinking view), so
-   the loop honours the search's monotonic deadline: once expired it stops
-   re-attaching and leaves whatever remains as dedicated links.  The
-   returned flag reports truncation — a truncated pass still produces a
-   valid (just costlier) completion, but the caller must downgrade the
-   result to anytime semantics. *)
-let greedy_finish ~env remaining =
+   Within one pass, every verdict on a library entry rests on
+   monotonicity: a monomorphism into [G - E] is also one into [G].
+   - An entry with no match (or screened out by the Messmer-Bunke style
+     invariant screen [compiled], Section 5.1's decision-tree suggestion)
+     stays dead for the rest of the pass: the view only loses edges.
+   - An entry whose first match failed the cost test stays rejected while
+     every edge of that match survives.  VF2 draws candidates from the
+     base adjacency rows and re-checks the deletion overlay, so its
+     enumeration on a view is the surviving subsequence of its enumeration
+     on the base ([Oracle.Fuzz]'s [vf2-naive] property checks this); the
+     match that came first stays first while it survives, and its cost
+     verdict depends on the match alone.
+   So each entry runs VF2 again only after its last answer lost an edge.
+
+   At large core counts a single pass can dominate wall time, so it
+   honours the search's monotonic deadline: once expired it stops
+   re-attaching and leaves whatever remains as dedicated links.  A VF2
+   call cut off by the deadline proves nothing about its entry, so it ends
+   the pass too.  A truncated pass still produces a valid (just costlier)
+   completion, but the caller must downgrade the result to anytime
+   semantics. *)
+type verdict = Open | Dead | Rejected of D.Edge.t list
+
+type first = Found of Noc_graph.Vf2.mapping | Absent | Cut
+
+let first_match ~env entry view =
+  let found = ref None in
+  match
+    Noc_graph.Vf2.iter_view ~deadline:env.mono_deadline ?instr:env.instr
+      ~pattern:(Hashtbl.find env.frozen entry.L.id) ~target:view (fun m ->
+        found := Some m;
+        `Stop)
+  with
+  | Noc_graph.Vf2.Timed_out -> Cut
+  | Noc_graph.Vf2.Stopped | Noc_graph.Vf2.Exhausted -> (
+      match !found with Some m -> Found m | None -> Absent)
+
+(* [alive id] is the invariant screen of [view]: entries it rejects start
+   dead. *)
+let greedy_pass ~env ~alive view =
   let opts = env.opts in
-  let deadline = env.mono_deadline in
-  let rec go rem acc_rev acc_cost =
-    if Timer.Deadline.expired deadline then (acc_rev, rem, acc_cost, true)
+  let entries = Array.of_list env.library in
+  let verdicts = Array.map (fun e -> if alive e.L.id then Open else Dead) entries in
+  let survives rem covered = List.for_all (fun (u, v) -> C.mem_edge rem u v) covered in
+  let rec scan rem i =
+    if i = Array.length entries then `Done
     else
-      let alive =
-        int_set_of_list (Noc_graph.Multi_pattern.survivors_view env.compiled rem)
-      in
-      let next =
-        List.find_map
-          (fun entry ->
-            if Hashtbl.mem alive entry.L.id then
-              match
-                Noc_graph.Vf2.find_first_view ~deadline ?instr:env.instr
-                  ~pattern:(Hashtbl.find env.frozen entry.L.id) ~target:rem ()
-              with
-              | Some m ->
-                  let matching = Matching.of_vf2 entry m in
-                  let c = Matching.cost opts.cost env.acg matching in
-                  let direct =
-                    Cost.remainder_cost opts.cost env.acg
-                      (D.of_edges matching.Matching.covered)
-                  in
-                  if c <= direct +. 1e-9 then Some (matching, c) else None
-              | None -> None
-            else None)
-          env.library
-      in
-      match next with
-      | Some (matching, c) ->
-          go
-            (C.delete_edges rem matching.Matching.covered)
-            (matching :: acc_rev) (acc_cost +. c)
-      | None -> (acc_rev, rem, acc_cost, false)
+      match verdicts.(i) with
+      | Dead -> scan rem (i + 1)
+      | Rejected covered when survives rem covered -> scan rem (i + 1)
+      | Open | Rejected _ -> (
+          let entry = entries.(i) in
+          match first_match ~env entry rem with
+          | Cut -> `Cut
+          | Absent ->
+              verdicts.(i) <- Dead;
+              scan rem (i + 1)
+          | Found m ->
+              let matching = Matching.of_vf2 entry m in
+              let c = Matching.cost opts.cost env.acg matching in
+              let direct =
+                Cost.remainder_cost opts.cost env.acg (D.of_edges matching.Matching.covered)
+              in
+              if c <= direct +. 1e-9 then begin
+                verdicts.(i) <- Open;
+                `Take (matching, c)
+              end
+              else begin
+                verdicts.(i) <- Rejected matching.Matching.covered;
+                scan rem (i + 1)
+              end)
   in
-  go remaining [] 0.0
+  let rec go rem steps_rev =
+    let finish truncated = { steps = List.rev steps_rev; rest = rem; truncated } in
+    if Timer.Deadline.expired env.mono_deadline then finish true
+    else
+      match scan rem 0 with
+      | `Take ((matching, _) as step) ->
+          go (C.delete_edges rem matching.Matching.covered) (step :: steps_rev)
+      | `Done -> finish false
+      | `Cut -> finish true
+  in
+  Obs.span env.obs ~cat:"search" "greedy-pass" (fun () -> go view [])
+
+(* The completion a node's leaf uses: the greedy pass under [Greedy],
+   nothing under [Branch]. *)
+let leaf_pass ~env ~alive view =
+  match env.opts.neutrals with
+  | Branch -> { steps = []; rest = view; truncated = false }
+  | Greedy -> greedy_pass ~env ~alive view
+
+(* The part of [pass] a child inherits when its branch covers exactly the
+   edges of the pass's first step: the child's view is then the view that
+   step leaves.  Covered-edge lists are sorted, so list equality is set
+   equality. *)
+let pass_suffix pass covered =
+  match pass.steps with
+  | (first, _) :: steps when first.Matching.covered = covered -> Some { pass with steps }
+  | _ -> None
 
 let accept ctx matchings_rev rest_view total ~path_rev =
   let d =
@@ -460,28 +529,25 @@ let accept ctx matchings_rev rest_view total ~path_rev =
           ]
   end
 
-(* The leaf of a node: re-attach neutral primitives greedily and charge the
-   rest as dedicated links.  Leaf totals are always recomputed exactly (no
-   incremental float accumulation), so reported costs are independent of
-   the path taken to reach the leaf. *)
-let eval_leaf ctx remaining matchings_rev cost_so_far ~path_rev =
+(* The leaf of a node: its pass's neutral matchings, with the rest charged
+   as dedicated links.  Leaf totals are always recomputed exactly (no
+   incremental float accumulation; a pass's cost is summed from its own
+   first step), so reported costs are independent of the path taken to
+   reach the leaf and of which node computed the pass. *)
+let eval_leaf ctx pass matchings_rev cost_so_far ~path_rev =
   let env = ctx.env in
   ctx.leaves <- ctx.leaves + 1;
-  let extra_rev, rest, extra_cost =
-    match env.opts.neutrals with
-    | Branch -> ([], remaining, 0.0)
-    | Greedy ->
-        let extra_rev, rest, extra_cost, truncated =
-          greedy_finish ~env remaining
-        in
-        (* a cut-short greedy pass means this leaf's total is budget-
-           dependent: report the whole search as exhausted so callers
-           don't take the determinism guarantee on it *)
-        if truncated then ctx.timed_out <- true;
-        (extra_rev, rest, extra_cost)
+  (* a cut-short greedy pass means this leaf's total is budget-dependent:
+     report the whole search as exhausted so callers don't take the
+     determinism guarantee on it *)
+  if pass.truncated then ctx.timed_out <- true;
+  let extra_cost = List.fold_left (fun acc (_, c) -> acc +. c) 0.0 pass.steps in
+  let total =
+    cost_so_far +. extra_cost +. Cost.remainder_cost_view env.opts.cost env.acg pass.rest
   in
-  let total = cost_so_far +. extra_cost +. Cost.remainder_cost_view env.opts.cost env.acg rest in
-  if total < ctx.best then accept ctx (extra_rev @ matchings_rev) rest total ~path_rev
+  if total < ctx.best then
+    accept ctx (List.rev_append (List.map fst pass.steps) matchings_rev) pass.rest total
+      ~path_rev
 
 (* [min_id]: only primitives with id >= min_id may be matched below this
    node.  Decompositions are multisets of matchings, so exploring them in
@@ -502,13 +568,20 @@ let eval_leaf ctx remaining matchings_rev cost_so_far ~path_rev =
    reduction minimizes (cost, path), which makes the reported result
    independent of which worker ran which task. *)
 let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
-    ~path_rev ~depth =
+    ~path_rev ~depth ~pass =
   let env = ctx.env in
   ignore (Atomic.fetch_and_add env.nodes 1);
   if budget_exhausted ctx then ()
   else begin
     let alive =
       int_set_of_list (Noc_graph.Multi_pattern.survivors_view env.compiled remaining)
+    in
+    (* the leaf pass is computed on entry, before the children, so the
+       child that branches on its first step can take the rest of it *)
+    let pass =
+      match pass with
+      | Some p -> p
+      | None -> leaf_pass ~env ~alive:(Hashtbl.mem alive) remaining
     in
     let child_i = ref 0 in
     List.iter
@@ -534,6 +607,7 @@ let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
                 in
                 let bound = new_cost +. lb_c' in
                 if bound < ctx.best && bound <= Atomic.get env.shared_best then begin
+                  let pass' = pass_suffix pass matching.Matching.covered in
                   match ctx.spawn with
                   | Some push when depth < ctx.spawn_depth ->
                       push
@@ -546,11 +620,12 @@ let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
                           t_lb_c = lb_c';
                           t_path_rev = i :: path_rev;
                           t_depth = depth + 1;
+                          t_pass = pass';
                         }
                   | Some _ | None ->
                       explore ctx view' (matching :: matchings_rev) new_cost
                         entry.L.id ~rem_c:rem_c' ~lb_c:lb_c'
-                        ~path_rev:(i :: path_rev) ~depth:(depth + 1)
+                        ~path_rev:(i :: path_rev) ~depth:(depth + 1) ~pass:pass'
                 end
                 else ctx.pruned <- ctx.pruned + 1
               end)
@@ -562,7 +637,7 @@ let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
        search reject energy-losing matchings.  Neutral primitives are
        re-attached greedily so loops, paths and broadcasts still show up
        in the listing. *)
-    eval_leaf ctx remaining matchings_rev cost_so_far ~path_rev:(!child_i :: path_rev)
+    eval_leaf ctx pass matchings_rev cost_so_far ~path_rev:(!child_i :: path_rev)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -591,7 +666,7 @@ module Deque = Ws.Deque
    recurses inline.  Depth-only (deterministic) by design — see above. *)
 let spawn_depth_for _domains = 3
 
-let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 =
+let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 ~root_pass =
   let n_dom = domains in
   let deques = Array.init n_dom (fun _ -> Deque.create ()) in
   let pending = Atomic.make 0 in
@@ -611,6 +686,7 @@ let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 =
       t_lb_c = lb0;
       t_path_rev = [];
       t_depth = 0;
+      t_pass = root_pass;
     };
   let worker slot () =
     let t_begin = Timer.now_mono_s () in
@@ -665,7 +741,7 @@ let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 =
           ctx.best_path <- [];
           explore ctx t.t_view t.t_matchings t.t_cost t.t_min_id
             ~rem_c:t.t_rem_c ~lb_c:t.t_lb_c ~path_rev:t.t_path_rev
-            ~depth:t.t_depth;
+            ~depth:t.t_depth ~pass:t.t_pass;
           (match ctx.best_decomp with
           | Some d ->
               results.(slot) <-
@@ -704,8 +780,9 @@ let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 =
 
 (* One search instance: sequential when it has a single domain (the exact
    seed engine — one incumbent cell, no task machinery), work-stealing
-   otherwise. *)
-let run_search env root_view ~domains ~rank =
+   otherwise.  [root_pass] is the root view's leaf pass when the fallback
+   seed already ran it. *)
+let run_search env root_view ~domains ~rank ~root_pass =
   let rem0 = Cost.remainder_cost_view env.opts.cost env.acg root_view in
   let lb0 =
     Cost.lower_bound_view env.opts.cost env.acg ~min_link_ratio:env.min_ratio
@@ -714,7 +791,8 @@ let run_search env root_view ~domains ~rank =
   if domains <= 1 then begin
     ignore (Atomic.fetch_and_add env.task_count 1);
     let ctx = mk_ctx env in
-    explore ctx root_view [] 0.0 0 ~rem_c:rem0 ~lb_c:lb0 ~path_rev:[] ~depth:0;
+    explore ctx root_view [] 0.0 0 ~rem_c:rem0 ~lb_c:lb0 ~path_rev:[] ~depth:0
+      ~pass:root_pass;
     let res =
       match ctx.best_decomp with
       | Some d -> [ (ctx.best, rank, List.rev ctx.best_path, d) ]
@@ -722,7 +800,7 @@ let run_search env root_view ~domains ~rank =
     in
     (res, [ ctx ])
   end
-  else run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0
+  else run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 ~root_pass
 
 (* Portfolio: race one instance per branch ordering over a split of the
    domain budget.  All instances share the node budget, the incumbent bound
@@ -730,7 +808,7 @@ let run_search env root_view ~domains ~rank =
    reduction prefers the lowest cost, ties to the lowest instance index —
    instance 0 is the canonical ordering, so a completed portfolio search
    reports the same cost as the plain engine. *)
-let run_portfolio env root_view ~domains =
+let run_portfolio env root_view ~domains ~root_pass =
   let insts = Array.of_list all_orderings in
   let n = Array.length insts in
   let doms = Array.make n 1 in
@@ -742,7 +820,7 @@ let run_portfolio env root_view ~domains =
   end;
   let run k () =
     let env_k = { env with branchable = order_entries insts.(k) env.branchable } in
-    run_search env_k root_view ~domains:doms.(k) ~rank:k
+    run_search env_k root_view ~domains:doms.(k) ~rank:k ~root_pass
   in
   let handles = Array.init (n - 1) (fun j -> Domain.spawn (run (j + 1))) in
   let r0 = run 0 () in
@@ -785,19 +863,19 @@ let reduce_results results =
    when the search found nothing at least as good. *)
 let fallback_rank = max_int
 
-let fallback_seed env root_view =
+let fallback_seed env pass =
   (* the seed honours the deadline too: truncation only enlarges the
      remainder (realized as dedicated links), so the result stays a valid
      feasible decomposition even when the budget is gone before one full
      greedy pass fits *)
-  let matchings_rev, rest, cost, _truncated = greedy_finish ~env root_view in
   let total =
-    cost +. Cost.remainder_cost_view env.opts.cost env.acg rest
+    List.fold_left (fun acc (_, c) -> acc +. c) 0.0 pass.steps
+    +. Cost.remainder_cost_view env.opts.cost env.acg pass.rest
   in
   let d =
     {
-      Decomposition.matchings = List.rev matchings_rev;
-      remainder = C.to_digraph rest;
+      Decomposition.matchings = List.map fst pass.steps;
+      remainder = C.to_digraph pass.rest;
     }
   in
   let ok =
@@ -889,11 +967,18 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~li
   let lb0 =
     Cost.lower_bound_view opts.cost acg ~min_link_ratio:min_ratio root_view
   in
-  let seed =
+  (* the fallback seed's pass is the root's leaf pass: the root inherits it *)
+  let seed, root_pass =
     if opts.fallback then
       Obs.span observe ~cat:"search" "greedy-fallback-seed" (fun () ->
-          fallback_seed env root_view)
-    else None
+          let alive =
+            int_set_of_list
+              (Noc_graph.Multi_pattern.survivors_view env.compiled root_view)
+          in
+          let pass = greedy_pass ~env ~alive:(Hashtbl.mem alive) root_view in
+          let root_pass = match opts.neutrals with Greedy -> Some pass | Branch -> None in
+          (fallback_seed env pass, root_pass))
+    else (None, None)
   in
   let search_results, workers =
     Obs.span observe ~cat:"search" "branch-and-bound"
@@ -904,8 +989,8 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~li
         ]
       (fun () ->
         if opts.portfolio then
-          run_portfolio env root_view ~domains:budget.Budget.domains
-        else run_search env root_view ~domains:budget.Budget.domains ~rank:0)
+          run_portfolio env root_view ~domains:budget.Budget.domains ~root_pass
+        else run_search env root_view ~domains:budget.Budget.domains ~rank:0 ~root_pass)
   in
   let elapsed = Timer.now_mono_s () -. t0 in
   let all_results =

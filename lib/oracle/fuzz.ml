@@ -3,6 +3,7 @@ module G = Noc_graph.Generators
 module T = Noc_graph.Traversal
 module Vf2 = Noc_graph.Vf2
 module Vf2_map = Noc_graph.Vf2_map
+module C = Noc_graph.Compact
 module P = Noc_primitives.Primitive
 module L = Noc_primitives.Library
 module Acg = Noc_core.Acg
@@ -163,12 +164,23 @@ let prop_bisection acg =
         fail "heuristic cut %d below the brute-force optimum %d" cut best
       else Ok ()
 
+(* VF2 on a deletion overlay must enumerate exactly the base matches whose
+   edge image survives, in base order: the greedy leaf pass's memo relies
+   on it.  Two deletion rounds (every third edge, then every fourth of the
+   rest) also exercise merging into an existing overlay. *)
+let overlay_of target =
+  let every k es = List.filteri (fun i _ -> i mod k = k - 1) es in
+  let first = every 3 (D.edges target) in
+  let view = C.delete_edges (C.view (C.freeze target)) first in
+  C.delete_edges view (every 4 (C.fold_edges (fun u v acc -> (u, v) :: acc) view []))
+
 let prop_vf2 library acg =
   let target = Acg.graph acg in
   (* the naive enumerator is the ground truth, but its unpruned
      backtracking explodes on the dense large size class; beyond its
      range the two production engines still cross-check each other *)
   let naive_in_range = D.num_vertices target <= 8 in
+  let overlay = overlay_of target in
   List.fold_left
     (fun acc entry ->
       match acc with
@@ -180,12 +192,34 @@ let prop_vf2 library acg =
           else
             let fast = Vf2.find_all ~pattern ~target () in
             let reference = Vf2_map.find_all ~pattern ~target () in
+            let on_overlay =
+              let acc = ref [] in
+              ignore
+                (Vf2.iter_view ~pattern:(C.freeze pattern) ~target:overlay (fun m ->
+                     acc := m :: !acc;
+                     `Continue));
+              List.rev !acc
+            in
+            let surviving =
+              List.filter
+                (fun m ->
+                  List.for_all
+                    (fun (u, v) -> C.mem_edge overlay u v)
+                    (Vf2.edge_image ~pattern m))
+                fast
+            in
             if Iso.canonical fast <> Iso.canonical reference then
               fail "%s: CSR VF2 finds %d matches, map VF2 %d (or different maps)"
                 name (List.length fast) (List.length reference)
             else if
               not (List.for_all (Vf2.is_monomorphism ~pattern ~target) fast)
             then fail "%s: VF2 returned a non-monomorphism" name
+            else if
+              List.map D.Vmap.bindings on_overlay <> List.map D.Vmap.bindings surviving
+            then
+              fail "%s: VF2 on a deletion overlay finds %d matches, not the %d surviving \
+                    base matches in base order"
+                name (List.length on_overlay) (List.length surviving)
             else if not naive_in_range then Ok ()
             else
               let naive = Iso.canonical (Iso.find_all ~pattern ~target) in

@@ -327,7 +327,26 @@ let test_decompose_trace_smoke () =
         (List.exists
            (fun n ->
              String.length n > 14 && String.sub n 0 14 = "search.domain.")
-           names))
+           names));
+  (* the AES search is a chain of five nodes, each branching on the first
+     step of its parent's greedy leaf pass: one pass is computed and every
+     child inherits the rest of it; the fallback seed's pass is the root's *)
+  let greedy_passes options =
+    let obs = Obs.create () in
+    ignore (Bb.decompose ~options ~observe:obs ~library:(lib ()) acg);
+    match member "traceEvents" (Obs.Trace.to_json obs) with
+    | Some (J.List es) ->
+        List.length
+          (List.filter
+             (fun e ->
+               member "name" e = Some (J.Str "greedy-pass")
+               && member "cat" e = Some (J.Str "search"))
+             es)
+    | _ -> Alcotest.fail "traceEvents missing"
+  in
+  Alcotest.(check int) "one greedy-pass span" 1 (greedy_passes Bb.default_options);
+  Alcotest.(check int) "one greedy-pass span with the fallback seed" 1
+    (greedy_passes { Bb.default_options with fallback = true })
 
 (* ------------------------------------------------------------------ *)
 (* Simulator metrics                                                    *)
