@@ -63,15 +63,19 @@ let library_arg =
 let acg_file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"ACG" ~doc:"ACG file (see Acg_io format).")
 
-(* A width below 1 is a usage error, not an empty or cost-dependent search. *)
-let positive_int =
+(* A width or budget below 1 (a deadline at or below 0) is a usage error,
+   not an empty or cost-dependent search. *)
+let positive conv ~ok ~what =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 1 -> Ok n
-    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+    match Arg.conv_parser conv s with
+    | Ok x when ok x -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not a positive %s" s what))
     | Error _ as e -> e
   in
-  Arg.conv (parse, Arg.conv_printer Arg.int)
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = positive Arg.int ~ok:(fun n -> n >= 1) ~what:"integer"
+let positive_float = positive Arg.float ~ok:(fun x -> x > 0.) ~what:"number"
 
 let beam_arg =
   Arg.(
@@ -81,12 +85,12 @@ let beam_arg =
 
 let timeout_arg =
   Arg.(
-    value & opt (some float) None
+    value & opt (some positive_float) None
     & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Wall-clock budget for the search.")
 
 let node_budget_arg =
   Arg.(
-    value & opt int Bb.Budget.default.Bb.Budget.max_nodes
+    value & opt positive_int Bb.Budget.default.Bb.Budget.max_nodes
     & info [ "max-nodes" ] ~docv:"N" ~doc:"Search-tree node budget (backstop).")
 
 let domains_arg =
@@ -142,10 +146,6 @@ let tech_arg =
     value & opt (enum presets) Tech.cmos_180nm
     & info [ "tech" ] ~docv:"NODE" ~doc:"Technology preset (cmos-180nm, cmos-130nm, cmos-100nm).")
 
-let grid_floorplan acg =
-  let n = Acg.num_cores acg in
-  Fp.grid (Fp.uniform_cores ~n ~size_mm:2.0)
-
 (* budget-exhaustion diagnostics shared by decompose and synth *)
 let warn_anytime (st : Bb.stats) =
   if st.Bb.timed_out then begin
@@ -187,7 +187,7 @@ let search_term =
         cost =
           (match cost with
           | `Edge -> Noc_core.Cost.Edge_count
-          | `Energy -> Noc_core.Cost.Energy { tech; fp = grid_floorplan acg });
+          | `Energy -> Noc_core.Cost.Energy { tech; fp = Acg.grid_floorplan acg });
         max_matches_per_step = beam;
         portfolio;
         fallback;
@@ -356,7 +356,7 @@ let synth_cmd =
     in
     let report =
       Obs.span o.observe ~cat:"synth" "build-report" (fun () ->
-          Noc_core.Report.build ~tech:s.tech ~fp:(grid_floorplan acg) ?constraints
+          Noc_core.Report.build ~tech:s.tech ~fp:(Acg.grid_floorplan acg) ?constraints
             ~cost:options.Bb.cost ~acg ~decomposition:d ~stats ())
     in
     o.say "%s" (Noc_core.Report.to_string report);
@@ -578,7 +578,7 @@ let codesign_cmd =
   in
   let run file library tech rounds seed =
     let acg = load_acg file in
-    let fp = grid_floorplan acg in
+    let fp = Acg.grid_floorplan acg in
     let rng = Noc_util.Prng.create ~seed in
     let r = Noc_core.Co_design.optimize ~rounds ~rng ~tech ~library ~fp acg in
     List.iter
@@ -606,7 +606,7 @@ let aes_cmd =
     let library = L.default () in
     let d, _ = Bb.decompose ~library acg in
     Format.printf "%a@." (Decomp.pp_with_cost Noc_core.Cost.Edge_count acg) d;
-    let fp = grid_floorplan acg in
+    let fp = Acg.grid_floorplan acg in
     let key = Noc_aes.Aes_core.of_hex "000102030405060708090a0b0c0d0e0f" in
     let pt = Noc_aes.Aes_core.of_hex "00112233445566778899aabbccddeeff" in
     let config = { Noc_sim.Network.default_config with router_delay = 3 } in
@@ -794,7 +794,7 @@ let faults_cmd =
           let arch = Syn.custom acg d in
           let arch, spares =
             if harden then begin
-              let tech = Tech.cmos_180nm and fp = grid_floorplan acg in
+              let tech = Tech.cmos_180nm and fp = Acg.grid_floorplan acg in
               let arch', spares = Syn.harden ~tech ~fp arch in
               List.iter
                 (fun (a, b) ->

@@ -154,12 +154,6 @@ type result = {
   explore : explore_sample;
 }
 
-(* the grid floorplan must place every vertex id the ACG mentions, so size
-   it by the maximum id, not the vertex count (ids need not be contiguous) *)
-let grid_floorplan acg =
-  let max_id = D.fold_vertices (fun v m -> max v m) (Acg.graph acg) 1 in
-  Noc_energy.Floorplan.grid (Noc_energy.Floorplan.uniform_cores ~n:max_id ~size_mm:2.0)
-
 let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : settings)
     (s : Corpus.scenario) =
   let acg = s.acg in
@@ -210,7 +204,7 @@ let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : setting
   in
   let arch = Obs.span observe ~cat:"bench" (s.name ^ ".synth") (fun () -> Syn.custom acg d) in
   let tech = Noc_energy.Technology.cmos_180nm in
-  let fp = grid_floorplan acg in
+  let fp = Acg.grid_floorplan acg in
   let energy_pj = Syn.total_energy ~tech ~fp acg arch in
   let dl =
     Obs.span observe ~cat:"bench" (s.name ^ ".deadlock") (fun () ->

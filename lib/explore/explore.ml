@@ -116,12 +116,6 @@ type point = {
 let default_budget =
   Bb.Budget.(default |> with_timeout_s None |> with_max_nodes 50_000 |> with_domains 1)
 
-(* the floorplan depends only on the vertex-id range, which a permutation
-   mapping preserves: every point of a scenario shares one placement *)
-let grid_floorplan acg =
-  let max_id = D.fold_vertices (fun v m -> max v m) (Acg.graph acg) 1 in
-  Noc_energy.Floorplan.grid (Noc_energy.Floorplan.uniform_cores ~n:max_id ~size_mm:2.0)
-
 let latency_of ~tech ~bw_scale acg arch =
   let capacity = bw_scale *. tech.Noc_energy.Technology.link_bandwidth in
   let loads = Syn.link_load acg arch in
@@ -182,7 +176,9 @@ let evaluate ?(tech = Noc_energy.Technology.cmos_180nm) ?(budget = default_budge
   let acg' = Mapping.apply axes.mappings.(mi) acg in
   let decomp, stats = Bb.decompose ~budget ~library acg' in
   let arch = Syn.custom acg' decomp in
-  let fp = grid_floorplan acg' in
+  (* the floorplan depends only on the vertex-id range, which a permutation
+     mapping preserves: every point of a scenario shares one placement *)
+  let fp = Acg.grid_floorplan acg' in
   let vec =
     {
       Pareto.energy_pj = Syn.total_energy ~tech ~fp acg' arch;

@@ -18,7 +18,6 @@ module Prng = Noc_util.Prng
 module Timer = Noc_util.Timer
 module Obs = Noc_obs.Obs
 module Tech = Noc_energy.Technology
-module Fp = Noc_energy.Floorplan
 
 type failure = {
   property : string;
@@ -239,12 +238,6 @@ let prop_vf2 library acg =
 
 let fuzz_tech = Tech.cmos_180nm
 
-(* the grid must place every vertex id the ACG mentions, and ids need not
-   be contiguous, so size it by the maximum id (cf. Runner.grid_floorplan) *)
-let fuzz_fp acg =
-  let max_id = D.fold_vertices (fun v m -> max v m) (Acg.graph acg) 1 in
-  Fp.grid (Fp.uniform_cores ~n:max_id ~size_mm:2.0)
-
 let prop_cost library acg =
   let d, _ = Bb.decompose ~library acg in
   let edge_prod = Decomposition.cost Cost.Edge_count acg d in
@@ -252,7 +245,7 @@ let prop_cost library acg =
   if not (approx_eq edge_prod edge_oracle) then
     fail "edge-count cost: production %g, first-principles %g" edge_prod edge_oracle
   else
-    let c = Cost.Energy { tech = fuzz_tech; fp = fuzz_fp acg } in
+    let c = Cost.Energy { tech = fuzz_tech; fp = Acg.grid_floorplan acg } in
     let prod = Decomposition.cost c acg d in
     let oracle = Recost.decomposition_cost c acg d in
     if not (approx_eq prod oracle) then
