@@ -483,6 +483,10 @@ let greedy_pass ~env ~alive view =
   in
   Obs.span env.obs ~cat:"search" "greedy-pass" (fun () -> go view [])
 
+(* The cost of a pass's matchings, summed from its own first step so an
+   inherited suffix sums exactly as a pass computed from scratch. *)
+let steps_cost pass = List.fold_left (fun acc (_, c) -> acc +. c) 0.0 pass.steps
+
 (* The completion a node's leaf uses: the greedy pass under [Greedy],
    nothing under [Branch]. *)
 let leaf_pass ~env ~alive view =
@@ -531,9 +535,9 @@ let accept ctx matchings_rev rest_view total ~path_rev =
 
 (* The leaf of a node: its pass's neutral matchings, with the rest charged
    as dedicated links.  Leaf totals are always recomputed exactly (no
-   incremental float accumulation; a pass's cost is summed from its own
-   first step), so reported costs are independent of the path taken to
-   reach the leaf and of which node computed the pass. *)
+   incremental float accumulation), so reported costs are independent of
+   the path taken to reach the leaf and of which node computed the
+   pass. *)
 let eval_leaf ctx pass matchings_rev cost_so_far ~path_rev =
   let env = ctx.env in
   ctx.leaves <- ctx.leaves + 1;
@@ -541,9 +545,8 @@ let eval_leaf ctx pass matchings_rev cost_so_far ~path_rev =
      report the whole search as exhausted so callers don't take the
      determinism guarantee on it *)
   if pass.truncated then ctx.timed_out <- true;
-  let extra_cost = List.fold_left (fun acc (_, c) -> acc +. c) 0.0 pass.steps in
   let total =
-    cost_so_far +. extra_cost +. Cost.remainder_cost_view env.opts.cost env.acg pass.rest
+    cost_so_far +. steps_cost pass +. Cost.remainder_cost_view env.opts.cost env.acg pass.rest
   in
   if total < ctx.best then
     accept ctx (List.rev_append (List.map fst pass.steps) matchings_rev) pass.rest total
@@ -868,10 +871,7 @@ let fallback_seed env pass =
      remainder (realized as dedicated links), so the result stays a valid
      feasible decomposition even when the budget is gone before one full
      greedy pass fits *)
-  let total =
-    List.fold_left (fun acc (_, c) -> acc +. c) 0.0 pass.steps
-    +. Cost.remainder_cost_view env.opts.cost env.acg pass.rest
-  in
+  let total = steps_cost pass +. Cost.remainder_cost_view env.opts.cost env.acg pass.rest in
   let d =
     {
       Decomposition.matchings = List.map fst pass.steps;
