@@ -863,14 +863,19 @@ let reduce_results results =
    It bounds the search from the first node, and if the budget dies before
    the search finds anything better the caller still gets a feasible
    decomposition.  Ranked after every search instance, so it only wins
-   when the search found nothing at least as good. *)
+   when the search found nothing at least as good.  [fallback_seed] also
+   returns its greedy pass, which is the root's leaf pass. *)
 let fallback_rank = max_int
 
-let fallback_seed env pass =
+let fallback_seed env root_view =
   (* the seed honours the deadline too: truncation only enlarges the
      remainder (realized as dedicated links), so the result stays a valid
      feasible decomposition even when the budget is gone before one full
      greedy pass fits *)
+  let alive =
+    int_set_of_list (Noc_graph.Multi_pattern.survivors_view env.compiled root_view)
+  in
+  let pass = greedy_pass ~env ~alive:(Hashtbl.mem alive) root_view in
   let total = steps_cost pass +. Cost.remainder_cost_view env.opts.cost env.acg pass.rest in
   let d =
     {
@@ -888,9 +893,9 @@ let fallback_seed env pass =
     cas_min env.shared_best total;
     if Obs.enabled env.obs then
       Obs.instant env.obs "fallback-seed" ~args:[ ("cost", Obs.Json.Float total) ];
-    Some (total, fallback_rank, [], d)
+    (Some (total, fallback_rank, [], d), pass)
   end
-  else None
+  else (None, pass)
 
 let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~library acg =
   let opts = options in
@@ -970,14 +975,11 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~li
   (* the fallback seed's pass is the root's leaf pass: the root inherits it *)
   let seed, root_pass =
     if opts.fallback then
-      Obs.span observe ~cat:"search" "greedy-fallback-seed" (fun () ->
-          let alive =
-            int_set_of_list
-              (Noc_graph.Multi_pattern.survivors_view env.compiled root_view)
-          in
-          let pass = greedy_pass ~env ~alive:(Hashtbl.mem alive) root_view in
-          let root_pass = match opts.neutrals with Greedy -> Some pass | Branch -> None in
-          (fallback_seed env pass, root_pass))
+      let seed, pass =
+        Obs.span observe ~cat:"search" "greedy-fallback-seed" (fun () ->
+            fallback_seed env root_view)
+      in
+      (seed, match opts.neutrals with Greedy -> Some pass | Branch -> None)
     else (None, None)
   in
   let search_results, workers =

@@ -205,8 +205,10 @@ val decompose :
 
     [observe] (default {!Noc_obs.Obs.disabled}) attaches an observer:
     setup and search phases become trace spans, each root branch of the
-    parallel driver becomes a span on its worker's domain, every accepted
-    incumbent emits an instant event, and the final counters
+    parallel driver becomes a span on its worker's domain, every greedy
+    leaf pass the search computes becomes a [greedy-pass] span (none for a
+    pass a child inherits from its parent), every accepted incumbent emits
+    an instant event, and the final counters
     ([search.nodes], [search.pruned], [vf2.probes],
     [match.<primitive>.attempts/hits], per-domain busy-time gauges, ...)
     are published into the observer's registry.  With the observer
