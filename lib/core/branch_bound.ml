@@ -484,7 +484,7 @@ let greedy_pass ~env ~alive view =
   Obs.span env.obs ~cat:"search" "greedy-pass" (fun () -> go view [])
 
 (* The cost of a pass's matchings, summed from its own first step so an
-   inherited suffix sums exactly as a pass computed from scratch. *)
+   inherited suffix sums exactly as the child's own pass would. *)
 let steps_cost pass = List.fold_left (fun acc (_, c) -> acc +. c) 0.0 pass.steps
 
 (* The completion a node's leaf uses: the greedy pass under [Greedy],
