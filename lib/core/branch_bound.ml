@@ -399,19 +399,12 @@ let is_saver entry =
    [view]; [explore] hands that suffix to the child whose branch covers
    those edges instead of running it again.
 
-   Within one pass, every verdict on a library entry rests on
-   monotonicity: a monomorphism into [G - E] is also one into [G].
-   - An entry with no match (or screened out by the Messmer-Bunke style
-     invariant screen [compiled], Section 5.1's decision-tree suggestion)
-     stays dead for the rest of the pass: the view only loses edges.
-   - An entry whose first match failed the cost test stays rejected while
-     every edge of that match survives.  VF2 draws candidates from the
-     base adjacency rows and re-checks the deletion overlay, so its
-     enumeration on a view is the surviving subsequence of its enumeration
-     on the base ([Oracle.Fuzz]'s [vf2-naive] property checks this); the
-     match that came first stays first while it survives, and its cost
-     verdict depends on the match alone.
-   So each entry runs VF2 again only after its last answer lost an edge.
+   Within one pass an entry with no match stays dead: a monomorphism into
+   [G - E] is also one into [G], and the view only loses edges.  The
+   Messmer-Bunke style invariant screen [compiled] (Section 5.1's
+   decision-tree suggestion) is monotone the same way, so the entries it
+   rejects on the pass's first view start dead.  Every other entry runs
+   VF2 again on each iteration.
 
    At large core counts a single pass can dominate wall time, so it
    honours the search's monotonic deadline: once expired it stops
@@ -420,56 +413,30 @@ let is_saver entry =
    the pass too.  A truncated pass still produces a valid (just costlier)
    completion, but the caller must downgrade the result to anytime
    semantics. *)
-type verdict = Open | Dead | Rejected of D.Edge.t list
-
-type first = Found of Noc_graph.Vf2.mapping | Absent | Cut
-
-let first_match ~env entry view =
-  let found = ref None in
-  match
-    Noc_graph.Vf2.iter_view ~deadline:env.mono_deadline ?instr:env.instr
-      ~pattern:(Hashtbl.find env.frozen entry.L.id) ~target:view (fun m ->
-        found := Some m;
-        `Stop)
-  with
-  | Noc_graph.Vf2.Timed_out -> Cut
-  | Noc_graph.Vf2.Stopped | Noc_graph.Vf2.Exhausted -> (
-      match !found with Some m -> Found m | None -> Absent)
-
-(* [alive id] is the invariant screen of [view]: entries it rejects start
-   dead. *)
 let greedy_pass ~env ~alive view =
   let opts = env.opts in
   let entries = Array.of_list env.library in
-  let verdicts = Array.map (fun e -> if alive e.L.id then Open else Dead) entries in
-  let survives rem covered = List.for_all (fun (u, v) -> C.mem_edge rem u v) covered in
+  let dead = Array.map (fun e -> not (alive e.L.id)) entries in
   let rec scan rem i =
     if i = Array.length entries then `Done
+    else if dead.(i) then scan rem (i + 1)
     else
-      match verdicts.(i) with
-      | Dead -> scan rem (i + 1)
-      | Rejected covered when survives rem covered -> scan rem (i + 1)
-      | Open | Rejected _ -> (
-          let entry = entries.(i) in
-          match first_match ~env entry rem with
-          | Cut -> `Cut
-          | Absent ->
-              verdicts.(i) <- Dead;
-              scan rem (i + 1)
-          | Found m ->
-              let matching = Matching.of_vf2 entry m in
-              let c = Matching.cost opts.cost env.acg matching in
-              let direct =
-                Cost.remainder_cost opts.cost env.acg (D.of_edges matching.Matching.covered)
-              in
-              if c <= direct +. 1e-9 then begin
-                verdicts.(i) <- Open;
-                `Take (matching, c)
-              end
-              else begin
-                verdicts.(i) <- Rejected matching.Matching.covered;
-                scan rem (i + 1)
-              end)
+      let entry = entries.(i) in
+      match
+        Noc_graph.Vf2.find_first_view ~deadline:env.mono_deadline ?instr:env.instr
+          ~pattern:(Hashtbl.find env.frozen entry.L.id) ~target:rem ()
+      with
+      | None when Timer.Deadline.expired env.mono_deadline -> `Cut
+      | None ->
+          dead.(i) <- true;
+          scan rem (i + 1)
+      | Some m ->
+          let matching = Matching.of_vf2 entry m in
+          let c = Matching.cost opts.cost env.acg matching in
+          let direct =
+            Cost.remainder_cost opts.cost env.acg (D.of_edges matching.Matching.covered)
+          in
+          if c <= direct +. 1e-9 then `Take (matching, c) else scan rem (i + 1)
   in
   let rec go rem steps_rev =
     let finish truncated = { steps = List.rev steps_rev; rest = rem; truncated } in
@@ -669,7 +636,7 @@ module Deque = Ws.Deque
    recurses inline.  Depth-only (deterministic) by design — see above. *)
 let spawn_depth_for _domains = 3
 
-let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 ~root_pass =
+let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 =
   let n_dom = domains in
   let deques = Array.init n_dom (fun _ -> Deque.create ()) in
   let pending = Atomic.make 0 in
@@ -689,7 +656,7 @@ let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 ~root_pass =
       t_lb_c = lb0;
       t_path_rev = [];
       t_depth = 0;
-      t_pass = root_pass;
+      t_pass = None;
     };
   let worker slot () =
     let t_begin = Timer.now_mono_s () in
@@ -783,9 +750,8 @@ let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 ~root_pass =
 
 (* One search instance: sequential when it has a single domain (the exact
    seed engine — one incumbent cell, no task machinery), work-stealing
-   otherwise.  [root_pass] is the root view's leaf pass when the fallback
-   seed already ran it. *)
-let run_search env root_view ~domains ~rank ~root_pass =
+   otherwise. *)
+let run_search env root_view ~domains ~rank =
   let rem0 = Cost.remainder_cost_view env.opts.cost env.acg root_view in
   let lb0 =
     Cost.lower_bound_view env.opts.cost env.acg ~min_link_ratio:env.min_ratio
@@ -795,7 +761,7 @@ let run_search env root_view ~domains ~rank ~root_pass =
     ignore (Atomic.fetch_and_add env.task_count 1);
     let ctx = mk_ctx env in
     explore ctx root_view [] 0.0 0 ~rem_c:rem0 ~lb_c:lb0 ~path_rev:[] ~depth:0
-      ~pass:root_pass;
+      ~pass:None;
     let res =
       match ctx.best_decomp with
       | Some d -> [ (ctx.best, rank, List.rev ctx.best_path, d) ]
@@ -803,7 +769,7 @@ let run_search env root_view ~domains ~rank ~root_pass =
     in
     (res, [ ctx ])
   end
-  else run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 ~root_pass
+  else run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0
 
 (* Portfolio: race one instance per branch ordering over a split of the
    domain budget.  All instances share the node budget, the incumbent bound
@@ -811,7 +777,7 @@ let run_search env root_view ~domains ~rank ~root_pass =
    reduction prefers the lowest cost, ties to the lowest instance index —
    instance 0 is the canonical ordering, so a completed portfolio search
    reports the same cost as the plain engine. *)
-let run_portfolio env root_view ~domains ~root_pass =
+let run_portfolio env root_view ~domains =
   let insts = Array.of_list all_orderings in
   let n = Array.length insts in
   let doms = Array.make n 1 in
@@ -823,7 +789,7 @@ let run_portfolio env root_view ~domains ~root_pass =
   end;
   let run k () =
     let env_k = { env with branchable = order_entries insts.(k) env.branchable } in
-    run_search env_k root_view ~domains:doms.(k) ~rank:k ~root_pass
+    run_search env_k root_view ~domains:doms.(k) ~rank:k
   in
   let handles = Array.init (n - 1) (fun j -> Domain.spawn (run (j + 1))) in
   let r0 = run 0 () in
@@ -863,8 +829,7 @@ let reduce_results results =
    It bounds the search from the first node, and if the budget dies before
    the search finds anything better the caller still gets a feasible
    decomposition.  Ranked after every search instance, so it only wins
-   when the search found nothing at least as good.  [fallback_seed] also
-   returns its greedy pass, which is the root's leaf pass. *)
+   when the search found nothing at least as good. *)
 let fallback_rank = max_int
 
 let fallback_seed env root_view =
@@ -893,9 +858,9 @@ let fallback_seed env root_view =
     cas_min env.shared_best total;
     if Obs.enabled env.obs then
       Obs.instant env.obs "fallback-seed" ~args:[ ("cost", Obs.Json.Float total) ];
-    (Some (total, fallback_rank, [], d), pass)
+    Some (total, fallback_rank, [], d)
   end
-  else (None, pass)
+  else None
 
 let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~library acg =
   let opts = options in
@@ -972,15 +937,11 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~li
   let lb0 =
     Cost.lower_bound_view opts.cost acg ~min_link_ratio:min_ratio root_view
   in
-  (* the fallback seed's pass is the root's leaf pass: the root inherits it *)
-  let seed, root_pass =
+  let seed =
     if opts.fallback then
-      let seed, pass =
-        Obs.span observe ~cat:"search" "greedy-fallback-seed" (fun () ->
-            fallback_seed env root_view)
-      in
-      (seed, match opts.neutrals with Greedy -> Some pass | Branch -> None)
-    else (None, None)
+      Obs.span observe ~cat:"search" "greedy-fallback-seed" (fun () ->
+          fallback_seed env root_view)
+    else None
   in
   let search_results, workers =
     Obs.span observe ~cat:"search" "branch-and-bound"
@@ -991,8 +952,8 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~li
         ]
       (fun () ->
         if opts.portfolio then
-          run_portfolio env root_view ~domains:budget.Budget.domains ~root_pass
-        else run_search env root_view ~domains:budget.Budget.domains ~rank:0 ~root_pass)
+          run_portfolio env root_view ~domains:budget.Budget.domains
+        else run_search env root_view ~domains:budget.Budget.domains ~rank:0)
   in
   let elapsed = Timer.now_mono_s () -. t0 in
   let all_results =
