@@ -164,9 +164,11 @@ let prop_bisection acg =
       else Ok ()
 
 (* VF2 on a deletion overlay must enumerate exactly the base matches whose
-   edge image survives, in base order: the greedy leaf pass's memo relies
-   on it.  Two deletion rounds (every third edge, then every fourth of the
-   rest) also exercise merging into an existing overlay. *)
+   edge image survives, in base order: the search matches on overlays
+   throughout, and a memo of cost-rejected entries in the greedy leaf pass
+   would rest on the order (DESIGN §6).  Two deletion rounds (every third
+   edge, then every fourth of the rest) also exercise merging into an
+   existing overlay. *)
 let overlay_of target =
   let every k es = List.filteri (fun i _ -> i mod k = k - 1) es in
   let first = every 3 (D.edges target) in
