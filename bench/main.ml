@@ -27,6 +27,7 @@ let ok_encrypt = function
   | Error (`Undrained n) ->
       failwith (Printf.sprintf "distributed AES did not drain: %d packets pending" n)
 module Stats = Noc_sim.Stats
+module Flit = Noc_sim.Flitsim
 module Prng = Noc_util.Prng
 
 let section title =
@@ -201,9 +202,8 @@ let aes_table () =
   let key = Noc_aes.Aes_core.of_hex "000102030405060708090a0b0c0d0e0f" in
   let pt = Noc_aes.Aes_core.of_hex "00112233445566778899aabbccddeeff" in
   let expect = Noc_aes.Aes_core.encrypt_block ~key pt in
-  let config = { Noc_sim.Network.default_config with router_delay = 3 } in
   let run arch =
-    let r = ok_encrypt (Dist.encrypt ~config ~arch ~key pt) in
+    let r = ok_encrypt (Dist.encrypt ~config:(Dist.prototype_config arch) ~arch ~key pt) in
     assert (Bytes.equal r.Dist.ciphertext expect);
     let energy = Stats.total_energy_pj ~tech ~fp r.Dist.net in
     let power = Stats.avg_power_mw ~tech ~fp r.Dist.net in
@@ -260,9 +260,11 @@ let ablate () =
   let custom = Syn.custom acg d and mesh = Syn.mesh ~rows:4 ~cols:4 acg in
   List.iter
     (fun rd ->
-      let config = { Noc_sim.Network.default_config with router_delay = rd } in
-      let rm = ok_encrypt (Dist.encrypt ~config ~arch:mesh ~key pt) in
-      let rc = ok_encrypt (Dist.encrypt ~config ~arch:custom ~key pt) in
+      let run arch =
+        let config = { (Dist.prototype_config arch) with router_delay = rd } in
+        ok_encrypt (Dist.encrypt ~config ~arch ~key pt)
+      in
+      let rm = run mesh and rc = run custom in
       Printf.printf "  router_delay=%d: mesh=%4d custom=%4d (%.2fx)\n" rd rm.Dist.cycles
         rc.Dist.cycles
         (float_of_int rc.Dist.cycles /. float_of_int rm.Dist.cycles))
@@ -272,16 +274,13 @@ let ablate () =
 (* Extensions: routing policies and floorplan co-design (Section 6)     *)
 
 let routing () =
-  section "Extension - adaptive/stochastic routing (Sec. 6 future work)";
+  section "Extension - stochastic routing (Sec. 6 future work)";
   let acg = Dist.acg () in
   let d, _, _ = decompose_timed acg in
   let custom = Syn.custom acg d in
   let mesh = Syn.mesh ~rows:4 ~cols:4 acg in
-  let config = { Noc_sim.Network.default_config with router_delay = 3 } in
-  Printf.printf "AES round-burst traffic (10 rounds of ShiftRows + MixColumns):
-";
-  Printf.printf "%-12s %-10s %10s %12s
-" "arch" "routing" "cycles" "avg latency";
+  Printf.printf "AES round-burst traffic (10 rounds of ShiftRows + MixColumns):\n";
+  Printf.printf "%-12s %-10s %10s %12s\n" "arch" "routing" "cycles" "avg latency";
   let shift_flows =
     List.concat_map
       (fun row ->
@@ -308,39 +307,33 @@ let routing () =
   in
   List.iter
     (fun (arch_name, arch) ->
+      (* a drawn minimal path is not one of the analyzed routes, so the
+         lanes cover any minimal path: one per hop of the longest *)
+      let num_vcs =
+        max (Dist.prototype_config arch).Flit.num_vcs
+          (Option.value ~default:1 (Noc_graph.Traversal.diameter arch.Syn.topology))
+      in
+      let config = { (Dist.prototype_config arch) with num_vcs } in
       List.iter
         (fun (pol_name, policy) ->
-          let net = Noc_sim.Network.create ~config ~policy arch in
+          let net = Flit.create ~config ~policy arch in
+          let burst flows =
+            List.iter (fun (src, dst) -> ignore (Flit.inject ~size_flits:2 net ~src ~dst)) flows;
+            match Flit.run_until_idle net with `Idle -> () | _ -> failwith "undrained burst"
+          in
           for _ = 1 to 10 do
-            List.iter
-              (fun (src, dst) ->
-                ignore (Noc_sim.Network.inject ~size_flits:2 net ~src ~dst))
-              shift_flows;
-            (match Noc_sim.Network.run_until_idle net with
-            | `Idle -> ()
-            | `Limit _ -> failwith "hang");
-            List.iter
-              (fun (src, dst) ->
-                ignore (Noc_sim.Network.inject ~size_flits:2 net ~src ~dst))
-              mix_flows;
-            match Noc_sim.Network.run_until_idle net with
-            | `Idle -> ()
-            | `Limit _ -> failwith "hang"
+            burst shift_flows;
+            burst mix_flows
           done;
-          let s = Stats.summarize (Noc_sim.Network.deliveries net) in
-          Printf.printf "%-12s %-10s %10d %12.2f
-" arch_name pol_name
-            (Noc_sim.Network.now net) s.Stats.avg_latency)
-        [
-          ("fixed", Noc_sim.Network.Fixed);
-          ("adaptive", Noc_sim.Network.Adaptive);
-          ("oblivious", Noc_sim.Network.Oblivious (Prng.create ~seed:7));
-        ])
+          let s = Stats.summarize (Flit.deliveries net) in
+          Printf.printf "%-12s %-10s %10d %12.2f\n" arch_name pol_name (Flit.now net)
+            s.Stats.avg_latency)
+        [ ("fixed", Flit.Fixed); ("oblivious", Flit.Oblivious (Prng.create ~seed:7)) ])
     [ ("mesh", mesh); ("customized", custom) ];
   Printf.printf
-    "(AES flows are row/column aligned - single minimal paths - so policies tie;
-    \ see examples/routing_strategies.exe for a workload where adaptivity wins)
-"
+    "(AES flows are row/column aligned: single minimal paths on the mesh, symmetric\n\
+    \ alternatives on the customized topology, so the policies tie; see\n\
+    \ examples/routing_strategies.exe for transpose traffic)\n"
 
 let codesign () =
   section "Extension - floorplan relaxation by co-design (Sec. 6 future work)";
@@ -379,7 +372,7 @@ let codesign () =
     [ ("natural grid", natural); ("scrambled placement", scrambled) ]
 
 (* ------------------------------------------------------------------ *)
-(* Extensions: load sweep and wormhole switching                        *)
+(* Extension: load sweep                                                *)
 
 let loadsweep () =
   section "Extension - latency vs offered load (customized vs mesh)";
@@ -420,41 +413,6 @@ let loadsweep () =
          ("mesh", Noc_sim.Sweep.to_series pm);
          ("customized", Noc_sim.Sweep.to_series pc);
        ])
-
-let wormhole () =
-  section "Extension - wormhole switching vs store-and-forward (AES bursts)";
-  let acg = Dist.acg () in
-  let d, _, _ = decompose_timed acg in
-  let custom = Syn.custom acg d in
-  let mesh = Syn.mesh ~rows:4 ~cols:4 acg in
-  let flows = D.edges (Acg.graph acg) in
-  Printf.printf "one burst of all 60 AES flows, 4-flit packets, one 8-bit flit per link cycle:\n";
-  Printf.printf "%-12s %-18s %10s %12s\n" "arch" "switching" "cycles" "avg latency";
-  List.iter
-    (fun (arch_name, arch) ->
-      (* the flit engine gets the lanes the static deadlock analysis
-         prescribes, and the coarse model's flit width *)
-      let num_vcs = (Noc_core.Deadlock.analyze arch).Noc_core.Deadlock.vcs_needed in
-      let flit_config =
-        { Noc_sim.Flitsim.default_config with flit_bits = 8; phit_bits = 8; num_vcs }
-      in
-      List.iter
-        (fun (switching, kind) ->
-          let net = Noc_sim.Engine.create ~flit_config kind arch in
-          List.iter
-            (fun (src, dst) -> ignore (Noc_sim.Engine.inject ~size_flits:4 net ~src ~dst))
-            flows;
-          (match Noc_sim.Engine.run_until_idle net with
-          | Noc_sim.Engine.Idle -> ()
-          | v -> failwith (Noc_sim.Engine.verdict_name v));
-          Printf.printf "%-12s %-18s %10d %12.2f\n" arch_name switching
-            (Noc_sim.Engine.now net) (Noc_sim.Engine.summary net).Stats.avg_latency)
-        [
-          ("store-and-forward", Noc_sim.Engine.Coarse);
-          (Printf.sprintf "flit (%d lane%s)" num_vcs (if num_vcs = 1 then "" else "s"),
-            Noc_sim.Engine.Flit);
-        ])
-    [ ("mesh", mesh); ("customized", custom) ]
 
 (* ------------------------------------------------------------------ *)
 (* Extension: further application workloads                             *)
@@ -517,7 +475,6 @@ let mapping () =
   section "Extension - energy-aware mapping for the mesh baseline";
   let key = Noc_aes.Aes_core.of_hex "000102030405060708090a0b0c0d0e0f" in
   let pt = Noc_aes.Aes_core.of_hex "00112233445566778899aabbccddeeff" in
-  let config = { Noc_sim.Network.default_config with router_delay = 3 } in
   let acg = Dist.acg () in
   let rng = Prng.create ~seed:29 in
   let m = Noc_core.Mapping.optimize_mesh ~rng ~iterations:6000 ~rows:4 ~cols:4 acg in
@@ -530,39 +487,22 @@ let mapping () =
      distributed encryption must run on the remapped ACG's mesh while the
      byte orchestration still uses logical node ids; the mapping here only
      evaluates communication cost and cycle counts via burst replay. *)
-  let replay arch =
-    let net = Noc_sim.Network.create ~config arch in
-    let g = Acg.graph acg in
+  let replay acg arch =
+    let net = Flit.create ~config:(Dist.prototype_config arch) arch in
     for _ = 1 to 10 do
-      D.iter_edges
-        (fun u v -> ignore (Noc_sim.Network.inject ~size_flits:2 net ~src:u ~dst:v))
-        g;
-      match Noc_sim.Network.run_until_idle net with
-      | `Idle -> ()
-      | `Limit _ -> failwith "hang"
+      D.iter_edges (fun u v -> ignore (Flit.inject ~size_flits:2 net ~src:u ~dst:v)) (Acg.graph acg);
+      match Flit.run_until_idle net with `Idle -> () | _ -> failwith "undrained burst"
     done;
-    (Noc_sim.Network.now net, (Stats.summarize (Noc_sim.Network.deliveries net)).Stats.avg_latency)
-  in
-  let replay_mapped mm =
-    let acg' = Noc_core.Mapping.apply mm acg in
-    let arch = Syn.mesh ~rows:4 ~cols:4 acg' in
-    let net = Noc_sim.Network.create ~config arch in
-    let g = Acg.graph acg' in
-    for _ = 1 to 10 do
-      D.iter_edges
-        (fun u v -> ignore (Noc_sim.Network.inject ~size_flits:2 net ~src:u ~dst:v))
-        g;
-      match Noc_sim.Network.run_until_idle net with
-      | `Idle -> ()
-      | `Limit _ -> failwith "hang"
-    done;
-    (Noc_sim.Network.now net, (Stats.summarize (Noc_sim.Network.deliveries net)).Stats.avg_latency)
+    (Flit.now net, (Stats.summarize (Flit.deliveries net)).Stats.avg_latency)
   in
   let d, _, _ = decompose_timed acg in
   let custom = Syn.custom acg d in
-  let c0, l0 = replay (Syn.mesh ~rows:4 ~cols:4 acg) in
-  let c1, l1 = replay_mapped m in
-  let c2, l2 = replay custom in
+  let c0, l0 = replay acg (Syn.mesh ~rows:4 ~cols:4 acg) in
+  let c1, l1 =
+    let acg' = Noc_core.Mapping.apply m acg in
+    replay acg' (Syn.mesh ~rows:4 ~cols:4 acg')
+  in
+  let c2, l2 = replay acg custom in
   Printf.printf "%-28s %10s %12s
 " "configuration" "cycles" "avg latency";
   Printf.printf "%-28s %10d %12.2f
@@ -572,7 +512,7 @@ let mapping () =
   Printf.printf "%-28s %10d %12.2f
 " "customized topology" c2 l2;
   (* the full bit-exact AES on the default mapping for reference *)
-  let r = ok_encrypt (Dist.encrypt ~config ~arch:custom ~key pt) in
+  let r = ok_encrypt (Dist.encrypt ~config:(Dist.prototype_config custom) ~arch:custom ~key pt) in
   Printf.printf "(bit-exact AES on the customized arch: %d cycles/block)
 " r.Dist.cycles
 
@@ -640,7 +580,6 @@ let sections =
     ("routing", routing);
     ("codesign", codesign);
     ("loadsweep", loadsweep);
-    ("wormhole", wormhole);
     ("apps", apps);
     ("mapping", mapping);
     ("library", library);

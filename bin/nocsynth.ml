@@ -385,8 +385,18 @@ let simulate_cmd =
             "ACG file (see Acg_io format).  When omitted, the benchmark corpus is run \
              instead (see $(b,--scenario)).")
   in
-  let rows = Arg.(value & opt int 4 & info [ "rows" ] ~docv:"R" ~doc:"Mesh rows.") in
-  let cols = Arg.(value & opt int 4 & info [ "cols" ] ~docv:"C" ~doc:"Mesh columns.") in
+  let rows =
+    Arg.(
+      value & opt (some positive_int) None
+      & info [ "rows" ] ~docv:"R"
+          ~doc:"Mesh rows (default: the near-square grid over the largest core id).")
+  in
+  let cols =
+    Arg.(
+      value & opt (some positive_int) None
+      & info [ "cols" ] ~docv:"C"
+          ~doc:"Mesh columns (default: the near-square grid over the largest core id).")
+  in
   let cycles =
     Arg.(value & opt int 2000 & info [ "cycles" ] ~docv:"N" ~doc:"Injection cycles.")
   in
@@ -394,14 +404,14 @@ let simulate_cmd =
     Arg.(value & opt float 0.05 & info [ "rate" ] ~docv:"P" ~doc:"Peak injection rate per flow.")
   in
   let policy_arg =
-    let policy_enum =
-      Arg.enum [ ("fixed", `Fixed); ("adaptive", `Adaptive); ("oblivious", `Oblivious) ]
-    in
+    let policy_enum = Arg.enum [ ("fixed", `Fixed); ("oblivious", `Oblivious) ] in
     Arg.(
       value
       & opt (some' ~none:`Fixed policy_enum) None
       & info [ "policy" ] ~docv:"POLICY"
-          ~doc:"Routing policy: fixed, adaptive or oblivious (coarse engine only).")
+          ~doc:
+            "Routing policy: fixed (the architecture's routes) or oblivious (one \
+             minimal path drawn per packet at injection).")
   in
   let engine_arg =
     let engine_enum =
@@ -410,34 +420,35 @@ let simulate_cmd =
     in
     Arg.(
       value & opt engine_enum Noc_sim.Engine.Coarse
-      & info [ "engine" ] ~docv:"ENGINE"
+      & info [ "engine" ] ~docv:"PRESET"
           ~doc:
-            "Simulation fidelity: $(b,coarse) (store-and-forward with contention and \
-             energy accounting) or $(b,flit) (cycle-accurate VOQ routers with \
-             round-robin allocation, credit backpressure, byte-serial links and the \
-             virtual-channel lanes the deadlock analysis prescribes).")
-  in
-  (* the flit engine runs with the lanes Deadlock.analyze prescribes, so a
-     deadlock verdict can never be an artefact of too few lanes *)
-  let create_engine engine arch =
-    let num_vcs = (Noc_core.Deadlock.analyze arch).Noc_core.Deadlock.vcs_needed in
-    Noc_sim.Engine.create ~flit_config:{ Noc_sim.Flitsim.default_config with num_vcs } engine arch
+            "Flit-engine preset: $(b,coarse) (one 8-bit flit per link cycle) or \
+             $(b,flit) (32-bit flits over byte-serial links).  Both run VOQ routers \
+             with round-robin allocation, credit backpressure and the \
+             virtual-channel lanes the deadlock analysis prescribes.")
   in
   let scenarios =
     scenarios_term
       ~doc:
         "Corpus scenario to simulate (repeatable; default when no ACG file is \
          given: all).  Each scenario is decomposed, glued and driven with one \
-         packet per flow on the selected engine; exits 1 if any scenario fails to \
+         packet per flow on the selected preset; exits 1 if any scenario fails to \
          drain cleanly."
   in
   let size_flits_arg =
     Arg.(
-      value & opt int 4
-      & info [ "size-flits" ] ~docv:"N" ~doc:"Packet size in flits (engine bursts).")
+      value & opt (some positive_int) None
+      & info [ "size-flits" ] ~docv:"N"
+          ~doc:"Packet size in flits (default: 4 in the corpus bursts, 1 in ACG-file traffic).")
+  in
+  (* the engine runs with the lanes Deadlock.analyze prescribes, so a
+     deadlock on the fixed routes can never be an artefact of too few
+     lanes *)
+  let create_engine ?policy engine arch =
+    Noc_sim.Flitsim.create ~config:(Noc_sim.Engine.prescribed engine arch) ?policy arch
   in
   (* corpus mode: every picked scenario must drain cleanly on the chosen
-     engine — the @flit-smoke CI gate runs exactly this with --engine flit *)
+     preset — the @flit-smoke CI gate runs exactly this with --engine flit *)
   let run_corpus ~engine ~library ~size_flits o picked =
     o.say "%-22s %-8s %-8s %8s %8s %10s %6s" "scenario" "engine" "status" "cycles" "packets"
       "avg lat" "cons";
@@ -452,17 +463,14 @@ let simulate_cmd =
           (Acg.graph acg);
         let verdict = Noc_sim.Engine.run_until_idle net in
         let summary = Noc_sim.Engine.summary net in
-        let conserved =
-          match Noc_sim.Engine.flitsim net with
-          | Some f -> Noc_sim.Flitsim.conservation_ok f
-          | None -> true
-        in
+        let conserved = Noc_sim.Flitsim.conservation_ok net in
         if
           verdict <> Noc_sim.Engine.Idle
           || summary.Noc_sim.Stats.packets <> Acg.num_flows acg
           || not conserved
         then failed := true;
-        o.say "%-22s %-8s %-8s %8d %8d %10.2f %6s" s.Corpus.name (Noc_sim.Engine.name net)
+        o.say "%-22s %-8s %-8s %8d %8d %10.2f %6s" s.Corpus.name
+          (Noc_sim.Engine.kind_name engine)
           (Noc_sim.Engine.verdict_name verdict)
           (Noc_sim.Engine.now net) summary.Noc_sim.Stats.packets
           summary.Noc_sim.Stats.avg_latency
@@ -474,96 +482,86 @@ let simulate_cmd =
       exit 1
     end
   in
+  (* the mesh baseline: a given grid must hold every core; an omitted
+     side comes from the near-square grid over the largest core id, as
+     the service's mesh backend sizes it *)
+  let mesh_grid acg rows cols =
+    let ids = D.vertices (Acg.graph acg) in
+    let min_id = D.Vset.fold min ids 1 and max_id = D.Vset.fold max ids 1 in
+    let r0, c0 = Syn.mesh_dims acg in
+    let rows = Option.value rows ~default:r0 and cols = Option.value cols ~default:c0 in
+    if min_id < 1 then Error (Printf.sprintf "core %d has no mesh tile (ids start at 1)" min_id)
+    else if max_id > rows * cols then
+      Error (Printf.sprintf "a %dx%d mesh cannot hold core %d" rows cols max_id)
+    else Ok (rows, cols)
+  in
   let run file library tech rows cols cycles rate policy engine scenarios size_flits seed o =
     match (file, scenarios) with
     | Some _, Some _ -> `Error (true, "an ACG file and --scenario cannot be combined")
-    | _ when policy <> None && (file = None || engine <> Noc_sim.Engine.Coarse) ->
-        `Error (true, "--policy needs an ACG file and --engine coarse")
-    | None, picked -> `Ok (run_corpus ~engine ~library ~size_flits o (all_if_none picked))
-    | Some file, None ->
+    | None, _ when policy <> None -> `Error (true, "--policy needs an ACG file")
+    | None, picked ->
+        let size_flits = Option.value size_flits ~default:4 in
+        `Ok (run_corpus ~engine ~library ~size_flits o (all_if_none picked))
+    | Some file, None -> (
         let acg = load_acg file in
-        let d, _ = Bb.decompose ~observe:o.observe ~library acg in
-        (* the floorplan must place every mesh tile: routes may pass through
-           tiles that host no core *)
-        let fp =
-          Fp.grid ~cols
-            (Fp.uniform_cores ~n:(max (Acg.num_cores acg) (rows * cols)) ~size_mm:2.0)
-        in
-        let mk_policy () =
-          match Option.value policy ~default:`Fixed with
-          | `Fixed -> Noc_sim.Network.Fixed
-          | `Adaptive -> Noc_sim.Network.Adaptive
-          | `Oblivious -> Noc_sim.Network.Oblivious (Noc_util.Prng.create ~seed:(seed + 1))
-        in
-        o.say "%-12s %8s %10s %10s %12s %10s %8s" "arch" "packets" "avg lat" "thpt"
-          "energy (pJ)" "power(mW)" "verdict";
-        let arch_metrics =
-          List.map
-            (fun (name, arch) ->
-              let s, energy, power, verdict, metrics =
-                match engine with
-                | Noc_sim.Engine.Coarse ->
-                    (* the coarse engine keeps its richer pipeline: routing
-                       policies, contention counters and energy accounting *)
-                    let net = Noc_sim.Network.create ~policy:(mk_policy ()) arch in
-                    let rng = Noc_util.Prng.create ~seed in
-                    let flows = Noc_sim.Traffic.flows_of_acg ~rate_scale:rate acg in
-                    let ds =
-                      Obs.span o.observe ~cat:"sim" name (fun () ->
-                          Noc_sim.Traffic.run ~rng ~net ~flows ~cycles ())
-                    in
-                    (* surface the per-router/per-link activity as observer
-                       counters so they land in the trace too *)
-                    if Obs.enabled o.observe then
-                      List.iter
-                        (fun (key, v) ->
-                          Obs.Gauge.set (Obs.gauge o.observe (Printf.sprintf "%s.%s" name key)) v)
-                        (Noc_sim.Network.metrics net);
-                    ( Noc_sim.Stats.summarize ds,
-                      Printf.sprintf "%.1f" (Noc_sim.Stats.total_energy_pj ~tech ~fp net),
-                      Printf.sprintf "%.2f" (Noc_sim.Stats.avg_power_mw ~tech ~fp net),
-                      "idle",
-                      Noc_sim.Network.metrics net @ Noc_sim.Stats.energy_metrics ~tech ~fp net )
-                | Noc_sim.Engine.Flit ->
-                    (* the flit engine: Bernoulli traffic on the ACG flows, as
-                       in Sweep.latency_vs_load (no energy model) *)
-                    let net = create_engine engine arch in
-                    let rng = Noc_util.Prng.create ~seed in
-                    let edges = D.edges (Acg.graph acg) in
-                    let verdict =
-                      Obs.span o.observe ~cat:"sim" name (fun () ->
-                          for _ = 1 to cycles do
-                            List.iter
-                              (fun (src, dst) ->
-                                if Noc_util.Prng.bernoulli rng rate then
-                                  ignore (Noc_sim.Engine.inject ~size_flits net ~src ~dst))
-                              edges;
-                            Noc_sim.Engine.step net
-                          done;
-                          Noc_sim.Engine.run_until_idle ~max_cycles:200_000 net)
-                    in
-                    ( Noc_sim.Engine.summary net,
-                      "-",
-                      "-",
-                      Noc_sim.Engine.verdict_name verdict,
-                      Noc_sim.Engine.metrics net )
-              in
-              o.say "%-12s %8d %10.2f %10.3f %12s %10s %8s" name s.Noc_sim.Stats.packets
-                s.Noc_sim.Stats.avg_latency s.Noc_sim.Stats.throughput energy power verdict;
-              ( name,
-                Obs.Json.Obj
-                  (List.map
-                     (fun (k, v) -> (k, Obs.Json.Float v))
-                     (Noc_sim.Stats.summary_metrics s @ metrics)) ))
-            [ ("customized", Syn.custom acg d); ("mesh", Syn.mesh ~rows ~cols acg) ]
-        in
-        `Ok (o.finish ~json:(Obs.Json.Obj arch_metrics) ())
+        match mesh_grid acg rows cols with
+        | Error msg -> `Error (true, msg)
+        | Ok (rows, cols) ->
+            let d, _ = Bb.decompose ~observe:o.observe ~library acg in
+            (* the floorplan must place every mesh tile: routes may pass
+               through tiles that host no core *)
+            let fp =
+              Fp.grid ~cols
+                (Fp.uniform_cores ~n:(max (Acg.num_cores acg) (rows * cols)) ~size_mm:2.0)
+            in
+            let policy =
+              match Option.value policy ~default:`Fixed with
+              | `Fixed -> Noc_sim.Flitsim.Fixed
+              | `Oblivious -> Noc_sim.Flitsim.Oblivious (Noc_util.Prng.create ~seed:(seed + 1))
+            in
+            o.say "%-12s %8s %10s %10s %12s %10s %8s" "arch" "packets" "avg lat" "thpt"
+              "energy (pJ)" "power(mW)" "verdict";
+            let arch_metrics =
+              List.map
+                (fun (name, arch) ->
+                  let net = create_engine ~policy engine arch in
+                  let rng = Noc_util.Prng.create ~seed in
+                  let flows =
+                    Noc_sim.Traffic.flows_of_acg ?size_flits ~rate_scale:rate acg
+                  in
+                  let verdict =
+                    Obs.span o.observe ~cat:"sim" name (fun () ->
+                        Noc_sim.Traffic.run ~rng ~net ~flows ~cycles ())
+                  in
+                  let metrics =
+                    Noc_sim.Flitsim.metrics net @ Noc_sim.Stats.energy_metrics ~tech ~fp net
+                  in
+                  (* the activity counters land in the trace too *)
+                  if Obs.enabled o.observe then
+                    List.iter
+                      (fun (key, v) ->
+                        Obs.Gauge.set (Obs.gauge o.observe (Printf.sprintf "%s.%s" name key)) v)
+                      metrics;
+                  let s = Noc_sim.Engine.summary net in
+                  o.say "%-12s %8d %10.2f %10.3f %12.1f %10.2f %8s" name s.Noc_sim.Stats.packets
+                    s.Noc_sim.Stats.avg_latency s.Noc_sim.Stats.throughput
+                    (Noc_sim.Stats.total_energy_pj ~tech ~fp net)
+                    (Noc_sim.Stats.avg_power_mw ~tech ~fp net)
+                    (Noc_sim.Engine.verdict_name verdict);
+                  ( name,
+                    Obs.Json.Obj
+                      (List.map
+                         (fun (k, v) -> (k, Obs.Json.Float v))
+                         (Noc_sim.Stats.summary_metrics s @ metrics)) ))
+                [ ("customized", Syn.custom acg d); ("mesh", Syn.mesh ~rows ~cols acg) ]
+            in
+            `Ok (o.finish ~json:(Obs.Json.Obj arch_metrics) ()))
   in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:
-         "Simulate ACG traffic on customized vs mesh (or drive the benchmark corpus) at \
-          a selectable engine fidelity.")
+         "Simulate ACG traffic on customized vs mesh (or drive the benchmark corpus) on \
+          the flit engine, with a selectable preset.")
     Term.(
       ret
         (const run $ acg_file_opt $ library_arg $ tech_arg $ rows $ cols $ cycles $ rate
@@ -609,9 +607,9 @@ let aes_cmd =
     let fp = Acg.grid_floorplan acg in
     let key = Noc_aes.Aes_core.of_hex "000102030405060708090a0b0c0d0e0f" in
     let pt = Noc_aes.Aes_core.of_hex "00112233445566778899aabbccddeeff" in
-    let config = { Noc_sim.Network.default_config with router_delay = 3 } in
     List.iter
       (fun (name, arch) ->
+        let config = Noc_aes.Distributed.prototype_config arch in
         let r =
           match Noc_aes.Distributed.encrypt ~config ~arch ~key pt with
           | Ok r -> r
@@ -759,12 +757,12 @@ let faults_cmd =
   in
   let links_arg =
     Arg.(
-      value & opt int 2
+      value & opt positive_int 2
       & info [ "links" ] ~docv:"K" ~doc:"Simultaneous link failures per multi-link run.")
   in
   let samples_arg =
     Arg.(
-      value & opt int 20
+      value & opt positive_int 20
       & info [ "samples" ] ~docv:"N" ~doc:"Sampled fault sets per multi-link campaign.")
   in
   let scenarios =
@@ -845,13 +843,13 @@ let faults_cmd =
         (Obs.Json.Obj
            (List.map report_json reports @ [ ("metrics", Obs.Json.Obj (Obs.metrics o.observe)) ]))
       ();
-    (* a stranded packet means the fault subsystem failed to classify it:
-       that is a bug, not a degraded-but-correct outcome *)
+    (* a stranded packet survived the faults but was never delivered: the
+       rerouted tables deadlocked, which no degraded mode may do *)
     let stranded =
       List.fold_left (fun n ((r : Campaign.report), _) -> n + r.Campaign.stranded_total) 0 reports
     in
     if stranded > 0 then begin
-      Logs.err (fun k -> k "%d packet(s) neither delivered nor dropped" stranded);
+      Logs.err (fun k -> k "%d surviving packet(s) never delivered" stranded);
       exit 1
     end
   in
@@ -859,10 +857,11 @@ let faults_cmd =
     (Cmd.info "faults"
        ~doc:
          "Fault-injection campaigns on the synthesized corpus architectures: fail links \
-          mid-flight (exhaustively one at a time, or sampled multi-link sets), measure \
-          delivered fraction, latency degradation and per-link criticality, and \
-          optionally harden the topology with spare links until any single link \
-          failure is survivable.  Exits 1 if any packet is left unclassified.")
+          (exhaustively one at a time, or sampled multi-link sets), reroute around \
+          them, run one burst per fault set on the flit engine, measure delivered \
+          fraction, latency degradation and per-link criticality, and optionally \
+          harden the topology with spare links until any single link failure is \
+          survivable.  Exits 1 if a surviving packet is never delivered.")
     Term.(
       const run $ campaign_arg $ links_arg $ samples_arg $ scenarios $ harden_flag $ seed_arg
       $ library_arg $ output_term)

@@ -42,9 +42,8 @@ let () =
   let fp =
     Noc_energy.Floorplan.grid (Noc_energy.Floorplan.uniform_cores ~n:16 ~size_mm:2.0)
   in
-  let config = { Noc_sim.Network.default_config with router_delay = 3 } in
   let run name arch =
-    let r = ok_encrypt (Dist.encrypt ~config ~arch ~key pt) in
+    let r = ok_encrypt (Dist.encrypt ~config:(Dist.prototype_config arch) ~arch ~key pt) in
     assert (Bytes.equal r.Dist.ciphertext expect);
     let energy = Stats.total_energy_pj ~tech ~fp r.Dist.net in
     let power = Stats.avg_power_mw ~tech ~fp r.Dist.net in

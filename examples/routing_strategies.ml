@@ -3,10 +3,11 @@
    should be investigated."
 
    The distributed AES block is encrypted on both the customized
-   architecture and the 4x4 mesh under three routing policies:
+   architecture and the 4x4 mesh under two routing policies of the flit
+   engine:
      fixed      - the paper's setting (XY / schedule-derived tables)
-     adaptive   - minimal adaptive, least-backlog output selection
-     oblivious  - minimal stochastic (uniform over minimal next hops)
+     oblivious  - minimal stochastic (each packet draws one minimal path
+                  at injection, uniformly over minimal next hops)
 
    Run with: dune exec examples/routing_strategies.exe *)
 
@@ -16,8 +17,20 @@ let ok_encrypt = function
   | Ok r -> r
   | Error (`Undrained n) ->
       failwith (Printf.sprintf "distributed AES did not drain: %d packets pending" n)
-module Net = Noc_sim.Network
+module Flit = Noc_sim.Flitsim
 module Syn = Noc_core.Synthesis
+
+(* the 3-cycle router pipeline of the AES table; a drawn minimal path is
+   not one of the analyzed routes, so the lanes cover any minimal path:
+   one per hop of the longest *)
+let config arch =
+  let num_vcs =
+    max (Dist.prototype_config arch).Flit.num_vcs
+      (Option.value ~default:1 (Noc_graph.Traversal.diameter arch.Syn.topology))
+  in
+  { (Dist.prototype_config arch) with num_vcs }
+
+let drain net = match Flit.run_until_idle net with `Idle -> () | _ -> failwith "hang"
 
 let () =
   let acg = Dist.acg () in
@@ -28,23 +41,22 @@ let () =
   let key = Noc_aes.Aes_core.of_hex "000102030405060708090a0b0c0d0e0f" in
   let pt = Noc_aes.Aes_core.of_hex "00112233445566778899aabbccddeeff" in
   let expect = Noc_aes.Aes_core.encrypt_block ~key pt in
-  let config = { Net.default_config with router_delay = 3 } in
   Format.printf "%-12s %-10s %14s %12s@." "arch" "routing" "cycles/block" "avg latency";
   (* --- fixed policy: the full bit-exact encryption --- *)
   List.iter
     (fun (arch_name, arch) ->
-      let r = ok_encrypt (Dist.encrypt ~config ~arch ~key pt) in
+      let r = ok_encrypt (Dist.encrypt ~config:(Dist.prototype_config arch) ~arch ~key pt) in
       assert (Bytes.equal r.Dist.ciphertext expect);
       Format.printf "%-12s %-10s %14d %12.2f@." arch_name "fixed" r.Dist.cycles
         r.Dist.summary.Noc_sim.Stats.avg_latency)
     [ ("mesh", mesh); ("customized", custom) ];
-  (* --- adaptive / oblivious: same offered traffic, phase-level replay --- *)
+  (* --- fixed / oblivious: same offered traffic, phase-level replay --- *)
   let phase_traffic arch policy =
-    let net = Net.create ~config ~policy arch in
+    let net = Flit.create ~config:(config arch) ~policy arch in
     (* one AES round's communication: ShiftRows then MixColumns bursts *)
     let burst flows =
-      List.iter (fun (src, dst) -> ignore (Net.inject ~size_flits:2 net ~src ~dst)) flows;
-      match Net.run_until_idle net with `Idle -> () | `Limit _ -> failwith "hang"
+      List.iter (fun (src, dst) -> ignore (Flit.inject ~size_flits:2 net ~src ~dst)) flows;
+      drain net
     in
     let shift_flows =
       List.concat_map
@@ -75,8 +87,8 @@ let () =
       burst shift_flows;
       burst mix_flows
     done;
-    let s = Noc_sim.Stats.summarize (Net.deliveries net) in
-    (Net.now net, s.Noc_sim.Stats.avg_latency)
+    let s = Noc_sim.Stats.summarize (Flit.deliveries net) in
+    (Flit.now net, s.Noc_sim.Stats.avg_latency)
   in
   List.iter
     (fun (arch_name, arch) ->
@@ -84,19 +96,14 @@ let () =
         (fun (pol_name, policy) ->
           let cycles, lat = phase_traffic arch policy in
           Format.printf "%-12s %-10s %14d %12.2f@." arch_name pol_name cycles lat)
-        [
-          ("fixed*", Net.Fixed);
-          ("adaptive", Net.Adaptive);
-          ("oblivious", Net.Oblivious (Noc_util.Prng.create ~seed:7));
-        ])
+        [ ("fixed*", Flit.Fixed); ("oblivious", Flit.Oblivious (Noc_util.Prng.create ~seed:7)) ])
     [ ("mesh", mesh); ("customized", custom) ];
   Format.printf
-    "@.(fixed = full bit-exact encryption; fixed*/adaptive/oblivious replay the@.\
+    "@.(fixed = full bit-exact encryption; fixed*/oblivious replay the@.\
     \ per-round communication bursts only, so compare within the starred rows)@.";
-  (* AES flows are row/column aligned, so they have a single minimal path
-     and adaptivity cannot help - itself a finding.  Transpose traffic
-     (node (r,c) -> node (c,r)) has many minimal paths and shows the
-     difference. *)
+  (* AES flows are row/column aligned, so on the mesh they have a single
+     minimal path - itself a finding.  Transpose traffic (node (r,c) ->
+     node (c,r)) has many minimal paths and shows the difference. *)
   Format.printf "@.transpose traffic on the 4x4 mesh (8 bursts of 12 diagonal flows):@.";
   Format.printf "%-10s %10s %12s@." "routing" "cycles" "avg latency";
   let transpose_flows =
@@ -116,24 +123,22 @@ let () =
   let mesh_diag = Syn.mesh ~rows:4 ~cols:4 diag_acg in
   List.iter
     (fun (pol_name, policy) ->
-      let net = Net.create ~config ~policy mesh_diag in
+      let net = Flit.create ~config:(config mesh_diag) ~policy mesh_diag in
       for _ = 1 to 8 do
         List.iter
-          (fun (src, dst) -> ignore (Net.inject ~size_flits:2 net ~src ~dst))
+          (fun (src, dst) -> ignore (Flit.inject ~size_flits:2 net ~src ~dst))
           transpose_flows;
-        match Net.run_until_idle net with `Idle -> () | `Limit _ -> failwith "hang"
+        drain net
       done;
-      let s = Noc_sim.Stats.summarize (Net.deliveries net) in
-      Format.printf "%-10s %10d %12.2f@." pol_name (Net.now net)
+      let s = Noc_sim.Stats.summarize (Flit.deliveries net) in
+      Format.printf "%-10s %10d %12.2f@." pol_name (Flit.now net)
         s.Noc_sim.Stats.avg_latency)
-    [
-      ("fixed", Net.Fixed);
-      ("adaptive", Net.Adaptive);
-      ("oblivious", Net.Oblivious (Noc_util.Prng.create ~seed:7));
-    ];
-  (* a burst on a single two-path flow shows the adaptive win directly:
-     fixed XY forces every packet over the same channel, adaptive splits
-     the burst across both minimal paths *)
+    [ ("fixed", Flit.Fixed); ("oblivious", Flit.Oblivious (Noc_util.Prng.create ~seed:7)) ];
+  (* a burst on a single two-path flow: fixed XY forces every packet over
+     the same channels, oblivious routing spreads the burst over both
+     minimal paths; on the byte-serial Flit preset a link needs 4 cycles
+     per flit while the source NI injects one flit a cycle, so the links
+     are the bottleneck and the split shows *)
   Format.printf "@.burst of 8 x 4-flit packets, corner to corner on a 2x2 mesh:@.";
   let one_flow =
     Noc_core.Acg.uniform ~volume:8 ~bandwidth:0.1 (Noc_graph.Digraph.of_edges [ (1, 4) ])
@@ -141,14 +146,10 @@ let () =
   let mesh22 = Syn.mesh ~rows:2 ~cols:2 one_flow in
   List.iter
     (fun (pol_name, policy) ->
-      let net = Net.create ~policy mesh22 in
+      let net = Flit.create ~config:(Noc_sim.Engine.config Noc_sim.Engine.Flit) ~policy mesh22 in
       for _ = 1 to 8 do
-        ignore (Net.inject ~size_flits:4 net ~src:1 ~dst:4)
+        ignore (Flit.inject ~size_flits:4 net ~src:1 ~dst:4)
       done;
-      (match Net.run_until_idle net with `Idle -> () | `Limit _ -> failwith "hang");
-      Format.printf "  %-10s drains in %d cycles@." pol_name (Net.now net))
-    [
-      ("fixed", Net.Fixed);
-      ("adaptive", Net.Adaptive);
-      ("oblivious", Net.Oblivious (Noc_util.Prng.create ~seed:7));
-    ]
+      drain net;
+      Format.printf "  %-10s drains in %d cycles@." pol_name (Flit.now net))
+    [ ("fixed", Flit.Fixed); ("oblivious", Flit.Oblivious (Noc_util.Prng.create ~seed:7)) ]

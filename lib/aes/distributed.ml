@@ -1,5 +1,5 @@
 module D = Noc_graph.Digraph
-module Net = Noc_sim.Network
+module Flit = Noc_sim.Flitsim
 
 let node_of ~row ~col =
   if row < 0 || row > 3 || col < 0 || col > 3 then
@@ -57,8 +57,11 @@ type result = {
   ciphertext : Bytes.t;
   cycles : int;
   summary : Noc_sim.Stats.summary;
-  net : Net.t;
+  net : Flit.t;
 }
+
+let prototype_config arch =
+  { (Noc_sim.Engine.prescribed Noc_sim.Engine.Coarse arch) with router_delay = 3 }
 
 (* internal short-circuit for the non-draining path; never escapes [encrypt] *)
 exception Undrained of int
@@ -67,7 +70,10 @@ let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~
     =
   if Bytes.length key <> 16 then invalid_arg "Distributed.encrypt: need a 16-byte key";
   if Bytes.length block <> 16 then invalid_arg "Distributed.encrypt: need a 16-byte block";
-  let net = Net.create ?config arch in
+  let config =
+    match config with Some c -> c | None -> Noc_sim.Engine.prescribed Noc_sim.Engine.Coarse arch
+  in
+  let net = Flit.create ~config arch in
   let rks = Aes_core.expand_key key in
   (* node v holds state[r][c]; FIPS flat index of (r, c) is r + 4c *)
   let fips_index v =
@@ -80,7 +86,7 @@ let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~
   done;
   let local_compute cycles =
     for _ = 1 to cycles do
-      Net.step net
+      Flit.step net
     done
   in
   let add_round_key round =
@@ -96,9 +102,9 @@ let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~
     local_compute timing.sub_bytes
   in
   let wait_all () =
-    match Net.run_until_idle ~max_cycles net with
+    match Flit.run_until_idle ~max_cycles net with
     | `Idle -> ()
-    | `Limit pending -> raise (Undrained pending)
+    | `Deadlock | `Limit _ -> raise (Undrained (Flit.pending net))
   in
   let shift_rows () =
     for row = 1 to 3 do
@@ -107,17 +113,17 @@ let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~
         let dst = shift_target ~row ~col in
         if dst <> src then
           ignore
-            (Net.inject ~tag:src ~size_flits:timing.packet_flits
+            (Flit.inject ~tag:src ~size_flits:timing.packet_flits
                ~payload:(Bytes.make 1 (Char.chr byte.(src)))
                net ~src ~dst)
       done
     done;
     wait_all ();
     List.iter
-      (fun { Net.packet; delivered_at = _ } ->
+      (fun { Flit.packet; delivered_at = _ } ->
         byte.(packet.Noc_sim.Packet.dst) <-
           Char.code (Bytes.get packet.Noc_sim.Packet.payload 0))
-      (Net.drain_deliveries net)
+      (Flit.drain_deliveries net)
   in
   let mix_columns () =
     (* every node multicasts its byte to its 3 column mates *)
@@ -128,7 +134,7 @@ let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~
             let src = node_of ~row:r1 ~col in
             let dst = node_of ~row:r2 ~col in
             ignore
-              (Net.inject ~tag:src ~size_flits:timing.packet_flits
+              (Flit.inject ~tag:src ~size_flits:timing.packet_flits
                  ~payload:(Bytes.make 1 (Char.chr byte.(src)))
                  net ~src ~dst)
           end
@@ -147,11 +153,11 @@ let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~
       columns.(v) <- col
     done;
     List.iter
-      (fun { Net.packet; delivered_at = _ } ->
+      (fun { Flit.packet; delivered_at = _ } ->
         let src = packet.Noc_sim.Packet.tag and dst = packet.Noc_sim.Packet.dst in
         let sr, _ = pos_of src in
         columns.(dst).(sr) <- Char.code (Bytes.get packet.Noc_sim.Packet.payload 0))
-      (Net.drain_deliveries net);
+      (Flit.drain_deliveries net);
     for v = 1 to 16 do
       let r, _ = pos_of v in
       let mixed = Aes_core.mix_single_column columns.(v) in
@@ -176,8 +182,8 @@ let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~
       for v = 1 to 16 do
         Bytes.set ciphertext (fips_index v) (Char.chr byte.(v))
       done;
-      let summary = Noc_sim.Stats.summarize (Net.deliveries net) in
-      Ok { ciphertext; cycles = Net.now net; summary; net }
+      let summary = Noc_sim.Stats.summarize (Flit.deliveries net) in
+      Ok { ciphertext; cycles = Flit.now net; summary; net }
   | exception Undrained pending -> Error (`Undrained pending)
 
 let throughput_mbps ~cycles_per_block ~clock_mhz =

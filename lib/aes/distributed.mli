@@ -42,24 +42,33 @@ type result = {
   ciphertext : Bytes.t;
   cycles : int;  (** total cycles to encrypt the block *)
   summary : Noc_sim.Stats.summary;  (** per-packet network statistics *)
-  net : Noc_sim.Network.t;  (** final network state, for energy probing *)
+  net : Noc_sim.Flitsim.t;  (** final engine state, for energy probing *)
 }
 
+val prototype_config : Noc_core.Synthesis.t -> Noc_sim.Flitsim.config
+(** The §5.2 prototype setting for an architecture: the
+    {!Noc_sim.Engine.prescribed} [Coarse] preset (one 8-bit flit per link
+    cycle over the lanes the architecture needs) with a 3-cycle router
+    pipeline. *)
+
 val encrypt :
-  ?config:Noc_sim.Network.config ->
+  ?config:Noc_sim.Flitsim.config ->
   ?timing:timing ->
   ?max_cycles:int ->
   arch:Noc_core.Synthesis.t ->
   key:Bytes.t ->
   Bytes.t ->
   (result, [ `Undrained of int ]) Stdlib.result
-(** Encrypts one 16-byte block on the given architecture.  The
-    architecture must route every ACG flow (build it from {!acg} via
+(** Encrypts one 16-byte block on the given architecture, simulated on
+    the flit engine with [config] (default: the
+    {!Noc_sim.Engine.prescribed} [Coarse] preset, one 8-bit flit per link
+    cycle over the lanes the architecture needs).  The architecture must
+    route every ACG flow (build it from {!acg} via
     {!Noc_core.Synthesis.custom} or {!Noc_core.Synthesis.mesh}).
-    [Error (`Undrained n)] means some communication phase failed to drain
-    within [max_cycles] (default 1_000_000) with [n] packets still in
-    flight — e.g. an architecture degraded by faults mid-encryption —
-    instead of the [Invalid_argument] escape this API used to raise.
+    [Error (`Undrained n)] means some communication phase deadlocked or
+    failed to drain within [max_cycles] (default 1_000_000) with [n]
+    packets still in flight — e.g. too few lanes for the routes — instead
+    of the [Invalid_argument] escape this API used to raise.
     @raise Invalid_argument on bad key/block sizes or missing routes. *)
 
 val throughput_mbps : cycles_per_block:int -> clock_mhz:float -> float

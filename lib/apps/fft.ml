@@ -1,5 +1,5 @@
 module D = Noc_graph.Digraph
-module Net = Noc_sim.Network
+module Flit = Noc_sim.Flitsim
 
 let pi = 4.0 *. atan 1.0
 
@@ -79,7 +79,7 @@ type result = {
   output : Complex.t array;
   cycles : int;
   summary : Noc_sim.Stats.summary;
-  net : Net.t;
+  net : Flit.t;
 }
 
 let complex_to_bytes c =
@@ -96,13 +96,16 @@ let complex_of_bytes b =
 
 let distributed ?config ?(butterfly_cycles = 2) ~arch x =
   if Array.length x <> n_nodes then invalid_arg "Fft.distributed: need 16 samples";
-  let net = Net.create ?config arch in
+  let config =
+    match config with Some c -> c | None -> Noc_sim.Engine.prescribed Noc_sim.Engine.Coarse arch
+  in
+  let net = Flit.create ~config arch in
   (* value held by node i (0-indexed internally) *)
   let value = Array.copy x in
   let wait_all () =
-    match Net.run_until_idle ~max_cycles:1_000_000 net with
+    match Flit.run_until_idle ~max_cycles:1_000_000 net with
     | `Idle -> ()
-    | `Limit _ -> invalid_arg "Fft.distributed: network failed to drain"
+    | `Deadlock | `Limit _ -> invalid_arg "Fft.distributed: network failed to drain"
   in
   List.iter
     (fun d ->
@@ -110,17 +113,17 @@ let distributed ?config ?(butterfly_cycles = 2) ~arch x =
       for i = 0 to n_nodes - 1 do
         let p = i lxor d in
         ignore
-          (Net.inject ~tag:i ~size_flits:2
+          (Flit.inject ~tag:i ~size_flits:2
              ~payload:(complex_to_bytes value.(i))
              net ~src:(i + 1) ~dst:(p + 1))
       done;
       wait_all ();
       let received = Array.make n_nodes Complex.zero in
       List.iter
-        (fun { Net.packet; delivered_at = _ } ->
+        (fun { Flit.packet; delivered_at = _ } ->
           received.(packet.Noc_sim.Packet.dst - 1) <-
             complex_of_bytes packet.Noc_sim.Packet.payload)
-        (Net.drain_deliveries net);
+        (Flit.drain_deliveries net);
       (* butterfly: the low node computes the sum, the high node the
          twiddled difference, exactly as the sequential loop does *)
       for i = 0 to n_nodes - 1 do
@@ -137,14 +140,14 @@ let distributed ?config ?(butterfly_cycles = 2) ~arch x =
         end
       done;
       for _ = 1 to butterfly_cycles do
-        Net.step net
+        Flit.step net
       done)
     [ 8; 4; 2; 1 ];
   let w = log2 n_nodes in
   let output = Array.init n_nodes (fun m -> value.(bit_reverse w m)) in
   {
     output;
-    cycles = Net.now net;
-    summary = Noc_sim.Stats.summarize (Net.deliveries net);
+    cycles = Flit.now net;
+    summary = Noc_sim.Stats.summarize (Flit.deliveries net);
     net;
   }

@@ -27,16 +27,18 @@ type result = {
   output : Complex.t array;
   cycles : int;
   summary : Noc_sim.Stats.summary;
-  net : Noc_sim.Network.t;
+  net : Noc_sim.Flitsim.t;
 }
 
 val distributed :
-  ?config:Noc_sim.Network.config ->
+  ?config:Noc_sim.Flitsim.config ->
   ?butterfly_cycles:int ->
   arch:Noc_core.Synthesis.t ->
   Complex.t array ->
   result
 (** Runs a 16-point FFT on the architecture (which must route all flows of
-    {!acg}); [butterfly_cycles] (default 2) of local arithmetic per stage.
+    {!acg}), simulated on the flit engine with [config] (default: the
+    {!Noc_sim.Engine.prescribed} [Coarse] preset); [butterfly_cycles]
+    (default 2) of local arithmetic per stage.
     The output is in natural order and numerically identical to {!fft}.
     @raise Invalid_argument unless the input has exactly 16 samples. *)

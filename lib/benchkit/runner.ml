@@ -16,7 +16,6 @@ type settings = {
   seed : int;
   simulate : bool;
   fallback : bool;
-  portfolio : bool;
   serve : bool;
   explore_points : int;
 }
@@ -28,13 +27,13 @@ let full =
     sweep_rates = [ 0.01; 0.02; 0.05; 0.10 ];
     sweep_cycles = 1000;
     (* the latency-vs-load knee is the whole point of the sweep, so it
-       runs at the fidelity where serialization and HOL blocking exist *)
+       runs on the byte-serial preset, where serialization stalls and HOL
+       blocking move it most *)
     sweep_engine = Noc_sim.Engine.Flit;
     burst_size_flits = 4;
     seed = 42;
     simulate = true;
     fallback = false;
-    portfolio = false;
     serve = true;
     explore_points = 24;
   }
@@ -157,13 +156,7 @@ type result = {
 let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : settings)
     (s : Corpus.scenario) =
   let acg = s.acg in
-  let options =
-    {
-      Bb.default_options with
-      fallback = settings.fallback;
-      portfolio = settings.portfolio;
-    }
-  in
+  let options = { Bb.default_options with fallback = settings.fallback } in
   let budget_for domains = Bb.Budget.with_domains domains settings.budget in
   (* decompose once per requested domain count; for completed searches the
      reduction is deterministic, so every sample returns the same
@@ -228,7 +221,7 @@ let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : setting
           e_latency = summary.Noc_sim.Stats.avg_latency;
           e_delivered = summary.Noc_sim.Stats.packets;
           e_flit_hops = Noc_sim.Engine.flit_hops net;
-          e_vc_truncated = Noc_sim.Engine.vc_truncated net;
+          e_vc_truncated = Noc_sim.Flitsim.vc_truncated net;
         })
   in
   let engines =

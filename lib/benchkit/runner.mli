@@ -16,9 +16,9 @@ type settings = {
   sweep_rates : float list;
   sweep_cycles : int;
   sweep_engine : Noc_sim.Engine.kind;
-      (** fidelity of the offered-load sweep; the persisted records run it
-          at [Flit], where serialization and head-of-line blocking place
-          the saturation knee *)
+      (** preset of the offered-load sweep; the persisted records run it
+          at [Flit], whose byte-serial links and head-of-line blocking
+          place the saturation knee *)
   burst_size_flits : int;  (** packet size of the engine burst stage *)
   seed : int;
   simulate : bool;
@@ -26,7 +26,6 @@ type settings = {
           tiers turn this off — cycle-accurate simulation of a 1024-core
           run would swamp the search-scaling signal *)
   fallback : bool;  (** seed the search with the greedy anytime fallback *)
-  portfolio : bool;  (** race the branch-ordering portfolio *)
   serve : bool;
       (** run the service-layer stage: a 4-request mix (fresh, duplicate,
           two isomorphic permutations) through a fresh [nocsynthd] daemon,
@@ -84,7 +83,7 @@ type engine_sample = {
   e_delivered : int;
   e_flit_hops : int;
   e_vc_truncated : bool;
-      (** {!Noc_sim.Engine.vc_truncated}: fewer lanes than the static
+      (** {!Noc_sim.Flitsim.vc_truncated}: fewer lanes than the static
           analysis prescribes, voiding the deadlock-freedom argument *)
 }
 
@@ -148,7 +147,7 @@ type result = {
   deadlock_free : bool;
   vcs_needed : int;
   engines : engine_sample list;
-      (** one burst row per fidelity, same one-packet-per-flow traffic;
+      (** one burst row per preset, same one-packet-per-flow traffic;
           empty when [simulate] is off *)
   sweep : sweep_sample list;
   saturation_rate : float option;
@@ -178,7 +177,7 @@ val run_corpus :
   result list
 
 val engine_row : result -> string -> engine_sample option
-(** The burst row of the named engine, if that fidelity ran. *)
+(** The burst row of the named preset, if it ran. *)
 
 val pp_header : Format.formatter -> unit -> unit
 val pp_row : Format.formatter -> result -> unit

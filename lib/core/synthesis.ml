@@ -70,6 +70,11 @@ let of_decomposition acg decomp =
 
 let custom = of_decomposition
 
+let mesh_dims acg =
+  let n = D.fold_vertices max (Acg.graph acg) 1 in
+  let cols = int_of_float (ceil (sqrt (float_of_int n))) in
+  ((n + cols - 1) / cols, cols)
+
 let mesh ~rows ~cols acg =
   let n = rows * cols in
   D.fold_vertices

@@ -45,6 +45,11 @@ val mesh : rows:int -> cols:int -> Acg.t -> t
     @raise Invalid_argument if the ACG mentions a vertex outside the
     grid. *)
 
+val mesh_dims : Acg.t -> int * int
+(** The near-square grid [(rows, cols)] over the ACG's largest core id
+    [n]: [cols = ceil (sqrt n)] and [rows * cols >= n], so {!mesh} holds
+    every core numbered from 1. *)
+
 val custom : Acg.t -> Decomposition.t -> t
 (** Alias of {!of_decomposition}. *)
 

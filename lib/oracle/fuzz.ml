@@ -46,6 +46,7 @@ let property_names =
     "routes-valid";
     "reroute-avoids-faults";
     "fallback-gap";
+    "flit-energy";
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -426,6 +427,43 @@ let prop_fallback_gap library acg =
                     st.Bb.best_cost gap oracle
               | _ -> Ok ()))
 
+(* Cross-layer energy check: one 1-flit packet per flow through the flit
+   engine, on the custom architecture and on the mesh baseline
+   ([Backends.mesh]'s grid).  The switch and link energy [Stats] counts
+   from the engine's activity, per bit, must equal Eq. 1 summed over the
+   flows' routes.  Buffer and clock energy have no Eq. 1 counterpart and
+   stay out of the comparison. *)
+let prop_flit_energy library acg =
+  let module Flit = Noc_sim.Flitsim in
+  let g = Acg.graph acg in
+  let d, _ = Bb.decompose ~library acg in
+  let rows, cols = Syn.mesh_dims acg in
+  let fp =
+    Noc_energy.Floorplan.(grid ~cols (uniform_cores ~n:(rows * cols) ~size_mm:2.0))
+  in
+  let check name arch =
+    let config = Noc_sim.Engine.prescribed Noc_sim.Engine.Coarse arch in
+    let net = Flit.create ~config arch in
+    D.iter_edges (fun src dst -> ignore (Flit.inject net ~src ~dst)) g;
+    if Flit.run_until_idle net <> `Idle then fail "%s: the burst did not drain" name
+    else
+      let bits = float_of_int (Flit.config net).Flit.flit_bits in
+      let counted = Noc_sim.Stats.dynamic_energy_pj ~tech:fuzz_tech ~fp net /. bits in
+      let eq1 =
+        D.fold_edges
+          (fun src dst acc ->
+            let route = Option.get (Syn.route arch ~src ~dst) in
+            acc +. Recost.path_bit_energy_pj ~tech:fuzz_tech ~fp route)
+          g 0.
+      in
+      if Float.abs (counted -. eq1) > 1e-9 *. Float.abs eq1 then
+        fail "%s: counted %.12g pJ per bit, Eq. 1 over the routes %.12g" name counted eq1
+      else Ok ()
+  in
+  match check "custom" (Syn.custom acg d) with
+  | Error _ as e -> e
+  | Ok () -> check "mesh" (Syn.mesh ~rows ~cols acg)
+
 let props library =
   [
     ("decompose-oracle", prop_decompose library);
@@ -437,6 +475,7 @@ let props library =
     ("routes-valid", prop_routes library);
     ("reroute-avoids-faults", prop_reroute library);
     ("fallback-gap", prop_fallback_gap library);
+    ("flit-energy", prop_flit_energy library);
   ]
 
 let check ?(library = L.default ()) name acg =

@@ -1,5 +1,5 @@
 module D = Noc_graph.Digraph
-module Net = Noc_sim.Network
+module Engine = Noc_sim.Engine
 module Obs = Noc_obs.Obs
 
 type spec = Single_link | Multi_link of { links : int; samples : int }
@@ -16,7 +16,6 @@ type run_result = {
   disconnected_pairs : int;
   retries : int;
   cycles : int;
-  engine_delivered : int;
   engine_ok : bool;
 }
 
@@ -41,65 +40,33 @@ type report = {
   engine_validated : bool;
 }
 
-(* Cross-check a degraded mode on a second engine: take the routing tables
-   [out] rebuilt over the surviving topology (exactly what the coarse
-   engine's replanning does internally), drive the surviving flows through
-   the chosen fidelity and require a clean drain.  A flit-level [engine_ok]
-   certifies that the degraded tables not only exist but actually flow
-   through VOQ routers with finite buffers — reroute-induced deadlocks
-   show up here, not in the per-hop coarse model. *)
-let validate_degraded ~engine ~size_flits ~max_cycles (out : Reroute.outcome) =
-  let net = Noc_sim.Engine.create engine out.Reroute.arch in
-  let flows = out.Reroute.kept @ out.Reroute.rerouted in
-  List.iter
-    (fun (src, dst) -> ignore (Noc_sim.Engine.inject ~size_flits net ~src ~dst))
-    flows;
-  let verdict = Noc_sim.Engine.run_until_idle ~max_cycles net in
-  let delivered = List.length (Noc_sim.Engine.deliveries net) in
-  let conserved =
-    match Noc_sim.Engine.flitsim net with
-    | Some f -> Noc_sim.Flitsim.conservation_ok f
-    | None -> true
-  in
-  (delivered, verdict = Noc_sim.Engine.Idle && delivered = List.length flows && conserved)
-
-let run_one ?config ?fault_policy ?validate_engine ~size_flits ~max_cycles acg arch faults =
-  let net = Net.create ?config ?fault_policy arch in
-  List.iter (Fault.inject_into net) faults;
-  D.iter_edges
-    (fun src dst -> ignore (Net.inject ~size_flits net ~src ~dst))
-    (Noc_core.Acg.graph acg);
-  let injected = Net.pending net + Net.dropped_count net in
-  let stranded = match Net.run_until_idle ~max_cycles net with `Idle -> 0 | `Limit n -> n in
-  let delivered = Net.delivered_count net in
-  let dropped = Net.dropped_count net in
-  let summary = Noc_sim.Stats.summarize (Net.deliveries net) in
-  (* the degraded tables, computed at most once per fault set; an
-     unvalidated baseline never needs them *)
-  let degraded = lazy (Reroute.apply arch ~faults) in
-  let disconnected_pairs =
-    if faults = [] then 0 else List.length (Lazy.force degraded).Reroute.disconnected
-  in
-  let engine_delivered, engine_ok =
-    match validate_engine with
-    | None -> (0, true)
-    | Some engine -> validate_degraded ~engine ~size_flits ~max_cycles (Lazy.force degraded)
-  in
+(* The flows are filtered to the ACG's: the tables may route more. *)
+let burst ?(engine = Engine.Coarse) ?(size_flits = 2) ?(max_cycles = 200_000) acg arch faults =
+  let out = Reroute.apply arch ~faults in
+  let g = Noc_core.Acg.graph acg in
+  let in_acg = List.filter (fun (s, d) -> D.mem_edge g s d) in
+  let flows = in_acg (out.Reroute.kept @ out.Reroute.rerouted) in
+  let dropped = List.length (in_acg out.Reroute.disconnected) in
+  let net = Engine.create engine out.Reroute.arch in
+  List.iter (fun (src, dst) -> ignore (Engine.inject ~size_flits net ~src ~dst)) flows;
+  let verdict = Engine.run_until_idle ~max_cycles net in
+  let summary = Engine.summary net in
+  let delivered = summary.Noc_sim.Stats.packets in
+  let injected = List.length flows + dropped in
   {
     faults;
     injected;
     delivered;
     dropped;
-    stranded;
+    stranded = List.length flows - delivered;
     delivered_fraction =
       (if injected = 0 then 1.0 else float_of_int delivered /. float_of_int injected);
     avg_latency = summary.Noc_sim.Stats.avg_latency;
     latency_factor = 1.0 (* filled in against the baseline below *);
-    disconnected_pairs;
-    retries = Net.retries net;
-    cycles = Net.now net;
-    engine_delivered;
-    engine_ok;
+    disconnected_pairs = List.length out.Reroute.disconnected;
+    retries = 0;
+    cycles = Engine.now net;
+    engine_ok = verdict = Engine.Idle && Noc_sim.Flitsim.conservation_ok net;
   }
 
 let fault_sets ~seed ~spec arch =
@@ -109,10 +76,10 @@ let fault_sets ~seed ~spec arch =
       let rng = Noc_util.Prng.create ~seed in
       Fault.multi_link_campaign ~rng ~links ~samples arch
 
-let run ?(observe = Obs.disabled) ?config ?fault_policy ?validate_engine ?(size_flits = 2)
-    ?(max_cycles = 200_000) ~name ~seed ~spec acg arch =
+let run ?(observe = Obs.disabled) ?validate_engine ?size_flits ?max_cycles ~name ~seed ~spec
+    acg arch =
   Obs.span observe ~cat:"resil" ("resil." ^ name) @@ fun () ->
-  let run_one = run_one ?config ?fault_policy ?validate_engine ~size_flits ~max_cycles acg arch in
+  let run_one = burst ?engine:validate_engine ?size_flits ?max_cycles acg arch in
   let baseline = run_one [] in
   let relative r =
     if r.avg_latency > 0.0 && baseline.avg_latency > 0.0 then
@@ -127,7 +94,7 @@ let run ?(observe = Obs.disabled) ?config ?fault_policy ?validate_engine ?(size_
         List.filter_map
           (fun r ->
             match r.faults with
-            | [ { Fault.target = Fault.Link (u, v); _ } ] ->
+            | [ Fault.Link (u, v) ] ->
                 Some
                   {
                     link = (u, v);
@@ -164,7 +131,6 @@ let run ?(observe = Obs.disabled) ?config ?fault_policy ?validate_engine ?(size_
   if Obs.enabled observe then begin
     Obs.Counter.add (Obs.counter observe "resil.runs") (List.length runs);
     Obs.Counter.add (Obs.counter observe "resil.dropped") (fold ( + ) 0 (fun r -> r.dropped));
-    Obs.Counter.add (Obs.counter observe "resil.retries") (fold ( + ) 0 (fun r -> r.retries));
     Obs.Counter.add (Obs.counter observe "resil.stranded") stranded_total;
     Obs.Gauge.set
       (Obs.gauge observe (Printf.sprintf "resil.%s.min_delivered_fraction" name))

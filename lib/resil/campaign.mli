@@ -1,15 +1,19 @@
 (** Resilience campaigns: sweep fault sets over a scenario and measure how
     gracefully the synthesized architecture degrades.
 
-    Each run injects one burst of traffic (one packet per ACG flow) into a
-    fresh network, strikes the fault set mid-flight, and runs to idle; the
-    fault-aware simulator guarantees every packet ends up delivered or
-    dropped, so a run is characterized by its delivered fraction, latency
-    degradation versus the fault-free baseline, and the statically
-    disconnected flow pairs ({!Reroute}).  The single-link sweep is
-    exhaustive and doubles as a per-link criticality analysis; multi-link
-    sweeps are sampled with a seeded PRNG.  Metrics flow through
-    {!Noc_obs.Obs} ([resil.*] counters, per-scenario gauges). *)
+    Each run applies its fault set to the architecture before any traffic
+    moves: {!Reroute.apply} keeps the routes the faults spare, moves the
+    others to shortest surviving paths and reports the flows left without
+    one.  One burst (one packet per surviving ACG flow) then runs through
+    a fresh flit engine ({!Noc_sim.Engine}) to idle.  A disconnected flow
+    counts as one dropped packet, and a surviving packet the burst does not
+    deliver (a deadlock of the rerouted tables, or the cycle limit) as
+    stranded, so a run is characterized by its delivered fraction, latency
+    degradation versus the fault-free baseline, and the disconnected flow
+    pairs.  The single-link sweep is exhaustive and doubles as a per-link
+    criticality analysis; multi-link sweeps are sampled with a seeded
+    PRNG.  Metrics flow through {!Noc_obs.Obs} ([resil.*] counters,
+    per-scenario gauges). *)
 
 type spec =
   | Single_link  (** exhaustive: one run per physical link *)
@@ -20,22 +24,19 @@ type run_result = {
   faults : Fault.t list;
   injected : int;
   delivered : int;
-  dropped : int;
-  stranded : int;  (** packets never classified — 0 unless the run hit its cycle limit *)
+  dropped : int;  (** one packet per flow the faults disconnected *)
+  stranded : int;
+      (** surviving packets the burst did not deliver: 0 unless the
+          degraded tables deadlock or the run hits its cycle limit *)
   delivered_fraction : float;  (** delivered / injected; 1.0 for an empty burst *)
   avg_latency : float;  (** over delivered packets, cycles *)
   latency_factor : float;  (** avg_latency / fault-free avg_latency *)
   disconnected_pairs : int;  (** flows statically disconnected by the faults *)
-  retries : int;  (** source-NI retransmissions the run needed *)
-  cycles : int;  (** makespan of the run *)
-  engine_delivered : int;
-      (** packets the validation engine delivered over the degraded
-          architecture; 0 when validation is off *)
+  retries : int;  (** always 0: no packet is retransmitted *)
+  cycles : int;  (** cycles until the burst drained (or gave up) *)
   engine_ok : bool;
-      (** the validation engine drained every surviving flow of the
-          degraded architecture cleanly (idle verdict, full delivery,
-          conservation for the flit engine); vacuously [true] when
-          validation is off *)
+      (** the burst drained cleanly: idle verdict (so every surviving
+          packet was delivered) and flit conservation *)
 }
 
 type link_criticality = {
@@ -61,16 +62,27 @@ type report = {
   survives_all : bool;
       (** every run delivered every packet (fraction 1.0, nothing
           stranded) *)
-  stranded_total : int;  (** must be 0: packets the subsystem failed to classify *)
-  engine_validated : bool;
-      (** every run (baseline included) passed the validation engine's
-          degraded-mode check; vacuously [true] when validation is off *)
+  stranded_total : int;  (** must be 0: surviving packets that were never delivered *)
+  engine_validated : bool;  (** every run, the baseline included, has [engine_ok] *)
 }
+
+val burst :
+  ?engine:Noc_sim.Engine.kind ->
+  ?size_flits:int ->
+  ?max_cycles:int ->
+  Noc_core.Acg.t ->
+  Noc_core.Synthesis.t ->
+  Fault.t list ->
+  run_result
+(** One run: the faults degrade [arch] ({!Reroute.apply}), then one packet
+    of [size_flits] (default 2) per surviving ACG flow runs through a
+    fresh engine on the [engine] preset (default
+    {!Noc_sim.Engine.Coarse}) for at most [max_cycles] (default 200_000).
+    The kept flows inject first, then the rerouted ones.  Its
+    [latency_factor] is 1.0. *)
 
 val run :
   ?observe:Noc_obs.Obs.t ->
-  ?config:Noc_sim.Network.config ->
-  ?fault_policy:Noc_sim.Network.fault_policy ->
   ?validate_engine:Noc_sim.Engine.kind ->
   ?size_flits:int ->
   ?max_cycles:int ->
@@ -80,17 +92,13 @@ val run :
   Noc_core.Acg.t ->
   Noc_core.Synthesis.t ->
   report
-(** Run the campaign for one scenario.  [seed] drives multi-link sampling
-    (single-link sweeps are deterministic anyway); [size_flits] is the
-    burst packet size (default 2); [max_cycles] bounds each run (default
-    200_000).  Deterministic: identical arguments give identical reports.
-
-    [validate_engine] additionally pushes each fault set's {e degraded}
-    architecture ({!Reroute.apply}) through the named engine: the
-    surviving flows get one packet each and the fabric must drain
-    cleanly.  With {!Noc_sim.Engine.Flit} this catches reroute-induced
-    deadlocks and buffer pathologies the per-hop coarse model cannot
-    express ({!field-engine_ok} / {!field-engine_validated}). *)
+(** Run the campaign for one scenario: a fault-free baseline {!burst},
+    then one per fault set.  [seed] drives multi-link sampling
+    (single-link sweeps are deterministic anyway); [validate_engine] names
+    the preset every burst runs on (default {!Noc_sim.Engine.Coarse}, one
+    lane: a reroute-induced deadlock strands packets instead of being
+    masked by extra lanes); [size_flits] and [max_cycles] go to every
+    burst.  Deterministic: identical arguments give identical reports. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One-line human summary (scenario, runs, worst numbers, verdict). *)

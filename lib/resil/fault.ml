@@ -1,30 +1,14 @@
 module D = Noc_graph.Digraph
 
-type target = Link of int * int | Switch of int
+type t = Link of int * int | Switch of int
 
-type duration = Permanent | Transient of int
+let link u v = if u <= v then Link (u, v) else Link (v, u)
 
-type t = { target : target; at : int; duration : duration }
+let switch s = Switch s
 
-let norm u v = if u <= v then (u, v) else (v, u)
-
-let link ?(at = 1) ?(duration = Permanent) u v =
-  let u, v = norm u v in
-  { target = Link (u, v); at; duration }
-
-let switch ?(at = 1) ?(duration = Permanent) s = { target = Switch s; at; duration }
-
-let targets fs = List.map (fun f -> f.target) fs
-
-let pp ppf f =
-  let pp_target ppf = function
-    | Link (u, v) -> Format.fprintf ppf "link %d-%d" u v
-    | Switch s -> Format.fprintf ppf "switch %d" s
-  in
-  match f.duration with
-  | Permanent -> Format.fprintf ppf "%a down at cycle %d" pp_target f.target f.at
-  | Transient d ->
-      Format.fprintf ppf "%a down at cycle %d for %d cycles" pp_target f.target f.at d
+let pp ppf = function
+  | Link (u, v) -> Format.fprintf ppf "link %d-%d" u v
+  | Switch s -> Format.fprintf ppf "switch %d" s
 
 let undirected_links arch =
   D.fold_edges
@@ -32,20 +16,12 @@ let undirected_links arch =
     arch.Noc_core.Synthesis.topology []
   |> List.sort compare
 
-let single_link_campaign ?at arch =
-  List.map (fun (u, v) -> [ link ?at u v ]) (undirected_links arch)
+let single_link_campaign arch = List.map (fun (u, v) -> [ link u v ]) (undirected_links arch)
 
-let multi_link_campaign ?at ~rng ~links ~samples arch =
+let multi_link_campaign ~rng ~links ~samples arch =
   let all = undirected_links arch in
   let k = min links (List.length all) in
   if k = 0 || samples <= 0 then []
   else
     List.init samples (fun _ ->
-        Noc_util.Prng.sample rng k all |> List.sort compare
-        |> List.map (fun (u, v) -> link ?at u v))
-
-let inject_into net f =
-  let repair_at = match f.duration with Permanent -> None | Transient d -> Some (f.at + d) in
-  match f.target with
-  | Link (u, v) -> Noc_sim.Network.fail_link_at net ~at:f.at ?repair_at u v
-  | Switch s -> Noc_sim.Network.fail_switch_at net ~at:f.at ?repair_at s
+        Noc_util.Prng.sample rng k all |> List.sort compare |> List.map (fun (u, v) -> link u v))

@@ -1,47 +1,33 @@
-(** The fault model: what can break, when, and for how long.
+(** The fault model: what can break.
 
-    A fault targets one physical resource of a synthesized architecture —
-    an (undirected) link or a switch — and strikes at a given simulation
-    cycle, either permanently or transiently (self-repairing after a fixed
-    number of cycles).  Campaign generators build deterministic fault sets
-    from an architecture: exhaustive over single links, or seeded random
-    samples of simultaneous multi-link failures (reusing
-    {!Noc_util.Prng}). *)
+    A fault takes one physical resource of a synthesized architecture down
+    for a whole run: an (undirected) link or a switch.  Faults act on the
+    architecture, not on a running simulation: {!Reroute.apply} degrades
+    the routing tables before traffic is injected.  Campaign generators
+    build deterministic fault sets from an architecture: exhaustive over
+    single links, or seeded random samples of simultaneous multi-link
+    failures (reusing {!Noc_util.Prng}). *)
 
-type target =
+type t =
   | Link of int * int  (** normalized: first endpoint <= second *)
   | Switch of int
 
-type duration =
-  | Permanent
-  | Transient of int  (** cycles until the resource self-repairs *)
+val link : int -> int -> t
+(** [link u v] is a fault taking the undirected link [u-v] down. *)
 
-type t = { target : target; at : int; duration : duration }
-
-val link : ?at:int -> ?duration:duration -> int -> int -> t
-(** [link u v] is a fault taking the undirected link [u-v] down.
-    [at] defaults to cycle 1 (just after a burst injection at cycle 0, so
-    traffic is exercised mid-flight); [duration] defaults to
-    [Permanent]. *)
-
-val switch : ?at:int -> ?duration:duration -> int -> t
-
-val targets : t list -> target list
+val switch : int -> t
 
 val pp : Format.formatter -> t -> unit
 
 val undirected_links : Noc_core.Synthesis.t -> (int * int) list
 (** The architecture's physical links, normalized [(min, max)], sorted. *)
 
-val single_link_campaign : ?at:int -> Noc_core.Synthesis.t -> t list list
+val single_link_campaign : Noc_core.Synthesis.t -> t list list
 (** One singleton fault set per physical link — the exhaustive single-link
     sweep, in link order. *)
 
 val multi_link_campaign :
-  ?at:int -> rng:Noc_util.Prng.t -> links:int -> samples:int -> Noc_core.Synthesis.t -> t list list
+  rng:Noc_util.Prng.t -> links:int -> samples:int -> Noc_core.Synthesis.t -> t list list
 (** [samples] fault sets of [links] simultaneous distinct link failures
     each, sampled with [rng] (deterministic for a given seed).  [links] is
     clamped to the number of physical links. *)
-
-val inject_into : Noc_sim.Network.t -> t -> unit
-(** Translate the fault into the network's scheduled fail/repair events. *)

@@ -4,8 +4,7 @@ module Syn = Noc_core.Synthesis
 
 let surviving_topology arch ~faults =
   List.fold_left
-    (fun g f ->
-      match f.Fault.target with
+    (fun g -> function
       | Fault.Link (u, v) -> D.remove_edge (D.remove_edge g u v) v u
       | Fault.Switch s -> D.remove_vertex g s)
     arch.Syn.topology faults

@@ -25,8 +25,8 @@ type outcome = {
 val surviving_topology :
   Noc_core.Synthesis.t -> faults:Fault.t list -> Noc_graph.Digraph.t
 (** The physical topology minus failed links (both directions) and failed
-    switches (with all their links); fault timing is ignored. *)
+    switches (with all their links). *)
 
 val apply : Noc_core.Synthesis.t -> faults:Fault.t list -> outcome
-(** Degrade [arch] under the faults' targets.  All three flow lists are
-    sorted and partition the original flow set. *)
+(** Degrade [arch] under the faults.  All three flow lists are sorted and
+    partition the original flow set. *)

@@ -3,18 +3,10 @@ module Acg = Noc_core.Acg
 module Syn = Noc_core.Synthesis
 module Edge_map = D.Edge_map
 
-let grid_dims n =
-  let n = max 1 n in
-  let cols = int_of_float (ceil (sqrt (float_of_int n))) in
-  let rows = (n + cols - 1) / cols in
-  (rows, cols)
-
 (* the grid (and the shared floorplan below) must cover every core id the
-   ACG mentions, so size by the maximum id, not the core count *)
-let max_core_id acg = D.fold_vertices (fun v m -> max v m) (Acg.graph acg) 1
-
+   ACG mentions, so it is sized by the maximum id, not the core count *)
 let mesh acg =
-  let rows, cols = grid_dims (max_core_id acg) in
+  let rows, cols = Syn.mesh_dims acg in
   Syn.mesh ~rows ~cols acg
 
 (* Sparse-Hamming-style topology: node (r, c) is core [r * cols + c + 1]
@@ -23,7 +15,7 @@ let mesh acg =
    offsets in its column.  The grid is fully populated ([rows * cols]
    cores), so every greedy route below only crosses existing links. *)
 let sparse_hamming acg =
-  let rows, cols = grid_dims (max_core_id acg) in
+  let rows, cols = Syn.mesh_dims acg in
   let node r c = (r * cols) + c + 1 in
   let edges = ref [] in
   for r = 0 to rows - 1 do
@@ -81,7 +73,7 @@ let compare_all acg ~custom =
   let tech = Noc_energy.Technology.cmos_180nm in
   (* mesh/Hamming routes may ride through padding cores beyond the ACG's
      maximum id, so the shared floorplan places the whole grid *)
-  let rows, cols = grid_dims (max_core_id acg) in
+  let rows, cols = Syn.mesh_dims acg in
   let fp =
     Noc_energy.Floorplan.grid ~cols
       (Noc_energy.Floorplan.uniform_cores ~n:(rows * cols) ~size_mm:2.0)

@@ -7,13 +7,9 @@
     model on the same shared grid floorplan (cores at identical positions),
     so the numbers are directly comparable. *)
 
-val grid_dims : int -> int * int
-(** [grid_dims n] is a near-square [(rows, cols)] with [rows * cols >= n]
-    and [cols = ceil (sqrt n)]. *)
-
 val mesh : Noc_core.Acg.t -> Noc_core.Synthesis.t
-(** The standard 2D-mesh baseline ({!Noc_core.Synthesis.mesh}) sized by
-    {!grid_dims} over the ACG's maximum core id, with XY routing. *)
+(** The standard 2D-mesh baseline ({!Noc_core.Synthesis.mesh}) on the
+    {!Noc_core.Synthesis.mesh_dims} grid, with XY routing. *)
 
 val sparse_hamming : Noc_core.Acg.t -> Noc_core.Synthesis.t
 (** A sparse-Hamming-style regular topology on the same grid: cores are

@@ -1,50 +1,48 @@
-(** One façade over the two simulation fidelities.
+(** Named presets of the one simulation engine, {!Flitsim}.
 
-    {!Network} (coarse store-and-forward, fault-aware) and {!Flitsim}
-    (cycle-accurate VOQ routers with credits, serialization and
-    virtual-channel lanes) have deliberately parallel APIs.  This module
-    packages them behind one dispatch type so benchkit, resilience
-    campaigns, sweeps and the CLI select fidelity per run
-    ([nocsynth simulate --engine coarse|flit]) instead of hard-coding one
-    model.
+    Benchkit, resilience campaigns, sweeps and the CLI select a preset per
+    run ([nocsynth simulate --engine coarse|flit]) instead of spelling out
+    a {!Flitsim.config}:
 
-    Verdicts are unified: the coarse engine cannot deadlock (per-hop
-    buffering with retries), so its [`Limit] maps to {!Limit}; the flit
-    engine reports genuine circular waits as {!Deadlock}. *)
+    - [Flit] is exactly {!Flitsim.default_config}: 32-bit flits over
+      byte-serial links (4 link cycles per flit), 4-flit VOQs, one lane;
+    - [Coarse] carries one 8-bit flit per link cycle (the link width of
+      the paper's prototype NoC), otherwise the same.
+
+    Both run the same VOQ routers with credits, so either can report a
+    genuine circular wait as {!Deadlock}; {!prescribed} adds the
+    virtual-channel lanes that rule it out. *)
 
 type kind = Coarse | Flit
 
 val all_kinds : kind list
-(** In increasing fidelity order: [Coarse; Flit]. *)
+(** [Coarse; Flit]. *)
 
 val kind_name : kind -> string
 (** ["coarse"] / ["flit"]. *)
 
 val kind_of_name : string -> kind option
 
-type t
+val config : kind -> Flitsim.config
+(** The preset. *)
 
-val create :
-  ?coarse_config:Network.config ->
-  ?flit_config:Flitsim.config ->
-  kind ->
-  Noc_core.Synthesis.t ->
-  t
-(** Only the config matching [kind] is consulted; the other is accepted
-    so callers can thread one record of knobs around. *)
+val prescribed : kind -> Noc_core.Synthesis.t -> Flitsim.config
+(** The preset with the lanes {!Noc_core.Deadlock.analyze} prescribes for
+    the architecture ([num_vcs = vcs_needed]), under which its routes
+    cannot deadlock. *)
 
-val kind : t -> kind
-val name : t -> string
+type t = Flitsim.t
 
-val now : t -> int
+val create : kind -> Noc_core.Synthesis.t -> t
+(** A fresh engine at cycle 0 running the preset as it is. *)
 
 val inject :
   ?tag:int -> ?payload:Bytes.t -> ?size_flits:int -> t -> src:int -> dst:int -> int
-(** [size_flits] defaults to 1 on every engine.
-    @raise Invalid_argument if the architecture has no route. *)
+(** {!Flitsim.inject}. *)
 
 val step : t -> unit
-val pending : t -> int
+val now : t -> int
+val flit_hops : t -> int
 
 type verdict = Idle | Deadlock | Limit of int
 (** [Limit n]: the cycle budget ran out with [n] packets outstanding. *)
@@ -55,24 +53,8 @@ val verdict_name : verdict -> string
 
 val run_until_idle : ?max_cycles:int -> t -> verdict
 
-val deliveries : t -> Packet.delivery list
-(** In delivery order, on either engine. *)
-
 val summary : t -> Stats.summary
-
-val flit_hops : t -> int
-
-val metrics : t -> (string * float) list
-(** The underlying engine's metric snapshot (keys are engine-specific). *)
-
-val vc_truncated : t -> bool
-(** [true] iff this is a flit engine with fewer lanes than the static
-    analysis prescribes ({!Flitsim.vc_truncated}) — a [Deadlock] verdict
-    is then attributable to under-provisioned lanes rather than the
-    architecture.  Always [false] for the coarse engine. *)
-
-val coarse : t -> Network.t option
-(** The underlying coarse engine, for callers that need its fault API or
-    energy accounting; [None] for the flit engine. *)
+(** {!Stats.summarize} over the deliveries. *)
 
 val flitsim : t -> Flitsim.t option
+(** Always [Some]: kept for callers written when a second engine existed. *)

@@ -16,20 +16,26 @@ let default_config =
 
 let phits_per_flit cfg = (cfg.flit_bits + cfg.phit_bits - 1) / cfg.phit_bits
 
+type policy = Fixed | Oblivious of Noc_util.Prng.t
+
 type delivery = Packet.delivery = { packet : Packet.t; delivered_at : int }
 
 (* A flow's route resolved once, on its first [inject]: the VOQ its flits
    occupy at each hop and the source NI they wait in.  The flow's packets
-   share [route] and [plan]. *)
+   share [route] and [plan]; under [Oblivious], the packets that drew one
+   path share its plan. *)
 type flow = { route : int array; plan : Router.voq array; ni : Router.flit Queue.t }
 
 type t = {
   arch : Syn.t;
   cfg : config;
+  policy : policy;
   ppf : int;
   routers : Router.t array;  (* ascending vertex id: the one scan order every phase uses *)
   index : (int, int) Hashtbl.t;  (* vertex -> position in [routers]; create and inject only *)
   flows : (int * int, flow) Hashtbl.t;
+  paths : (int array, flow) Hashtbl.t;  (* [Oblivious]: one plan per drawn path *)
+  dist : (int, int D.Vmap.t) Hashtbl.t;  (* [Oblivious]: hop distances to a destination *)
   link_count : int array array;
       (* [link_count.(i).(k)]: flits that arrived over output [k] of
          [routers.(i)]; slot 0, the ejection port, stays 0 *)
@@ -41,6 +47,7 @@ type t = {
   mutable injected_packets : int;
   mutable delivered_packets : int;
   mutable delivered_rev : delivery list;
+  mutable drained : int;  (* deliveries already handed out by [drain_deliveries] *)
   mutable injected_flits : int;
   mutable delivered_flits : int;
   mutable ni_occupancy : int;
@@ -55,7 +62,7 @@ type t = {
          cycle is not yet proof of a fixpoint *)
 }
 
-let create ?(config = default_config) arch =
+let create ?(config = default_config) ?(policy = Fixed) arch =
   if config.fifo_depth < 1 then invalid_arg "Flitsim.create: fifo_depth must be >= 1";
   if config.flit_bits < 1 then invalid_arg "Flitsim.create: flit_bits must be >= 1";
   if config.phit_bits < 1 then invalid_arg "Flitsim.create: phit_bits must be >= 1";
@@ -84,10 +91,13 @@ let create ?(config = default_config) arch =
   {
     arch;
     cfg = config;
+    policy;
     ppf = phits_per_flit config;
     routers;
     index;
     flows = Hashtbl.create 16;
+    paths = Hashtbl.create 16;
+    dist = Hashtbl.create 16;
     link_count = Array.map (fun (r : Router.t) -> Array.make (Array.length r.Router.outputs) 0) routers;
     switch_count = Array.make (Array.length routers) 0;
     due = [||];
@@ -97,6 +107,7 @@ let create ?(config = default_config) arch =
     injected_packets = 0;
     delivered_packets = 0;
     delivered_rev = [];
+    drained = 0;
     injected_flits = 0;
     delivered_flits = 0;
     ni_occupancy = 0;
@@ -110,38 +121,82 @@ let create ?(config = default_config) arch =
 
 let now t = t.cycle
 let config t = t.cfg
+let arch t = t.arch
 let router t v = t.routers.(Hashtbl.find t.index v)
 
-(* The hop plan of [src -> dst]: the VOQ at [route.(h)] a flit waits in at
-   hop [h], in the lane of the virtual channel its packet holds on the link
-   it arrived over. *)
+(* The hop plan of a path: the VOQ at [route.(h)] a flit waits in at hop
+   [h], in the lane of the virtual channel its packet holds on the link it
+   arrived over. *)
+let plan_of t path =
+  let route = Array.of_list path in
+  let lanes = Noc_core.Deadlock.route_vcs ~num_vcs:t.cfg.num_vcs path in
+  let last = Array.length route - 1 in
+  let plan =
+    Array.mapi
+      (fun h v ->
+        let output = if h = last then Router.Eject else Router.To route.(h + 1) in
+        if h = 0 then Router.find_voq (router t v) ~input:Router.Local ~output ~vc:0
+        else
+          Router.find_voq (router t v) ~input:(Router.From route.(h - 1)) ~output
+            ~vc:lanes.(h - 1))
+      route
+  in
+  { route; plan; ni = (router t route.(0)).Router.ni }
+
+let route_exn t ~src ~dst =
+  match Syn.route t.arch ~src ~dst with
+  | None -> invalid_arg (Printf.sprintf "Flitsim.inject: no route %d -> %d" src dst)
+  | Some path -> path
+
 let flow t ~src ~dst =
   match Hashtbl.find_opt t.flows (src, dst) with
   | Some fl -> fl
-  | None -> (
-      match Syn.route t.arch ~src ~dst with
-      | None -> invalid_arg (Printf.sprintf "Flitsim.inject: no route %d -> %d" src dst)
-      | Some path ->
-          let route = Array.of_list path in
-          let lanes = Noc_core.Deadlock.route_vcs ~num_vcs:t.cfg.num_vcs path in
-          let last = Array.length route - 1 in
-          let plan =
-            Array.mapi
-              (fun h v ->
-                let output = if h = last then Router.Eject else Router.To route.(h + 1) in
-                if h = 0 then Router.find_voq (router t v) ~input:Router.Local ~output ~vc:0
-                else
-                  Router.find_voq (router t v) ~input:(Router.From route.(h - 1)) ~output
-                    ~vc:lanes.(h - 1))
-              route
-          in
-          let fl = { route; plan; ni = (router t src).Router.ni } in
-          Hashtbl.replace t.flows (src, dst) fl;
-          fl)
+  | None ->
+      let fl = plan_of t (route_exn t ~src ~dst) in
+      Hashtbl.replace t.flows (src, dst) fl;
+      fl
+
+(* [Oblivious]: a minimal path drawn hop by hop, uniformly among the
+   neighbours one hop closer to [dst] (in id order), then its plan. *)
+let oblivious_flow t rng ~src ~dst =
+  ignore (route_exn t ~src ~dst);
+  let topo = t.arch.Syn.topology in
+  let dist =
+    lazy
+      (match Hashtbl.find_opt t.dist dst with
+      | Some m -> m
+      | None ->
+          let m = Noc_graph.Traversal.bfs_distances (D.reverse topo) dst in
+          Hashtbl.replace t.dist dst m;
+          m)
+  in
+  let rec walk v acc =
+    if v = dst then List.rev (v :: acc)
+    else
+      let dist = Lazy.force dist in
+      let here = D.Vmap.find v dist in
+      let closer =
+        D.Vset.elements (D.succ topo v)
+        |> List.filter (fun n -> D.Vmap.find_opt n dist = Some (here - 1))
+      in
+      walk (List.nth closer (Noc_util.Prng.int rng (List.length closer))) (v :: acc)
+  in
+  let path = walk src [] in
+  let key = Array.of_list path in
+  match Hashtbl.find_opt t.paths key with
+  | Some fl -> fl
+  | None ->
+      let fl = plan_of t path in
+      Hashtbl.replace t.paths key fl;
+      fl
 
 let inject ?(tag = 0) ?(payload = Bytes.empty) ?(size_flits = 1) t ~src ~dst =
   if size_flits < 1 then invalid_arg "Flitsim.inject: size_flits must be >= 1";
-  let fl = flow t ~src ~dst in
+  let fl =
+    match t.policy with
+    | Fixed -> flow t ~src ~dst
+    | Oblivious rng -> oblivious_flow t rng ~src ~dst
+  in
   let id = t.next_id in
   t.next_id <- id + 1;
   let packet =
@@ -308,6 +363,12 @@ let run_until_idle ?(max_cycles = 100_000) t =
   go ()
 
 let deliveries t = List.rev t.delivered_rev
+
+let drain_deliveries t =
+  let rec take n l acc = if n = 0 then acc else take (n - 1) (List.tl l) (List.hd l :: acc) in
+  let fresh = take (t.delivered_packets - t.drained) t.delivered_rev [] in
+  t.drained <- t.delivered_packets;
+  fresh
 let injected_flits t = t.injected_flits
 let delivered_flits t = t.delivered_flits
 let in_flight_flits t = t.ni_occupancy + t.voq_occupancy + t.wire_occupancy
@@ -334,8 +395,6 @@ let switch_flits t =
     (fun i n -> if n > 0 then m := Vmap.add t.routers.(i).Router.node n !m)
     t.switch_count;
   !m
-
-let summary t = Stats.summarize (deliveries t)
 
 let vc_truncated t = t.cfg.num_vcs < (Noc_core.Deadlock.analyze t.arch).vcs_needed
 

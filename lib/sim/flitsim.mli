@@ -1,9 +1,8 @@
 (** Cycle-accurate flit-level simulation over {!Router} pipelines.
 
-    This is the high-fidelity end of the engine spectrum ({!Engine}): where
-    {!Network} moves whole packets hop-by-hop, this engine clocks every
-    flit through per-input virtual output queues, a round-robin switch
-    allocator, credit-based link backpressure, and byte-serial link
+    The one simulation engine ({!Engine} names its presets): it clocks
+    every flit through per-input virtual output queues, a round-robin
+    switch allocator, credit-based link backpressure, and link
     serialization — the effects (head-of-line blocking, buffer depth,
     serialization stalls) that decide where the saturation knee of a
     synthesized architecture really sits.  A packet's flits spread over
@@ -37,8 +36,7 @@
 
     Flits of one packet follow identical VOQs and FIFO links, so they
     arrive in order; worms from different packets {e do} interleave on
-    shared links, which is exactly the contention the coarse engine cannot
-    see.
+    shared links.
 
     Ports with no queued flit are skipped, as are the arrival phase while
     no flit is on a wire and the injection phase while every NI is empty.
@@ -106,20 +104,40 @@ val default_config : config
 
 val phits_per_flit : config -> int
 
+(** Routing policy (the paper's Section 6 lists "adaptive or stochastic
+    routing strategies" as future work): *)
+type policy =
+  | Fixed
+      (** follow the architecture's precomputed route (XY on the mesh,
+          schedule-derived on customized topologies) — the default and
+          the paper's setting *)
+  | Oblivious of Noc_util.Prng.t
+      (** minimal stochastic: each packet draws one minimal path over the
+          topology at injection, hop by hop uniformly among the
+          neighbours one hop closer to its destination, deterministic for
+          a given PRNG; its lanes are {!Noc_core.Deadlock.route_vcs} on
+          that path.  The flow must still have a route in the
+          architecture. *)
+
 type delivery = Packet.delivery = { packet : Packet.t; delivered_at : int }
 
 type t
 
-val create : ?config:config -> Noc_core.Synthesis.t -> t
-(** @raise Invalid_argument on a non-positive config field. *)
+val create : ?config:config -> ?policy:policy -> Noc_core.Synthesis.t -> t
+(** [policy] defaults to [Fixed].
+    @raise Invalid_argument on a non-positive config field. *)
 
 val now : t -> int
 val config : t -> config
 
+val arch : t -> Noc_core.Synthesis.t
+(** The architecture the engine was built over. *)
+
 val inject :
   ?tag:int -> ?payload:Bytes.t -> ?size_flits:int -> t -> src:int -> dst:int -> int
 (** Queues a packet ([size_flits] defaults to 1) at its source NI at the
-    current cycle; returns the packet id.
+    current cycle; returns the packet id.  The packet's [route] is the
+    path its flits take.
     @raise Invalid_argument if the architecture has no route. *)
 
 val step : t -> unit
@@ -137,6 +155,10 @@ val run_until_idle : ?max_cycles:int -> t -> [ `Idle | `Deadlock | `Limit of int
 val deliveries : t -> delivery list
 (** In ejection order. *)
 
+val drain_deliveries : t -> delivery list
+(** The deliveries since the previous call (or since creation), in
+    ejection order; {!deliveries} keeps them all. *)
+
 val injected_flits : t -> int
 val delivered_flits : t -> int
 
@@ -148,8 +170,7 @@ val conservation_ok : t -> bool
     every [step] unless the engine itself is broken. *)
 
 val flit_hops : t -> int
-(** Total flit-link traversals (energy-accounting compatible with
-    {!Stats}-style counting). *)
+(** Total flit-link traversals. *)
 
 val buffer_flit_cycles : t -> int
 (** Sum over cycles of VOQ occupancy (buffering energy proxy). *)
@@ -162,9 +183,6 @@ val switch_flits : t -> int Noc_graph.Digraph.Vmap.t
 (** Flits each router's switch moved onto a link or into its sink, for
     routers with at least one; once drained they sum to
     [flit_hops + delivered_flits].  Built on each call. *)
-
-val summary : t -> Stats.summary
-(** {!Stats.summarize} over {!deliveries}. *)
 
 val vc_truncated : t -> bool
 (** [num_vcs < (Noc_core.Deadlock.analyze arch).vcs_needed]: the lanes are

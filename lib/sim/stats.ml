@@ -56,12 +56,12 @@ let summarize deliveries =
       }
 
 let dynamic_energy_pj ~tech ~fp net =
-  let bits = float_of_int (Network.config net).Network.flit_bits in
+  let bits = float_of_int (Flitsim.config net).Flitsim.flit_bits in
   let switch =
     Vmap.fold
       (fun _ flits acc ->
         acc +. (float_of_int flits *. bits *. tech.Noc_energy.Technology.es_bit))
-      (Network.switch_flits net) 0.0
+      (Flitsim.switch_flits net) 0.0
   in
   let link =
     Edge_map.fold
@@ -70,16 +70,16 @@ let dynamic_energy_pj ~tech ~fp net =
         acc
         +. float_of_int flits *. bits
            *. Noc_energy.Technology.link_energy_per_bit tech ~length_mm:len)
-      (Network.link_flits net) 0.0
+      (Flitsim.link_flits net) 0.0
   in
   switch +. link
 
 let buffer_energy_pj ~tech net =
-  float_of_int (Network.buffer_flit_cycles net)
+  float_of_int (Flitsim.buffer_flit_cycles net)
   *. tech.Noc_energy.Technology.e_buffer_pj_per_flit_cycle
 
 let total_ports_squared net =
-  let arch = Network.arch net in
+  let arch = Flitsim.arch net in
   let topo = arch.Noc_core.Synthesis.topology in
   Noc_graph.Digraph.fold_vertices
     (fun v acc ->
@@ -88,7 +88,7 @@ let total_ports_squared net =
     topo 0
 
 let clock_energy_pj ~tech net =
-  float_of_int (Network.now net)
+  float_of_int (Flitsim.now net)
   *. float_of_int (total_ports_squared net)
   *. tech.Noc_energy.Technology.router_clock_pj_per_port2_cycle
 
@@ -97,7 +97,7 @@ let total_energy_pj ~tech ~fp net =
   +. clock_energy_pj ~tech net
 
 let avg_power_mw ~tech ~fp ?(static_mw = 0.0) net =
-  let cycles = Network.now net in
+  let cycles = Flitsim.now net in
   if cycles <= 0 then 0.0
   else begin
     let e_pj = total_energy_pj ~tech ~fp net in

@@ -31,9 +31,9 @@ val latency_vs_load :
     ([Traffic.flows_of_acg] scaling is bypassed — the sweep sets the rate
     directly).  [cycles] (default 2000) of injection, then a bounded drain.
     Deterministic: the PRNG is split per rate.  [engine] (default
-    {!Engine.Coarse} for speed) picks the simulation fidelity; a
-    saturated high-fidelity run that deadlocks or hits the drain bound
-    reports the packets it delivered with [drained = false]. *)
+    {!Engine.Coarse}) picks the preset, run as it is (one lane); a
+    saturated run that deadlocks or hits the drain bound reports the
+    packets it delivered with [drained = false]. *)
 
 val saturation_rate : point list -> float option
 (** First rate whose run did not drain or whose average latency exceeds 4x

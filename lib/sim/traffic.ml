@@ -20,12 +20,10 @@ let run ~rng ~net ~flows ~cycles () =
     List.iter
       (fun f ->
         if Noc_util.Prng.bernoulli rng f.rate then
-          ignore (Network.inject ~size_flits:f.size_flits net ~src:f.src ~dst:f.dst))
+          ignore (Engine.inject ~size_flits:f.size_flits net ~src:f.src ~dst:f.dst))
       flows;
-    Network.step net
+    Engine.step net
   done;
-  (match Network.run_until_idle ~max_cycles:100_000 net with
-  | `Idle | `Limit _ -> ());
-  Network.deliveries net
+  Engine.run_until_idle ~max_cycles:100_000 net
 
 let offered_load flows = List.fold_left (fun acc f -> acc +. f.rate) 0.0 flows

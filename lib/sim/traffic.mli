@@ -14,15 +14,10 @@ val flows_of_acg : ?size_flits:int -> rate_scale:float -> Noc_core.Acg.t -> flow
     defaults to 1. *)
 
 val run :
-  rng:Noc_util.Prng.t ->
-  net:Network.t ->
-  flows:flow list ->
-  cycles:int ->
-  unit ->
-  Network.delivery list
-(** Drives the network for [cycles] cycles of random injection, then lets
-    in-flight packets drain (bounded), returning all deliveries of the
-    run. *)
+  rng:Noc_util.Prng.t -> net:Engine.t -> flows:flow list -> cycles:int -> unit -> Engine.verdict
+(** Drives the engine for [cycles] cycles of random injection, then lets
+    in-flight packets drain (at most 100_000 cycles) and returns the drain
+    verdict; the deliveries stay on the engine. *)
 
 val offered_load : flow list -> float
 (** Sum of flow rates: expected packets injected per cycle. *)

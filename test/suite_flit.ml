@@ -3,8 +3,9 @@
    virtual-channel lanes: zero-hop packets, large bursts, lane
    provisioning against the static deadlock analysis.
 
-   The differential qcheck suites cross-validate the two fidelity levels
-   on the same random ACGs the oracle harness uses, and on random cyclic
+   The differential qcheck suites cross-validate the two presets (one
+   8-bit flit per link cycle, and 32-bit flits over byte-serial links) on
+   the same random ACGs the oracle harness uses, and on random cyclic
    ring routings where only the lanes prevent deadlock: every drained run
    must deliver exactly the injected packet set, the flit engine's
    conservation invariant must hold after every cycle, its activity
@@ -128,7 +129,7 @@ let test_flit_accounting () =
   Alcotest.(check bool) "buffers were occupied" true (Flit.buffer_flit_cycles f > 0)
 
 (* ---------------------------------------------------------------- *)
-(* Engine dispatch                                                  *)
+(* Engine presets                                                   *)
 
 let test_engine_dispatch () =
   List.iter
@@ -139,18 +140,22 @@ let test_engine_dispatch () =
         (if Engine.kind_of_name (Engine.kind_name k) = Some k then None else Some ()))
     Engine.all_kinds;
   Alcotest.(check (option reject)) "unknown engine name" None (Engine.kind_of_name "exact");
+  Alcotest.(check bool) "Flit is the default config" true
+    (Engine.config Engine.Flit = Flit.default_config);
+  Alcotest.(check int) "Coarse: one flit per link cycle" 1
+    (Flit.phits_per_flit (Engine.config Engine.Coarse));
   let arch = line_arch 2 in
   List.iter
     (fun k ->
       let net = Engine.create k arch in
-      Alcotest.(check string) "name" (Engine.kind_name k) (Engine.name net);
+      Alcotest.(check bool) "runs its preset" true (Flit.config net = Engine.config k);
       ignore (Engine.inject ~size_flits:2 net ~src:0 ~dst:2);
       match Engine.run_until_idle net with
       | Engine.Idle ->
           Alcotest.(check int)
             (Engine.kind_name k ^ " delivers")
             1
-            (List.length (Engine.deliveries net))
+            (List.length (Flit.deliveries net))
       | v -> Alcotest.failf "%s: %s" (Engine.kind_name k) (Engine.verdict_name v))
     Engine.all_kinds
 
@@ -227,12 +232,16 @@ let test_wormhole_vc_truncation () =
       ()
   in
   Alcotest.(check int) "2 lanes prescribed" 2 (Dead.analyze ring).Dead.vcs_needed;
-  let starved = Engine.create Engine.Flit ring in
-  Alcotest.(check bool) "truncation flagged" true (Engine.vc_truncated starved);
-  let ok = Engine.create ~flit_config:(lanes 2) Engine.Flit ring in
-  Alcotest.(check bool) "no truncation at num_vcs = 2" false (Engine.vc_truncated ok);
-  Alcotest.(check bool) "coarse never truncates" false
-    (Engine.vc_truncated (Engine.create Engine.Coarse ring))
+  List.iter
+    (fun k ->
+      let name = Engine.kind_name k in
+      Alcotest.(check bool) (name ^ ": one lane is flagged") true
+        (Flit.vc_truncated (Engine.create k ring));
+      Alcotest.(check bool) (name ^ ": prescribed lanes are not") false
+        (Flit.vc_truncated (Flit.create ~config:(Engine.prescribed k ring) ring)))
+    Engine.all_kinds;
+  let ok = Flit.create ~config:(lanes 2) ring in
+  Alcotest.(check bool) "no truncation at num_vcs = 2" false (Flit.vc_truncated ok)
 
 (* ---------------------------------------------------------------- *)
 (* Differential qcheck suites (>= 200 cases each)                    *)
@@ -243,26 +252,24 @@ let random_case seed =
   let d, _ = Bb.decompose ~library:(lib ()) acg in
   (acg, Syn.custom acg d)
 
-(* one packet per flow; the flit engine gets the prescribed lanes unless
-   [num_vcs] says otherwise *)
+(* one packet per flow on a preset; the engine gets the prescribed lanes
+   unless [num_vcs] says otherwise *)
 let burst ?(fifo_depth = 4) ?num_vcs ~size_flits kind flows arch =
   let num_vcs =
     match num_vcs with Some n -> n | None -> (Dead.analyze arch).Dead.vcs_needed
   in
-  let flit_config = { Flit.default_config with fifo_depth; num_vcs } in
-  let net = Engine.create ~flit_config kind arch in
+  let net = Flit.create ~config:{ (Engine.config kind) with fifo_depth; num_vcs } arch in
   List.iter (fun (src, dst) -> ignore (Engine.inject ~size_flits net ~src ~dst)) flows;
   let verdict = Engine.run_until_idle net in
   (net, verdict)
 
 let delivery_set net =
-  Engine.deliveries net
+  Flit.deliveries net
   |> List.map (fun (d : Packet.delivery) ->
          (d.packet.Packet.id, d.packet.Packet.src, d.packet.Packet.dst))
   |> List.sort compare
 
-let conserved net =
-  match Engine.flitsim net with Some f -> Flit.conservation_ok f | None -> true
+let conserved = Flit.conservation_ok
 
 let qcheck_engines_agree =
   QCheck.Test.make ~name:"flit = coarse on fuzz ACGs (deliveries)" ~count:200
@@ -279,7 +286,7 @@ let qcheck_engines_agree =
         QCheck.Test.fail_reportf "seed %d: flit verdict %s" seed (Engine.verdict_name fv);
       if delivery_set flit <> delivery_set coarse then
         QCheck.Test.fail_reportf "seed %d: flit/coarse delivery sets differ" seed;
-      if not (conserved flit) then
+      if not (conserved flit && conserved coarse) then
         QCheck.Test.fail_reportf "seed %d: flit conservation broken" seed;
       true)
 
@@ -316,7 +323,7 @@ let qcheck_lanes_drain_cyclic_rings =
       let lanes, lv = burst ~fifo_depth ~size_flits Engine.Flit flows arch in
       if lv <> Engine.Idle then
         QCheck.Test.fail_reportf "prescribed lanes: verdict %s" (Engine.verdict_name lv);
-      if List.length (Engine.deliveries lanes) <> List.length flows then
+      if List.length (Flit.deliveries lanes) <> List.length flows then
         QCheck.Test.fail_reportf "prescribed lanes: partial delivery";
       if delivery_set lanes <> delivery_set coarse then
         QCheck.Test.fail_reportf "flit/coarse delivery sets differ";

@@ -355,32 +355,32 @@ let test_decompose_trace_smoke () =
 let test_network_metrics_and_contention () =
   let acg = Noc_aes.Distributed.acg () in
   let arch = Syn.mesh ~rows:4 ~cols:4 acg in
-  let net = Noc_sim.Network.create arch in
-  Alcotest.(check int) "no contention initially" 0 (Noc_sim.Network.contention_events net);
+  let net = Noc_sim.Engine.create Noc_sim.Engine.Coarse arch in
+  Alcotest.(check int) "no buffering initially" 0 (Noc_sim.Flitsim.buffer_flit_cycles net);
   (* two packets fighting for the same output channel in the same cycle;
      routes only exist for ACG flows, so pick a real one *)
   let src, dst = List.hd (D.edges (Acg.graph acg)) in
-  ignore (Noc_sim.Network.inject ~size_flits:4 net ~src ~dst);
-  ignore (Noc_sim.Network.inject ~size_flits:4 net ~src ~dst);
-  (match Noc_sim.Network.run_until_idle net with
-  | `Idle -> ()
-  | `Limit _ -> Alcotest.fail "network did not drain");
-  Alcotest.(check bool) "contention observed" true
-    (Noc_sim.Network.contention_events net >= 1);
-  Alcotest.(check int) "both delivered" 2 (Noc_sim.Network.delivered_count net);
-  let m = Noc_sim.Network.metrics net in
+  ignore (Noc_sim.Engine.inject ~size_flits:4 net ~src ~dst);
+  ignore (Noc_sim.Engine.inject ~size_flits:4 net ~src ~dst);
+  Alcotest.(check bool) "drained" true
+    (Noc_sim.Engine.run_until_idle net = Noc_sim.Engine.Idle);
+  (match Noc_sim.Flitsim.deliveries net with
+  | [ a; b ] ->
+      Alcotest.(check bool) "contention observed: the second worm trails the first" true
+        (b.Noc_sim.Flitsim.delivered_at - a.Noc_sim.Flitsim.delivered_at >= 4)
+  | ds -> Alcotest.failf "expected 2 deliveries, got %d" (List.length ds));
+  let m = Noc_sim.Flitsim.metrics net in
   List.iter
-    (fun key ->
-      Alcotest.(check bool) key true (List.mem_assoc key m))
+    (fun key -> Alcotest.(check bool) key true (List.mem_assoc key m))
     [
-      "cycles"; "injected"; "delivered"; "in_network"; "flit_hops";
-      "buffer_flit_cycles"; "queued_flits"; "contention_events";
+      "flit.cycles"; "flit.injected_packets"; "flit.delivered_packets"; "flit.pending_packets";
+      "flit.flit_hops"; "flit.buffer_flit_cycles"; "flit.in_flight_flits";
     ];
-  Alcotest.(check (float 0.0)) "injected metric" 2.0 (List.assoc "injected" m);
-  Alcotest.(check bool) "per-link flits reported" true
-    (List.exists (fun (k, _) -> String.length k > 5 && String.sub k 0 5 = "link.") m);
-  Alcotest.(check bool) "per-router flits reported" true
-    (List.exists (fun (k, _) -> String.length k > 7 && String.sub k 0 7 = "router.") m);
+  Alcotest.(check (float 0.0)) "injected metric" 2.0 (List.assoc "flit.injected_packets" m);
+  Alcotest.(check bool) "per-link flits counted" true
+    (not (D.Edge_map.is_empty (Noc_sim.Flitsim.link_flits net)));
+  Alcotest.(check bool) "per-router flits counted" true
+    (not (D.Vmap.is_empty (Noc_sim.Flitsim.switch_flits net)));
   (* energy metrics are finite and consistent with the direct calls *)
   let tech = Noc_energy.Technology.cmos_180nm in
   let fp =

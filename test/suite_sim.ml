@@ -1,12 +1,16 @@
-(* Tests for the cycle-accurate NoC simulator: delivery semantics, latency
-   arithmetic, contention serialization, determinism, activity counters and
-   the power/energy accounting. *)
+(* Tests for the flit engine as the network simulator: delivery
+   semantics, latency arithmetic, contention serialization, determinism,
+   activity counters, the power/energy accounting and the routing
+   policies.  Unless a test says otherwise it runs the [Coarse] preset:
+   one 8-bit flit per link cycle, so a flit crosses a link in one cycle
+   and the uncontended latency of [n] flits over [h >= 1] hops is
+   [1 + rd + h * (rd + 1) + (n - 1)] with [rd = 1] (flitsim.mli). *)
 
 module D = Noc_graph.Digraph
 module G = Noc_graph.Generators
 module Acg = Noc_core.Acg
 module Syn = Noc_core.Synthesis
-module Net = Noc_sim.Network
+module Engine = Noc_sim.Engine
 module Stats = Noc_sim.Stats
 module Traffic = Noc_sim.Traffic
 module Flit = Noc_sim.Flitsim
@@ -17,108 +21,121 @@ let line_arch () =
   let acg = Acg.uniform ~volume:1 ~bandwidth:0.1 (D.of_edges [ (1, 2); (1, 4); (2, 3) ]) in
   (acg, Syn.mesh ~rows:1 ~cols:4 acg)
 
+let coarse ?policy arch = Flit.create ~config:(Engine.config Engine.Coarse) ?policy arch
+
+let drain net =
+  match Flit.run_until_idle net with
+  | `Idle -> ()
+  | `Deadlock -> Alcotest.fail "deadlock"
+  | `Limit n -> Alcotest.failf "cycle limit with %d pending" n
+
 let test_single_packet_latency () =
   let _, arch = line_arch () in
-  let net = Net.create arch in
-  (* router_delay=1, link_delay=1, 1 flit: src router (1 cycle) + 1 link
-     (1 cycle) + dst router (1 cycle) = delivered at cycle 3 *)
-  let _ = Net.inject net ~src:1 ~dst:2 in
-  (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
-  match Net.deliveries net with
-  | [ { Net.delivered_at; packet } ] ->
-      Alcotest.(check int) "one hop latency" 3 delivered_at;
+  let net = coarse arch in
+  (* NI -> VOQ (cycle 1), router pipeline (1), link (1), downstream
+     pipeline (1), ejection: delivered at cycle 4 *)
+  let _ = Flit.inject net ~src:1 ~dst:2 in
+  drain net;
+  match Flit.deliveries net with
+  | [ { Flit.delivered_at; packet } ] ->
+      Alcotest.(check int) "one hop latency" 4 delivered_at;
       Alcotest.(check int) "injected at 0" 0 packet.Noc_sim.Packet.injected_at
   | ds -> Alcotest.fail (Printf.sprintf "expected 1 delivery, got %d" (List.length ds))
 
 let test_multi_hop_latency () =
   let _, arch = line_arch () in
-  let net = Net.create arch in
-  (* 3 hops: per hop link(1) + router(1), plus source router 1 -> 7 cycles *)
-  let _ = Net.inject net ~src:1 ~dst:4 in
-  (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
-  match Net.deliveries net with
-  | [ { Net.delivered_at; _ } ] -> Alcotest.(check int) "three hops" 7 delivered_at
+  let net = coarse arch in
+  (* 3 hops: per hop router (1) + link (1), plus NI (1) and the
+     destination router (1) -> 8 cycles *)
+  let _ = Flit.inject net ~src:1 ~dst:4 in
+  drain net;
+  match Flit.deliveries net with
+  | [ { Flit.delivered_at; _ } ] -> Alcotest.(check int) "three hops" 8 delivered_at
   | _ -> Alcotest.fail "one delivery expected"
 
 let test_serialization_delay () =
   let _, arch = line_arch () in
-  let net = Net.create arch in
-  (* 4 flits over one hop: tail arrives link_delay + flits - 1 after grant *)
-  let _ = Net.inject ~size_flits:4 net ~src:1 ~dst:2 in
-  (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
-  match Net.deliveries net with
-  | [ { Net.delivered_at; _ } ] -> Alcotest.(check int) "serialized" 6 delivered_at
+  let net = coarse arch in
+  (* 4 flits over one hop: the tail trails the head by 3 link cycles *)
+  let _ = Flit.inject ~size_flits:4 net ~src:1 ~dst:2 in
+  drain net;
+  match Flit.deliveries net with
+  | [ { Flit.delivered_at; _ } ] -> Alcotest.(check int) "serialized" 7 delivered_at
   | _ -> Alcotest.fail "one delivery expected"
 
 let test_contention_serializes () =
   let _, arch = line_arch () in
-  let net = Net.create arch in
-  (* two packets from 1 to 2 compete for channel (1,2): second is delayed
-     by the first's serialization *)
-  let _ = Net.inject net ~src:1 ~dst:2 in
-  let _ = Net.inject net ~src:1 ~dst:2 in
-  (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
-  let ds = Net.deliveries net in
+  let net = coarse arch in
+  (* two packets from 1 to 2 share the source NI and channel (1,2): the
+     second trails the first by one flit cycle *)
+  let _ = Flit.inject net ~src:1 ~dst:2 in
+  let _ = Flit.inject net ~src:1 ~dst:2 in
+  drain net;
+  let ds = Flit.deliveries net in
   Alcotest.(check int) "both delivered" 2 (List.length ds);
-  let times = List.map (fun d -> d.Net.delivered_at) ds |> List.sort compare in
-  Alcotest.(check (list int)) "one cycle apart" [ 3; 4 ] times
+  let times = List.map (fun d -> d.Flit.delivered_at) ds |> List.sort compare in
+  Alcotest.(check (list int)) "one cycle apart" [ 4; 5 ] times
 
 let test_fifo_order_on_channel () =
   let _, arch = line_arch () in
-  let net = Net.create arch in
-  let id1 = Net.inject net ~src:1 ~dst:2 in
-  let id2 = Net.inject net ~src:1 ~dst:2 in
-  (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
-  (match Net.deliveries net with
+  let net = coarse arch in
+  let id1 = Flit.inject net ~src:1 ~dst:2 in
+  let id2 = Flit.inject net ~src:1 ~dst:2 in
+  drain net;
+  match Flit.deliveries net with
   | [ a; b ] ->
       Alcotest.(check int) "first injected first delivered" id1
-        a.Net.packet.Noc_sim.Packet.id;
-      Alcotest.(check int) "second" id2 b.Net.packet.Noc_sim.Packet.id
-  | _ -> Alcotest.fail "two deliveries expected")
+        a.Flit.packet.Noc_sim.Packet.id;
+      Alcotest.(check int) "second" id2 b.Flit.packet.Noc_sim.Packet.id
+  | _ -> Alcotest.fail "two deliveries expected"
 
 let test_inject_no_route () =
   let _, arch = line_arch () in
-  let net = Net.create arch in
-  Alcotest.check_raises "no route" (Invalid_argument "Network.inject: no route 4->1")
-    (fun () -> ignore (Net.inject net ~src:4 ~dst:1))
+  let net = coarse arch in
+  Alcotest.check_raises "no route" (Invalid_argument "Flitsim.inject: no route 4 -> 1")
+    (fun () -> ignore (Flit.inject net ~src:4 ~dst:1))
 
 let test_bad_config () =
   let _, arch = line_arch () in
-  Alcotest.check_raises "bad delays" (Invalid_argument "Network.create: delays must be >= 1")
-    (fun () ->
-      ignore (Net.create ~config:{ Net.router_delay = 0; link_delay = 1; flit_bits = 8 } arch))
+  Alcotest.check_raises "bad router delay"
+    (Invalid_argument "Flitsim.create: router_delay must be >= 1") (fun () ->
+      ignore
+        (Flit.create ~config:{ (Engine.config Engine.Coarse) with router_delay = 0 } arch))
 
 let test_drain_deliveries () =
   let _, arch = line_arch () in
-  let net = Net.create arch in
-  let _ = Net.inject net ~src:1 ~dst:2 in
-  (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
-  Alcotest.(check int) "first drain" 1 (List.length (Net.drain_deliveries net));
-  Alcotest.(check int) "second drain empty" 0 (List.length (Net.drain_deliveries net));
+  let net = coarse arch in
+  let _ = Flit.inject net ~src:1 ~dst:2 in
+  drain net;
+  Alcotest.(check int) "first drain" 1 (List.length (Flit.drain_deliveries net));
+  Alcotest.(check int) "second drain empty" 0 (List.length (Flit.drain_deliveries net));
+  let _ = Flit.inject net ~src:1 ~dst:4 in
+  drain net;
+  (match Flit.drain_deliveries net with
+  | [ d ] -> Alcotest.(check int) "only the new delivery" 4 d.Flit.packet.Noc_sim.Packet.dst
+  | ds -> Alcotest.failf "expected 1 fresh delivery, got %d" (List.length ds));
   (* cumulative list unaffected *)
-  Alcotest.(check int) "deliveries kept" 1 (List.length (Net.deliveries net))
+  Alcotest.(check int) "deliveries kept" 2 (List.length (Flit.deliveries net))
 
 let test_activity_counters () =
   let _, arch = line_arch () in
-  let net = Net.create arch in
-  let _ = Net.inject net ~src:1 ~dst:4 in
-  (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
-  Alcotest.(check int) "3 link traversals" 3 (Net.flit_hops net);
-  let total_switch =
-    D.Vmap.fold (fun _ f acc -> acc + f) (Net.switch_flits net) 0
-  in
-  Alcotest.(check int) "4 router visits" 4 total_switch;
-  let l12 = Option.value ~default:0 (D.Edge_map.find_opt (1, 2) (Net.link_flits net)) in
+  let net = coarse arch in
+  let _ = Flit.inject net ~src:1 ~dst:4 in
+  drain net;
+  Alcotest.(check int) "3 link traversals" 3 (Flit.flit_hops net);
+  let total_switch = D.Vmap.fold (fun _ f acc -> acc + f) (Flit.switch_flits net) 0 in
+  Alcotest.(check int) "3 link sends + 1 ejection" 4 total_switch;
+  let l12 = Option.value ~default:0 (D.Edge_map.find_opt (1, 2) (Flit.link_flits net)) in
   Alcotest.(check int) "link 1-2 carried 1 flit" 1 l12
 
 let test_payload_carried () =
   let _, arch = line_arch () in
-  let net = Net.create arch in
+  let net = coarse arch in
   let payload = Bytes.of_string "x" in
-  let _ = Net.inject ~payload ~tag:42 net ~src:1 ~dst:4 in
-  (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
-  match Net.deliveries net with
-  | [ { Net.packet; _ } ] ->
+  let _ = Flit.inject ~payload ~tag:42 net ~src:1 ~dst:4 in
+  drain net;
+  match Flit.deliveries net with
+  | [ { Flit.packet; _ } ] ->
       Alcotest.(check string) "payload" "x" (Bytes.to_string packet.Noc_sim.Packet.payload);
       Alcotest.(check int) "tag" 42 packet.Noc_sim.Packet.tag
   | _ -> Alcotest.fail "one delivery expected"
@@ -127,11 +144,12 @@ let test_determinism () =
   let acg = Noc_aes.Distributed.acg () in
   let arch = Syn.mesh ~rows:4 ~cols:4 acg in
   let run () =
-    let net = Net.create arch in
+    let net = coarse arch in
     let rng = Prng.create ~seed:3 in
     let flows = Traffic.flows_of_acg ~rate_scale:0.05 acg in
-    let ds = Traffic.run ~rng ~net ~flows ~cycles:500 () in
-    (List.length ds, (Stats.summarize ds).Stats.avg_latency)
+    let verdict = Traffic.run ~rng ~net ~flows ~cycles:500 () in
+    let s = Engine.summary net in
+    (verdict, s.Stats.packets, s.Stats.avg_latency)
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "identical runs" true (a = b)
@@ -143,17 +161,17 @@ let test_summary_empty () =
 
 let test_summary_fields () =
   let _, arch = line_arch () in
-  let net = Net.create arch in
-  let _ = Net.inject net ~src:1 ~dst:2 in
-  let _ = Net.inject net ~src:1 ~dst:4 in
-  (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
-  let s = Stats.summarize (Net.deliveries net) in
+  let net = coarse arch in
+  let _ = Flit.inject net ~src:1 ~dst:2 in
+  let _ = Flit.inject net ~src:1 ~dst:4 in
+  drain net;
+  let s = Engine.summary net in
   Alcotest.(check int) "packets" 2 s.Stats.packets;
-  Alcotest.(check int) "min" 3 s.Stats.min_latency;
-  (* both flows contend for channel (1,2); the 3-hop packet loses one
-     arbitration round: 7 + 1 *)
-  Alcotest.(check int) "max" 8 s.Stats.max_latency;
-  Alcotest.(check (float 1e-9)) "avg" 5.5 s.Stats.avg_latency;
+  Alcotest.(check int) "min" 4 s.Stats.min_latency;
+  (* both packets leave through node 1's NI, one flit per cycle: the
+     3-hop packet enters the fabric a cycle late, 8 + 1 *)
+  Alcotest.(check int) "max" 9 s.Stats.max_latency;
+  Alcotest.(check (float 1e-9)) "avg" 6.5 s.Stats.avg_latency;
   Alcotest.(check (float 1e-9)) "avg hops" 2.0 s.Stats.avg_hops
 
 let test_energy_accounting () =
@@ -161,10 +179,10 @@ let test_energy_accounting () =
   let fp = Noc_energy.Floorplan.grid (Noc_energy.Floorplan.uniform_cores ~n:4 ~size_mm:2.0) in
   let acg = Acg.uniform ~volume:8 ~bandwidth:0.1 (D.of_edges [ (1, 2) ]) in
   let arch = Syn.mesh ~rows:2 ~cols:2 acg in
-  let net = Net.create arch in
-  let _ = Net.inject net ~src:1 ~dst:2 in
-  (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
-  (* one flit of 8 bits: 2 switch visits + one 2mm link *)
+  let net = coarse arch in
+  let _ = Flit.inject net ~src:1 ~dst:2 in
+  drain net;
+  (* one flit of 8 bits: 2 switch traversals + one 2mm link *)
   let expect_dyn =
     (2.0 *. 8.0 *. tech.Noc_energy.Technology.es_bit)
     +. (8.0 *. Noc_energy.Technology.link_energy_per_bit tech ~length_mm:2.0)
@@ -178,13 +196,13 @@ let test_energy_accounting () =
 
 let test_buffer_occupancy_counted () =
   let _, arch = line_arch () in
-  let net = Net.create arch in
+  let net = coarse arch in
   (* heavy contention on channel (1,2) *)
   for _ = 1 to 10 do
-    ignore (Net.inject ~size_flits:4 net ~src:1 ~dst:2)
+    ignore (Flit.inject ~size_flits:4 net ~src:1 ~dst:2)
   done;
-  (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
-  Alcotest.(check bool) "queue occupancy recorded" true (Net.buffer_flit_cycles net > 0)
+  drain net;
+  Alcotest.(check bool) "queue occupancy recorded" true (Flit.buffer_flit_cycles net > 0)
 
 let test_traffic_uniform_when_no_bandwidth () =
   (* zero-bandwidth ACGs fall back to uniform rates *)
@@ -198,7 +216,7 @@ let test_wormhole_empty_summary () =
   let acg = Acg.uniform ~volume:1 ~bandwidth:0.1 (D.of_edges [ (1, 2) ]) in
   let arch = Syn.mesh ~rows:1 ~cols:2 acg in
   let net = Flit.create arch in
-  let s = Flit.summary net in
+  let s = Engine.summary net in
   Alcotest.(check int) "no packets" 0 s.Stats.packets;
   Alcotest.(check bool) "idle immediately" true (Flit.run_until_idle net = `Idle)
 
@@ -214,95 +232,108 @@ let test_traffic_rates () =
 let test_traffic_run_delivers () =
   let acg = Noc_aes.Distributed.acg () in
   let arch = Syn.mesh ~rows:4 ~cols:4 acg in
-  let net = Net.create arch in
+  let net = coarse arch in
   let rng = Prng.create ~seed:7 in
   let flows = Traffic.flows_of_acg ~rate_scale:0.02 acg in
-  let ds = Traffic.run ~rng ~net ~flows ~cycles:1000 () in
-  Alcotest.(check bool) "packets delivered" true (List.length ds > 0);
-  Alcotest.(check int) "none stuck" 0 (Net.pending net)
+  Alcotest.(check bool) "drained" true (Traffic.run ~rng ~net ~flows ~cycles:1000 () = Engine.Idle);
+  Alcotest.(check bool) "packets delivered" true (Flit.deliveries net <> []);
+  Alcotest.(check int) "none stuck" 0 (Flit.pending net)
 
 (* -------------------------------------------------------------------- *)
-(* Routing policies (adaptive / stochastic, the paper's Sec. 6)          *)
+(* Routing policies (stochastic, the paper's Sec. 6)                     *)
 
 let diag_mesh () =
   (* a 2x2 mesh with one corner-to-corner flow: two minimal paths *)
   let acg = Acg.uniform ~volume:1 ~bandwidth:0.1 (D.of_edges [ (1, 4) ]) in
   (acg, Syn.mesh ~rows:2 ~cols:2 acg)
 
-let deliver_all net =
-  match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang"
+let routes_taken net =
+  List.map (fun d -> Array.to_list d.Flit.packet.Noc_sim.Packet.route) (Flit.deliveries net)
 
 let test_fixed_route_taken () =
   let _, arch = diag_mesh () in
-  let net = Net.create arch in
-  let id = Net.inject net ~src:1 ~dst:4 in
-  deliver_all net;
+  let net = coarse arch in
+  let _ = Flit.inject net ~src:1 ~dst:4 in
+  drain net;
   (* XY: column first -> 1, 2, 4 *)
-  Alcotest.(check (option (list int))) "planned path" (Some [ 1; 2; 4 ])
-    (Net.route_taken net id)
+  Alcotest.(check (list (list int))) "planned path" [ [ 1; 2; 4 ] ] (routes_taken net)
 
-let test_adaptive_minimal () =
+let test_oblivious_one_path_per_packet () =
+  (* every flit of a packet follows the path it drew: a packet's flits all
+     cross the same links, so per-link flit counts are multiples of the
+     packet size *)
   let _, arch = diag_mesh () in
-  let net = Net.create ~policy:Net.Adaptive arch in
-  let id = Net.inject net ~src:1 ~dst:4 in
-  deliver_all net;
-  match Net.route_taken net id with
-  | Some path ->
-      Alcotest.(check int) "minimal length" 3 (List.length path);
-      Alcotest.(check int) "starts" 1 (List.hd path);
-      Alcotest.(check int) "ends" 4 (List.nth path 2)
-  | None -> Alcotest.fail "trace recorded"
+  let net = coarse ~policy:(Flit.Oblivious (Prng.create ~seed:5)) arch in
+  for _ = 1 to 6 do
+    ignore (Flit.inject ~size_flits:3 net ~src:1 ~dst:4)
+  done;
+  drain net;
+  D.Edge_map.iter
+    (fun (u, v) n -> Alcotest.(check int) (Printf.sprintf "link %d-%d" u v) 0 (n mod 3))
+    (Flit.link_flits net);
+  Alcotest.(check int) "6 packets x 3 flits x 2 hops" 36 (Flit.flit_hops net)
 
-let test_adaptive_spreads_load () =
-  (* two simultaneous packets on the same corner-to-corner flow: the
-     adaptive policy must send them over the two disjoint minimal paths *)
+let test_oblivious_spreads_load () =
+  (* packets of one corner-to-corner flow draw both minimal paths *)
   let _, arch = diag_mesh () in
-  let net = Net.create ~policy:Net.Adaptive arch in
-  let id1 = Net.inject ~size_flits:4 net ~src:1 ~dst:4 in
-  let id2 = Net.inject ~size_flits:4 net ~src:1 ~dst:4 in
-  deliver_all net;
-  let p1 = Option.get (Net.route_taken net id1) in
-  let p2 = Option.get (Net.route_taken net id2) in
-  Alcotest.(check bool) "disjoint middles" true (List.nth p1 1 <> List.nth p2 1)
+  let net = coarse ~policy:(Flit.Oblivious (Prng.create ~seed:7)) arch in
+  for _ = 1 to 8 do
+    ignore (Flit.inject ~size_flits:4 net ~src:1 ~dst:4)
+  done;
+  drain net;
+  let middles = List.sort_uniq compare (List.map (fun p -> List.nth p 1) (routes_taken net)) in
+  Alcotest.(check (list int)) "both middles used" [ 2; 3 ] middles
 
-let test_adaptive_faster_under_contention () =
+let test_oblivious_faster_under_contention () =
+  (* on byte-serial links a flit holds a link for 4 cycles while the NI
+     injects one a cycle, so a burst on one flow is link-bound: spreading
+     it over both minimal paths drains it sooner than fixed XY *)
   let _, arch = diag_mesh () in
   let run policy =
-    let net = Net.create ~policy arch in
+    let net = Flit.create ~policy arch in
     for _ = 1 to 8 do
-      ignore (Net.inject ~size_flits:4 net ~src:1 ~dst:4)
+      ignore (Flit.inject ~size_flits:4 net ~src:1 ~dst:4)
     done;
-    deliver_all net;
-    Net.now net
+    drain net;
+    Flit.now net
   in
-  Alcotest.(check bool) "adaptive drains faster than fixed" true
-    (run Net.Adaptive < run Net.Fixed)
+  Alcotest.(check bool) "oblivious drains faster than fixed" true
+    (run (Flit.Oblivious (Prng.create ~seed:7)) < run Flit.Fixed)
 
 let test_oblivious_deterministic_and_minimal () =
   let _, arch = diag_mesh () in
   let run seed =
-    let net = Net.create ~policy:(Net.Oblivious (Prng.create ~seed)) arch in
-    let ids = List.init 6 (fun _ -> Net.inject net ~src:1 ~dst:4) in
-    deliver_all net;
-    List.map (fun id -> Option.get (Net.route_taken net id)) ids
+    let net = coarse ~policy:(Flit.Oblivious (Prng.create ~seed)) arch in
+    for _ = 1 to 6 do
+      ignore (Flit.inject net ~src:1 ~dst:4)
+    done;
+    drain net;
+    routes_taken net
   in
   let a = run 3 and b = run 3 in
   Alcotest.(check bool) "same seed same paths" true (a = b);
   List.iter (fun p -> Alcotest.(check int) "minimal" 3 (List.length p)) a
 
-let test_adaptive_on_custom_topology () =
-  (* adaptive routing also works on a synthesized architecture *)
+let test_oblivious_on_custom_topology () =
+  (* oblivious routing also works on a synthesized architecture, given a
+     lane per hop of its longest minimal path *)
   let acg = Noc_aes.Distributed.acg () in
   let d, _ =
     Noc_core.Branch_bound.decompose ~library:(Noc_primitives.Library.default ()) acg
   in
   let arch = Syn.custom acg d in
-  let net = Net.create ~policy:Net.Adaptive arch in
+  let num_vcs = Option.get (Noc_graph.Traversal.diameter arch.Syn.topology) in
+  let net =
+    Flit.create
+      ~config:{ (Engine.config Engine.Coarse) with num_vcs }
+      ~policy:(Flit.Oblivious (Prng.create ~seed:5))
+      arch
+  in
   let flows = Traffic.flows_of_acg ~rate_scale:0.05 acg in
   let rng = Prng.create ~seed:5 in
-  let ds = Traffic.run ~rng ~net ~flows ~cycles:300 () in
-  Alcotest.(check bool) "delivers" true (List.length ds > 0);
-  Alcotest.(check int) "drains" 0 (Net.pending net)
+  Alcotest.(check bool) "drains" true (Traffic.run ~rng ~net ~flows ~cycles:300 () = Engine.Idle);
+  Alcotest.(check bool) "delivers" true (Flit.deliveries net <> []);
+  Alcotest.(check bool) "conservation" true (Flit.conservation_ok net)
 
 (* -------------------------------------------------------------------- *)
 (* Traffic patterns and load sweeps                                      *)
@@ -399,9 +430,9 @@ let test_saturation_skips_zero_delivery_baseline () =
 (* -------------------------------------------------------------------- *)
 (* wormhole switching: the flit engine and its virtual-channel lanes     *)
 
-(* one 8-bit flit per link cycle, as in the coarse engine *)
+(* the Coarse preset: one 8-bit flit per link cycle *)
 let flit_config ?(fifo_depth = 4) num_vcs =
-  { Flit.default_config with Flit.fifo_depth; flit_bits = 8; phit_bits = 8; num_vcs }
+  { (Engine.config Engine.Coarse) with Flit.fifo_depth; num_vcs }
 
 let line_arch_flow h =
   (* a straight 1 x (h+1) mesh carrying the single flow 1 -> h+1 *)
@@ -469,7 +500,8 @@ let test_undrained_sweep_point () =
 let test_wormhole_beats_store_and_forward () =
   (* the whole point of wormhole switching: a multi-flit packet streams
      through the routers, while store-and-forward pays the serialization
-     at every hop *)
+     at every hop: [rd * (h + 1) + n * h] cycles with one flit per link
+     cycle *)
   let h = 4 and n = 6 in
   let arch = line_arch_flow h in
   let whn =
@@ -478,12 +510,8 @@ let test_wormhole_beats_store_and_forward () =
     drain_flit net;
     (List.hd (Flit.deliveries net)).Flit.delivered_at
   in
-  let saf =
-    let net = Net.create arch in
-    let _ = Net.inject ~size_flits:n net ~src:1 ~dst:(h + 1) in
-    (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "drain");
-    (List.hd (Net.deliveries net)).Net.delivered_at
-  in
+  let rd = (flit_config 1).Flit.router_delay in
+  let saf = (rd * (h + 1)) + (n * h) in
   Alcotest.(check bool) "wormhole pipelines" true (whn < saf)
 
 let test_wormhole_link_sharing () =
@@ -531,7 +559,7 @@ let test_wormhole_ring_drains_with_two_vcs () =
       match ring_verdict ~hops:3 ~fifo_depth ~size_flits 2 with
       | `Idle, net ->
           Alcotest.(check int) "all delivered" 4 (List.length (Flit.deliveries net));
-          Alcotest.(check int) "summary agrees" 4 (Flit.summary net).Stats.packets;
+          Alcotest.(check int) "summary agrees" 4 (Engine.summary net).Stats.packets;
           Alcotest.(check bool) "lanes suffice" false (Flit.vc_truncated net)
       | _ -> Alcotest.failf "depth %d: 2 lanes must break the cycle" fifo_depth)
     ring_cases
@@ -560,24 +588,27 @@ let qcheck_wormhole_always_terminates_acyclic =
       done;
       match Flit.run_until_idle net with `Idle -> true | `Deadlock | `Limit _ -> false)
 
-(* Property: in an uncontended network, latency equals the analytic formula
-   router_delay*(h+1) + (link_delay + flits - 1)*h. *)
+(* Property: in an uncontended network, latency equals the documented
+   formula 1 + rd + h*(rd + 1) + (flits - 1) of the one-flit-per-cycle
+   preset, given the credit round trip's buffer depth rd + 2. *)
 let qcheck_uncontended_latency =
   QCheck.Test.make ~name:"uncontended latency matches the pipeline formula" ~count:30
     QCheck.(pair (int_range 1 3) (int_range 1 4))
     (fun (rd, flits) ->
       let acg = Acg.uniform ~volume:1 ~bandwidth:0.1 (D.of_edges [ (1, 4) ]) in
       let arch = Syn.mesh ~rows:1 ~cols:4 acg in
-      let config = { Net.default_config with router_delay = rd } in
-      let net = Net.create ~config arch in
-      let _ = Net.inject ~size_flits:flits net ~src:1 ~dst:4 in
-      match Net.run_until_idle net with
-      | `Limit _ -> false
+      let config =
+        { (Engine.config Engine.Coarse) with router_delay = rd; fifo_depth = rd + 2 }
+      in
+      let net = Flit.create ~config arch in
+      let _ = Flit.inject ~size_flits:flits net ~src:1 ~dst:4 in
+      match Flit.run_until_idle net with
+      | `Deadlock | `Limit _ -> false
       | `Idle -> (
-          match Net.deliveries net with
-          | [ { Net.delivered_at; _ } ] ->
+          match Flit.deliveries net with
+          | [ { Flit.delivered_at; _ } ] ->
               let h = 3 in
-              delivered_at = (rd * (h + 1)) + ((1 + flits - 1) * h)
+              delivered_at = 1 + rd + (h * (rd + 1)) + (flits - 1)
           | _ -> false))
 
 let suite =
@@ -604,13 +635,14 @@ let suite =
       Alcotest.test_case "traffic rates" `Quick test_traffic_rates;
       Alcotest.test_case "traffic run delivers" `Quick test_traffic_run_delivers;
       Alcotest.test_case "fixed: route taken = planned" `Quick test_fixed_route_taken;
-      Alcotest.test_case "adaptive: minimal paths" `Quick test_adaptive_minimal;
-      Alcotest.test_case "adaptive: spreads load" `Quick test_adaptive_spreads_load;
-      Alcotest.test_case "adaptive: faster under contention" `Quick
-        test_adaptive_faster_under_contention;
+      Alcotest.test_case "oblivious: one drawn path per packet" `Quick
+        test_oblivious_one_path_per_packet;
+      Alcotest.test_case "oblivious: spreads load" `Quick test_oblivious_spreads_load;
+      Alcotest.test_case "oblivious: faster under contention" `Quick
+        test_oblivious_faster_under_contention;
       Alcotest.test_case "oblivious: deterministic + minimal" `Quick
         test_oblivious_deterministic_and_minimal;
-      Alcotest.test_case "adaptive on custom topology" `Quick test_adaptive_on_custom_topology;
+      Alcotest.test_case "oblivious on custom topology" `Quick test_oblivious_on_custom_topology;
       Alcotest.test_case "traffic pattern structure" `Quick test_patterns_structure;
       Alcotest.test_case "pattern to acg" `Quick test_pattern_acg;
       Alcotest.test_case "latency vs load sweep" `Quick test_latency_vs_load;
