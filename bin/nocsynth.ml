@@ -63,19 +63,22 @@ let library_arg =
 let acg_file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"ACG" ~doc:"ACG file (see Acg_io format).")
 
-(* A width or budget below 1 (a deadline at or below 0) is a usage error,
-   not an empty or cost-dependent search. *)
-let positive conv ~ok ~what =
+(* A width, budget or count below 1 (a deadline at or below 0) is a usage
+   error, not an empty, clamped or crashing run. *)
+let checked conv ~ok ~what =
   let parse s =
     match Arg.conv_parser conv s with
     | Ok x when ok x -> Ok x
-    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not a positive %s" s what))
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not a %s" s what))
     | Error _ as e -> e
   in
   Arg.conv (parse, Arg.conv_printer conv)
 
-let positive_int = positive Arg.int ~ok:(fun n -> n >= 1) ~what:"integer"
-let positive_float = positive Arg.float ~ok:(fun x -> x > 0.) ~what:"number"
+let positive_int = checked Arg.int ~ok:(fun n -> n >= 1) ~what:"positive integer"
+let positive_float = checked Arg.float ~ok:(fun x -> x > 0.) ~what:"positive number"
+
+(* for counts where 0 has a meaning of its own *)
+let non_negative_int = checked Arg.int ~ok:(fun n -> n >= 0) ~what:"non-negative integer"
 
 let beam_arg =
   Arg.(
@@ -95,21 +98,13 @@ let node_budget_arg =
 
 let domains_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:"Worker domains for the branch-and-bound search (1 = sequential). Domains \
               run a work-stealing deque scheduler with a shared incumbent bound; \
               completed searches return results identical to the sequential search. \
               Clamped to the machine's recommended domain count \
               (override: \\$NOCSYNTH_MAX_DOMAINS).")
-
-let portfolio_flag =
-  Arg.(
-    value & flag
-    & info [ "portfolio" ]
-        ~doc:"Race one search instance per branch ordering (canonical, coverage-first, \
-              ratio-first), splitting the domains across them; the returned \
-              decomposition is the best incumbent across instances.")
 
 let fallback_flag =
   Arg.(
@@ -157,10 +152,7 @@ let warn_anytime (st : Bb.stats) =
     | None -> Logs.warn (fun k -> k "search budget exhausted; best incumbent shown"));
     if st.Bb.fallback_used then
       Logs.info (fun k -> k "greedy anytime fallback supplied the result")
-  end;
-  match st.Bb.winner with
-  | Some w -> Logs.info (fun k -> k "portfolio winner: %s ordering" w)
-  | None -> ()
+  end
 
 (* --timeout, --max-nodes and --domains *)
 let budget_term =
@@ -180,7 +172,7 @@ type search = {
 }
 
 let search_term =
-  let make library cost tech beam budget portfolio fallback =
+  let make library cost tech beam budget fallback =
     let options acg =
       {
         Bb.default_options with
@@ -189,15 +181,13 @@ let search_term =
           | `Edge -> Noc_core.Cost.Edge_count
           | `Energy -> Noc_core.Cost.Energy { tech; fp = Acg.grid_floorplan acg });
         max_matches_per_step = beam;
-        portfolio;
         fallback;
       }
     in
     { library; budget; tech; options }
   in
   Term.(
-    const make $ library_arg $ cost_arg $ tech_arg $ beam_arg $ budget_term $ portfolio_flag
-    $ fallback_flag)
+    const make $ library_arg $ cost_arg $ tech_arg $ beam_arg $ budget_term $ fallback_flag)
 
 (* --trace and --metrics.  With --metrics, stdout is reserved for the JSON
    that [finish] prints, so [say] moves human output to stderr. *)
@@ -258,7 +248,7 @@ let generate_cmd =
     let kind_enum = Arg.enum [ ("tgff", `Tgff); ("random", `Random) ] in
     Arg.(value & opt kind_enum `Random & info [ "kind" ] ~docv:"KIND" ~doc:"tgff or random.")
   in
-  let nodes = Arg.(value & opt int 12 & info [ "nodes" ] ~docv:"N" ~doc:"Vertex count.") in
+  let nodes = Arg.(value & opt positive_int 12 & info [ "nodes" ] ~docv:"N" ~doc:"Vertex count.") in
   let density =
     Arg.(value & opt float 0.2 & info [ "density" ] ~docv:"P" ~doc:"Edge probability (random).")
   in
@@ -398,7 +388,7 @@ let simulate_cmd =
           ~doc:"Mesh columns (default: the near-square grid over the largest core id).")
   in
   let cycles =
-    Arg.(value & opt int 2000 & info [ "cycles" ] ~docv:"N" ~doc:"Injection cycles.")
+    Arg.(value & opt positive_int 2000 & info [ "cycles" ] ~docv:"N" ~doc:"Injection cycles.")
   in
   let rate =
     Arg.(value & opt float 0.05 & info [ "rate" ] ~docv:"P" ~doc:"Peak injection rate per flow.")
@@ -572,7 +562,7 @@ let simulate_cmd =
 
 let codesign_cmd =
   let rounds =
-    Arg.(value & opt int 4 & info [ "rounds" ] ~docv:"N" ~doc:"Co-design rounds.")
+    Arg.(value & opt positive_int 4 & info [ "rounds" ] ~docv:"N" ~doc:"Co-design rounds.")
   in
   let run file library tech rounds seed =
     let acg = load_acg file in
@@ -642,7 +632,7 @@ module Fz = Noc_oracle.Fuzz
 
 let fuzz_cmd =
   let cases_arg =
-    Arg.(value & opt int 200 & info [ "cases" ] ~docv:"N" ~doc:"Random ACG cases to run.")
+    Arg.(value & opt positive_int 200 & info [ "cases" ] ~docv:"N" ~doc:"Random ACG cases to run.")
   in
   let smoke_flag =
     Arg.(
@@ -964,7 +954,7 @@ let explore_cmd =
   in
   let points_arg =
     Arg.(
-      value & opt int 64
+      value & opt non_negative_int 64
       & info [ "points" ] ~docv:"N"
           ~doc:"Design points evaluated per scenario (0 = the whole space).")
   in
@@ -1021,7 +1011,7 @@ let explore_cmd =
   let run picked points seed domains library o out baseline =
     (* worker count, like everywhere else, respects the machine clamp; the
        front does not depend on it, only wall-clock does *)
-    let domains = max 1 (min domains (Bb.domain_cap ())) in
+    let domains = min domains (Bb.domain_cap ()) in
     o.say "%-22s %6s %7s %6s %14s" "scenario" "space" "points" "front" "hypervolume";
     let results =
       List.map
@@ -1103,7 +1093,7 @@ let explore_cmd =
 let serve_cmd =
   let replay_arg =
     Arg.(
-      value & opt (some int) None
+      value & opt (some positive_int) None
       & info [ "replay" ] ~docv:"N"
           ~doc:
             "Load-test mode: replay 3*N requests (per base ACG one fresh request, one \
@@ -1118,7 +1108,7 @@ let serve_cmd =
   in
   let cache_arg =
     Arg.(
-      value & opt int 1024
+      value & opt non_negative_int 1024
       & info [ "cache-capacity" ] ~docv:"N" ~doc:"Result-cache capacity (LRU entries).")
   in
   let assert_hit_arg =
@@ -1131,7 +1121,7 @@ let serve_cmd =
   in
   let chaos_arg =
     Arg.(
-      value & opt (some int) None
+      value & opt (some positive_int) None
       & info [ "chaos" ] ~docv:"N"
           ~doc:
             "Chaos mode: drive N seeded adversarial requests (malformed inputs, \
@@ -1142,7 +1132,7 @@ let serve_cmd =
   in
   let max_inflight_arg =
     Arg.(
-      value & opt int Serve.Daemon.default_config.Serve.Daemon.max_inflight
+      value & opt positive_int Serve.Daemon.default_config.Serve.Daemon.max_inflight
       & info [ "max-inflight" ] ~docv:"N"
           ~doc:
             "Admission bound: batch requests beyond the first N are shed with a typed \
@@ -1150,7 +1140,7 @@ let serve_cmd =
   in
   let max_cores_arg =
     Arg.(
-      value & opt int Serve.Daemon.default_config.Serve.Daemon.max_cores
+      value & opt positive_int Serve.Daemon.default_config.Serve.Daemon.max_cores
       & info [ "max-cores" ] ~docv:"N"
           ~doc:
             "Input-size guard: ACGs with more than N cores are rejected with a typed \

@@ -11,41 +11,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type neutral_strategy = Branch | Greedy
 
-type ordering = Canonical | Coverage_first | Ratio_first
-
-let all_orderings = [ Canonical; Coverage_first; Ratio_first ]
-
-let ordering_name = function
-  | Canonical -> "canonical"
-  | Coverage_first -> "coverage-first"
-  | Ratio_first -> "ratio-first"
-
-let ordering_of_string = function
-  | "canonical" -> Some Canonical
-  | "coverage-first" -> Some Coverage_first
-  | "ratio-first" -> Some Ratio_first
-  | _ -> None
-
-(* Reorder the branchable entries for one search instance.  Only the
-   iteration order at each node changes: the [min_id] multiset dedup below
-   filters on entry ids, which is order-independent, so every ordering
-   searches exactly the same space. *)
-let order_entries ordering entries =
-  match ordering with
-  | Canonical -> entries
-  | Coverage_first ->
-      List.stable_sort
-        (fun a b ->
-          Int.compare (P.repr_edge_count b.L.prim) (P.repr_edge_count a.L.prim))
-        entries
-  | Ratio_first ->
-      let ratio e =
-        let covered = float_of_int (P.repr_edge_count e.L.prim) in
-        if covered <= 0. then infinity
-        else float_of_int (P.impl_link_count e.L.prim) /. covered
-      in
-      List.stable_sort (fun a b -> Float.compare (ratio a) (ratio b)) entries
-
 module Budget = struct
   type t = { timeout_s : float option; max_nodes : int; domains : int }
 
@@ -79,8 +44,6 @@ type options = {
   constraints : Constraints.t option;
   max_matches_per_step : int;
   neutrals : neutral_strategy;
-  ordering : ordering;
-  portfolio : bool;
   fallback : bool;
 }
 
@@ -90,8 +53,6 @@ let default_options =
     constraints = None;
     max_matches_per_step = 1;
     neutrals = Greedy;
-    ordering = Canonical;
-    portfolio = false;
     fallback = false;
   }
 
@@ -147,7 +108,6 @@ type stats = {
   constraints_met : bool;
   fallback_used : bool;
   gap_pct : float option;
-  winner : string option;
   per_primitive : (string * prim_stats) list;
   vf2 : vf2_stats;
 }
@@ -170,10 +130,6 @@ let stats_to_json st =
       ( "gap_pct",
         match st.gap_pct with
         | Some g -> Obs.Json.Float g
-        | None -> Obs.Json.Null );
-      ( "winner",
-        match st.winner with
-        | Some w -> Obs.Json.Str w
         | None -> Obs.Json.Null );
       ( "vf2",
         Obs.Json.Obj
@@ -205,8 +161,8 @@ type inc_tables = {
 }
 
 (* Everything the search shares across workers: immutable configuration,
-   the frozen ACG, plus the cross-worker atomics — the node budget, the
-   incumbent cost used for global pruning, and the task/steal tallies. *)
+   the frozen ACG, plus the cross-worker atomics — the node budget and the
+   incumbent cost used for global pruning. *)
 type env = {
   opts : options;
   budget : Budget.t;
@@ -220,8 +176,6 @@ type env = {
   mono_deadline : Timer.Deadline.t;
   nodes : int Atomic.t;
   shared_best : float Atomic.t;
-  task_count : int Atomic.t;
-  steal_count : int Atomic.t;
   obs : Obs.t;
   instr : Noc_graph.Vf2.Instr.t option;  (** present iff [obs] is enabled *)
   prim_slots : int;  (** 1 + max library entry id, for per-primitive arrays *)
@@ -265,7 +219,6 @@ type wctx = {
   mutable best_decomp : Decomposition.t option;
   mutable best_path : int list;  (** reversed leaf path of the incumbent *)
   mutable spawn : (task -> unit) option;  (** work-stealing push, when parallel *)
-  mutable spawn_depth : int;  (** branches above this depth become tasks *)
   mutable matches_tried : int;
   mutable leaves : int;
   mutable pruned : int;
@@ -282,7 +235,6 @@ let mk_ctx env =
     best_decomp = None;
     best_path = [];
     spawn = None;
-    spawn_depth = 0;
     matches_tried = 0;
     leaves = 0;
     pruned = 0;
@@ -519,6 +471,11 @@ let eval_leaf ctx pass matchings_rev cost_so_far ~path_rev =
     accept ctx (List.rev_append (List.map fst pass.steps) matchings_rev) pass.rest total
       ~path_rev
 
+(* In the work-stealing search, branches above this depth become
+   stealable tasks; below it a worker recurses inline.  Depth-only
+   (deterministic) by design — see [run_work_stealing]. *)
+let spawn_depth = 3
+
 (* [min_id]: only primitives with id >= min_id may be matched below this
    node.  Decompositions are multisets of matchings, so exploring them in
    non-decreasing library order visits each multiset once instead of once
@@ -579,7 +536,7 @@ let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
                 if bound < ctx.best && bound <= Atomic.get env.shared_best then begin
                   let pass' = pass_suffix pass matching.Matching.covered in
                   match ctx.spawn with
-                  | Some push when depth < ctx.spawn_depth ->
+                  | Some push when depth < spawn_depth ->
                       push
                         {
                           t_view = view';
@@ -611,192 +568,80 @@ let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
   end
 
 (* ------------------------------------------------------------------ *)
-(* Work-stealing scheduler.
+(* Work-stealing search.
 
-   Each worker owns a deque ({!Ws.Deque}, shared with the exploration
-   driver) of open subproblems: it pushes and pops at the bottom
-   (depth-first, keeping the hot view overlays cache-local) while idle
-   workers steal from the top (breadth-first, stealing the biggest
-   subtrees).  [explore] turns a branch into a task instead of recursing
-   while the node is shallower than [spawn_depth] — a deterministic,
-   depth-only policy, so the set of tasks (and hence the searched tree
-   shape) does not depend on queue occupancy or timing.
+   The root is one task on the {!Ws.run} pool.  [explore] turns a branch
+   into a new task instead of recursing while the node is shallower than
+   [spawn_depth] — a deterministic, depth-only policy, so the set of tasks
+   (and hence the searched tree shape) does not depend on queue occupancy
+   or timing.  Each worker keeps its own context and result list; the
+   incumbent cell is reset at every task, so a task's result is a pure
+   function of the task, not of scheduling. *)
 
-   Termination: [pending] counts spawned-but-unfinished tasks.  A spawn
-   increments it before the push; a worker decrements it only after the
-   task's subtree is fully explored and its result recorded.  Workers spin
-   (with a micro-sleep once the machine is clearly oversubscribed) until
-   [pending] drops to zero, at which point no task exists or can appear.
-   (Ws.map's simpler exit rule does not apply here: search tasks spawn
-   subtasks, so empty deques alone do not mean the tree is exhausted.) *)
-
-module Deque = Ws.Deque
-
-(* Branches above this depth become stealable tasks; below it a worker
-   recurses inline.  Depth-only (deterministic) by design — see above. *)
-let spawn_depth_for _domains = 3
-
-let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 =
-  let n_dom = domains in
-  let deques = Array.init n_dom (fun _ -> Deque.create ()) in
-  let pending = Atomic.make 0 in
-  let results = Array.make n_dom [] in
-  let ctxs = Array.make n_dom None in
-  let busy_s = Array.make n_dom 0.0 in
-  let idle_s = Array.make n_dom 0.0 in
-  Atomic.incr pending;
-  ignore (Atomic.fetch_and_add env.task_count 1);
-  Deque.push_bottom deques.(0)
-    {
-      t_view = root_view;
-      t_matchings = [];
-      t_cost = 0.0;
-      t_min_id = 0;
-      t_rem_c = rem0;
-      t_lb_c = lb0;
-      t_path_rev = [];
-      t_depth = 0;
-      t_pass = None;
-    };
-  let worker slot () =
-    let t_begin = Timer.now_mono_s () in
-    let busy = ref 0.0 in
-    let ctx = mk_ctx env in
-    ctx.spawn_depth <- spawn_depth_for n_dom;
-    ctxs.(slot) <- Some ctx;
-    let my = deques.(slot) in
-    ctx.spawn <-
-      Some
-        (fun t ->
-          Atomic.incr pending;
-          ignore (Atomic.fetch_and_add env.task_count 1);
-          Deque.push_bottom my t);
-    let try_steal () =
-      let stolen = ref None in
-      let k = ref 1 in
-      while Option.is_none !stolen && !k < n_dom do
-        (match Deque.steal_top deques.((slot + !k) mod n_dom) with
-        | Some t ->
-            ignore (Atomic.fetch_and_add env.steal_count 1);
-            stolen := Some t
-        | None -> ());
-        incr k
-      done;
-      !stolen
-    in
-    let rec obtain spins =
-      match Deque.pop_bottom my with
-      | Some t -> Some t
-      | None -> (
-          match try_steal () with
-          | Some t -> Some t
-          | None ->
-              if Atomic.get pending = 0 then None
-              else begin
-                (* back off: spin briefly, then yield the hardware thread —
-                   on an oversubscribed machine a spinning thief would
-                   starve the one worker that has the work *)
-                if spins < 64 then Domain.cpu_relax () else Unix.sleepf 0.0002;
-                obtain (spins + 1)
-              end)
-    in
-    let continue = ref true in
-    while !continue do
-      match obtain 0 with
-      | None -> continue := false
-      | Some t ->
-          let t0 = Timer.now_mono_s () in
-          ctx.best <- infinity;
-          ctx.best_decomp <- None;
-          ctx.best_path <- [];
-          explore ctx t.t_view t.t_matchings t.t_cost t.t_min_id
-            ~rem_c:t.t_rem_c ~lb_c:t.t_lb_c ~path_rev:t.t_path_rev
-            ~depth:t.t_depth ~pass:t.t_pass;
-          (match ctx.best_decomp with
-          | Some d ->
-              results.(slot) <-
-                (ctx.best, rank, List.rev ctx.best_path, d) :: results.(slot)
-          | None -> ());
-          busy := !busy +. (Timer.now_mono_s () -. t0);
-          ignore (Atomic.fetch_and_add pending (-1))
-    done;
-    busy_s.(slot) <- !busy;
-    idle_s.(slot) <- Timer.now_mono_s () -. t_begin -. !busy
+let run_work_stealing env root ~domains =
+  let ctxs = Array.init domains (fun _ -> mk_ctx env) in
+  let results = Array.make domains [] in
+  let ws =
+    Ws.run ~observe:env.obs ~domains [| root |] (fun ~slot ~spawn t ->
+        let ctx = ctxs.(slot) in
+        ctx.spawn <- Some spawn;
+        ctx.best <- infinity;
+        ctx.best_decomp <- None;
+        ctx.best_path <- [];
+        explore ctx t.t_view t.t_matchings t.t_cost t.t_min_id ~rem_c:t.t_rem_c
+          ~lb_c:t.t_lb_c ~path_rev:t.t_path_rev ~depth:t.t_depth ~pass:t.t_pass;
+        Option.iter
+          (fun d -> results.(slot) <- (ctx.best, List.rev ctx.best_path, d) :: results.(slot))
+          ctx.best_decomp)
   in
-  let run_worker slot () =
-    if Obs.enabled env.obs then
-      Obs.span env.obs ~cat:"search" (Printf.sprintf "worker %d" slot) (fun () ->
-          worker slot ())
-    else worker slot ()
-  in
-  let doms = Array.init (n_dom - 1) (fun k -> Domain.spawn (run_worker (k + 1))) in
-  run_worker 0 ();
-  Array.iter Domain.join doms;
   (* per-domain utilization for the observer *)
   if Obs.enabled env.obs then begin
-    Obs.Gauge.set (Obs.gauge env.obs "search.domains") (float_of_int n_dom);
-    for k = 0 to n_dom - 1 do
+    Obs.Gauge.set (Obs.gauge env.obs "search.domains") (float_of_int domains);
+    for k = 0 to domains - 1 do
       Obs.Gauge.set
         (Obs.gauge env.obs (Printf.sprintf "search.domain.%d.busy_s" k))
-        busy_s.(k);
+        ws.Ws.busy_s.(k);
       Obs.Gauge.set
         (Obs.gauge env.obs (Printf.sprintf "search.domain.%d.idle_s" k))
-        idle_s.(k)
+        ws.Ws.idle_s.(k)
     done
   end;
-  let all_results = Array.to_list results |> List.concat in
-  let all_ctxs = Array.to_list ctxs |> List.filter_map Fun.id in
-  (all_results, all_ctxs)
+  (List.concat (Array.to_list results), Array.to_list ctxs, ws.Ws.tasks, ws.Ws.steals)
 
-(* One search instance: sequential when it has a single domain (the exact
-   seed engine — one incumbent cell, no task machinery), work-stealing
-   otherwise. *)
-let run_search env root_view ~domains ~rank =
+(* The search: sequential when it has a single domain (the exact seed
+   engine — one incumbent cell, no task machinery), work-stealing
+   otherwise.  Returns the recorded incumbents, the worker contexts, and
+   the task and steal counts. *)
+let run_search env root_view ~domains =
   let rem0 = Cost.remainder_cost_view env.opts.cost env.acg root_view in
   let lb0 =
     Cost.lower_bound_view env.opts.cost env.acg ~min_link_ratio:env.min_ratio
       root_view
   in
   if domains <= 1 then begin
-    ignore (Atomic.fetch_and_add env.task_count 1);
     let ctx = mk_ctx env in
     explore ctx root_view [] 0.0 0 ~rem_c:rem0 ~lb_c:lb0 ~path_rev:[] ~depth:0
       ~pass:None;
     let res =
       match ctx.best_decomp with
-      | Some d -> [ (ctx.best, rank, List.rev ctx.best_path, d) ]
+      | Some d -> [ (ctx.best, List.rev ctx.best_path, d) ]
       | None -> []
     in
-    (res, [ ctx ])
+    (res, [ ctx ], 1, 0)
   end
-  else run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0
-
-(* Portfolio: race one instance per branch ordering over a split of the
-   domain budget.  All instances share the node budget, the incumbent bound
-   (so any instance's incumbent prunes every other) and the deadline; the
-   reduction prefers the lowest cost, ties to the lowest instance index —
-   instance 0 is the canonical ordering, so a completed portfolio search
-   reports the same cost as the plain engine. *)
-let run_portfolio env root_view ~domains =
-  let insts = Array.of_list all_orderings in
-  let n = Array.length insts in
-  let doms = Array.make n 1 in
-  if domains >= n then begin
-    let base = domains / n and extra = domains mod n in
-    for k = 0 to n - 1 do
-      doms.(k) <- base + (if k < extra then 1 else 0)
-    done
-  end;
-  let run k () =
-    let env_k = { env with branchable = order_entries insts.(k) env.branchable } in
-    run_search env_k root_view ~domains:doms.(k) ~rank:k
-  in
-  let handles = Array.init (n - 1) (fun j -> Domain.spawn (run (j + 1))) in
-  let r0 = run 0 () in
-  let rest = Array.map Domain.join handles in
-  Array.fold_left
-    (fun (res, ctxs) (r, c) -> (res @ r, ctxs @ c))
-    r0 rest
+  else
+    run_work_stealing env ~domains
+      {
+        t_view = root_view;
+        t_matchings = [];
+        t_cost = 0.0;
+        t_min_id = 0;
+        t_rem_c = rem0;
+        t_lb_c = lb0;
+        t_path_rev = [];
+        t_depth = 0;
+        t_pass = None;
+      }
 
 (* ------------------------------------------------------------------ *)
 
@@ -810,28 +655,22 @@ let rec path_lt p q =
   | a :: p', b :: q' -> a < b || (a = b && path_lt p' q')
 
 (* Deterministic reduction over every recorded incumbent: minimum cost,
-   ties to the lowest instance rank, then to the depth-first-smallest leaf
-   path.  Equal to the sequential engine's pick whenever the search ran to
-   completion. *)
+   ties to the depth-first-smallest leaf path.  Equal to the sequential
+   engine's pick whenever the search ran to completion. *)
 let reduce_results results =
   List.fold_left
-    (fun best ((c, r, p, _) as cand) ->
+    (fun best ((c, p, _) as cand) ->
       match best with
       | None -> Some cand
-      | Some (bc, br, bp, _) ->
-          if c < bc || (c = bc && (r < br || (r = br && path_lt p bp))) then
-            Some cand
-          else best)
+      | Some (bc, bp, _) -> if c < bc || (c = bc && path_lt p bp) then Some cand else best)
     None results
 
 (* Anytime fallback: the deterministic greedy completion from the root,
    checked against the constraints, published as the initial incumbent.
    It bounds the search from the first node, and if the budget dies before
    the search finds anything better the caller still gets a feasible
-   decomposition.  Ranked after every search instance, so it only wins
+   decomposition.  Ranked after every search incumbent, so it only wins
    when the search found nothing at least as good. *)
-let fallback_rank = max_int
-
 let fallback_seed env root_view =
   (* the seed honours the deadline too: truncation only enlarges the
      remainder (realized as dedicated links), so the result stays a valid
@@ -858,7 +697,7 @@ let fallback_seed env root_view =
     cas_min env.shared_best total;
     if Obs.enabled env.obs then
       Obs.instant env.obs "fallback-seed" ~args:[ ("cost", Obs.Json.Float total) ];
-    Some (total, fallback_rank, [], d)
+    Some (total, d)
   end
   else None
 
@@ -875,9 +714,6 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~li
     match opts.neutrals with
     | Branch -> library
     | Greedy -> List.filter is_saver library
-  in
-  let branchable =
-    if opts.portfolio then branchable else order_entries opts.ordering branchable
   in
   let compiled, frozen =
     Obs.span observe ~cat:"setup" "compile-library" (fun () ->
@@ -926,8 +762,6 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~li
       mono_deadline;
       nodes = Atomic.make 0;
       shared_best = Atomic.make infinity;
-      task_count = Atomic.make 0;
-      steal_count = Atomic.make 0;
       obs = observe;
       instr;
       prim_slots = 1 + List.fold_left (fun m e -> max m e.L.id) 0 library;
@@ -943,27 +777,18 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~li
           fallback_seed env root_view)
     else None
   in
-  let search_results, workers =
+  let search_results, workers, tasks, steals =
     Obs.span observe ~cat:"search" "branch-and-bound"
-      ~args:
-        [
-          ("domains", Obs.Json.Int budget.Budget.domains);
-          ("portfolio", Obs.Json.Bool opts.portfolio);
-        ]
-      (fun () ->
-        if opts.portfolio then
-          run_portfolio env root_view ~domains:budget.Budget.domains
-        else run_search env root_view ~domains:budget.Budget.domains ~rank:0)
+      ~args:[ ("domains", Obs.Json.Int budget.Budget.domains) ]
+      (fun () -> run_search env root_view ~domains:budget.Budget.domains)
   in
   let elapsed = Timer.now_mono_s () -. t0 in
-  let all_results =
-    match seed with Some s -> s :: search_results | None -> search_results
-  in
-  let reduced = reduce_results all_results in
-  let decomp, best_cost, met, fallback_used, win_rank =
-    match reduced with
-    | Some (c, r, _, d) -> (d, c, true, r = fallback_rank, r)
-    | None ->
+  let decomp, best_cost, met, fallback_used =
+    match (reduce_results search_results, seed) with
+    | Some (c, _, d), Some (sc, _) when c <= sc -> (d, c, true, false)
+    | _, Some (sc, sd) -> (sd, sc, true, true)
+    | Some (c, _, d), None -> (d, c, true, false)
+    | None, None ->
         (* no complete decomposition was accepted (constraints rejected
            them all, or the budget ran out before the first leaf): fall
            back to the all-remainder decomposition so the caller still gets
@@ -976,12 +801,7 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~li
           | Some c ->
               Constraints.satisfied c acg (Synthesis.of_decomposition acg d)
         in
-        (d, Cost.remainder_cost opts.cost acg (Acg.graph acg), met, false, -1)
-  in
-  let winner =
-    if opts.portfolio && win_rank >= 0 && win_rank < List.length all_orderings
-    then Some (ordering_name (List.nth all_orderings win_rank))
-    else None
+        (d, Cost.remainder_cost opts.cost acg (Acg.graph acg), met, false)
   in
   let sum f = List.fold_left (fun acc w -> acc + f w) 0 workers in
   let timed_out = List.exists (fun w -> w.timed_out) workers in
@@ -1013,15 +833,14 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~li
       leaves = sum (fun w -> w.leaves);
       pruned = sum (fun w -> w.pruned);
       incumbents = sum (fun w -> w.incumbents);
-      tasks = Atomic.get env.task_count;
-      steals = Atomic.get env.steal_count;
+      tasks;
+      steals;
       elapsed_s = elapsed;
       timed_out;
       best_cost;
       constraints_met = met;
       fallback_used;
       gap_pct;
-      winner;
       per_primitive;
       vf2 =
         (match instr with

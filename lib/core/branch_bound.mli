@@ -30,23 +30,6 @@ type neutral_strategy =
           deterministic greedy pass at each leaf.  Same optimal cost, same
           style of listing, dramatically smaller search tree. *)
 
-(** Heuristic branch orderings: the order library entries are tried at
-    every node.  Only the iteration order changes — the canonical multiset
-    dedup filters on entry ids, so every ordering explores the same search
-    space and a completed search reports the same minimal cost; what moves
-    is how quickly a good incumbent is found, which is what the portfolio
-    races. *)
-type ordering =
-  | Canonical  (** library order (the seed engine's order) *)
-  | Coverage_first  (** most covered edges first — big savers early *)
-  | Ratio_first  (** best links-per-covered-edge ratio first *)
-
-val all_orderings : ordering list
-(** The portfolio, in rank order: [Canonical] first. *)
-
-val ordering_name : ordering -> string
-val ordering_of_string : string -> ordering option
-
 (** The search budget: every resource limit of one [decompose] call in a
     single record.
 
@@ -59,7 +42,7 @@ module Budget : sig
   type t = {
     timeout_s : float option;  (** wall-clock budget for the whole search *)
     max_nodes : int;  (** search-tree node budget (backstop) *)
-    domains : int;  (** OCaml 5 domains fanned over root branches *)
+    domains : int;  (** OCaml 5 domains running the search *)
   }
 
   val default : t
@@ -98,16 +81,6 @@ type options = {
           matching's cost (which pairs ride multi-hop routes), so each set
           is represented by its cheapest role assignment *)
   neutrals : neutral_strategy;  (** default [Greedy] *)
-  ordering : ordering;
-      (** branch ordering for a single-instance search (default
-          [Canonical]); ignored when [portfolio] is set *)
-  portfolio : bool;
-      (** race one search instance per {!all_orderings} element, splitting
-          [Budget.domains] across them (each instance gets at least one
-          domain, so with fewer domains than orderings the machine is
-          oversubscribed); all instances share the node budget and the
-          incumbent bound, and the reduction prefers the lowest cost with
-          ties to the canonical instance (default false) *)
   fallback : bool;
       (** before searching, run the deterministic greedy completion from
           the root and publish it as the initial incumbent: it prunes from
@@ -118,8 +91,7 @@ type options = {
 
 val default_options : options
 (** [Edge_count] cost, no constraints, one match per primitive per step,
-    [Greedy] neutrals, the [Canonical] ordering, no portfolio and no
-    fallback.  Resource limits live in {!Budget.t}.
+    [Greedy] neutrals and no fallback.  Resource limits live in {!Budget.t}.
 
     The search always also considers stopping the decomposition at inner
     nodes (leaving a matchable graph as remainder).  This strictly
@@ -163,9 +135,6 @@ type stats = {
       (** only on a timed-out search: the reported cost's distance above
           the root admissible lower bound, in percent — an upper bound on
           the true optimality gap.  [None] when the search completed. *)
-  winner : string option;
-      (** portfolio mode: {!ordering_name} of the instance whose incumbent
-          was returned; [None] otherwise *)
   per_primitive : (string * prim_stats) list;
       (** match attempts/hits per library primitive, in library order *)
   vf2 : vf2_stats;
@@ -204,8 +173,8 @@ val decompose :
     {!resolve_budget}.
 
     [observe] (default {!Noc_obs.Obs.disabled}) attaches an observer:
-    setup and search phases become trace spans, each root branch of the
-    parallel driver becomes a span on its worker's domain, every greedy
+    setup and search phases become trace spans, each worker of the
+    parallel search becomes a span on its own domain, every greedy
     leaf pass the search computes becomes a [greedy-pass] span (none for a
     pass a child inherits from its parent), every accepted incumbent emits
     an instant event, and the final counters
@@ -216,17 +185,18 @@ val decompose :
     existed — the differential tests assert bit-identical decompositions,
     costs and listings either way.
 
-    With [Budget.domains > 1] the search runs on a work-stealing deque
-    scheduler: every worker owns a deque of open subproblems, pushes
-    branches shallower than a fixed spawn depth as stealable tasks
-    (deterministically — the task set never depends on timing), pops its
-    own deque depth-first and steals from other workers' tops when idle.
+    With [Budget.domains > 1] the search runs on the {!Ws.run} pool: the
+    root is one task, every worker pushes branches shallower than a fixed
+    spawn depth as stealable tasks onto its own deque (deterministically —
+    the task set never depends on timing), pops its own deque depth-first
+    and steals from other workers' tops when idle.
     Workers share the incumbent cost through an atomic and cut a subtree
     on the shared bound only when its admissible lower bound is
     {e strictly} above it, so no subtree that could attain the global
     minimum is ever lost to scheduling.  Every task carries its root-path
-    (child indices), and the reduction minimizes (cost, instance rank,
-    depth-first path), so the returned decomposition and [best_cost] are
+    (child indices), and the reduction minimizes (cost, depth-first path)
+    over the search incumbents, ranking the fallback seed after all of
+    them, so the returned decomposition and [best_cost] are
     identical to the sequential run's — independent of steal order —
     whenever the search completes within its budget.  This holds with
     constraints too: {!Constraints.check} is a pure function of the

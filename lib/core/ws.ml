@@ -1,3 +1,8 @@
+(* A mutex-protected double-ended work queue.  [push_bottom]/[pop_bottom]
+   are the owner's LIFO end; [steal_top] is the thieves' FIFO end.  The
+   mutex is uncontended in the common case (one owner, occasional
+   thieves), which keeps the implementation obviously correct without a
+   lock-free protocol. *)
 module Deque = struct
   type 'a t = {
     mutex : Mutex.t;
@@ -54,59 +59,110 @@ module Deque = struct
     r
 end
 
-type stats = { workers : int; steals : int }
+module Obs = Noc_obs.Obs
+module Timer = Noc_util.Timer
+
+type stats = {
+  workers : int;
+  tasks : int;
+  steals : int;
+  busy_s : float array;
+  idle_s : float array;
+}
+
+let run ?(observe = Obs.disabled) ~domains tasks f =
+  let n_dom = max 1 domains in
+  let deques = Array.init n_dom (fun _ -> Deque.create ()) in
+  (* deal highest first, so each owner pops its own share in array order
+     (pop_bottom is LIFO) *)
+  for i = Array.length tasks - 1 downto 0 do
+    Deque.push_bottom deques.(i mod n_dom) tasks.(i)
+  done;
+  let pending = Atomic.make (Array.length tasks) in
+  let task_count = Atomic.make (Array.length tasks) in
+  let steal_count = Atomic.make 0 in
+  let first_exn = Atomic.make None in
+  let busy_s = Array.make n_dom 0.0 in
+  let idle_s = Array.make n_dom 0.0 in
+  let worker slot () =
+    let t_begin = Timer.now_mono_s () in
+    let busy = ref 0.0 in
+    let my = deques.(slot) in
+    let spawn t =
+      Atomic.incr pending;
+      Atomic.incr task_count;
+      Deque.push_bottom my t
+    in
+    let try_steal () =
+      let stolen = ref None in
+      let k = ref 1 in
+      while Option.is_none !stolen && !k < n_dom do
+        (match Deque.steal_top deques.((slot + !k) mod n_dom) with
+        | Some t ->
+            Atomic.incr steal_count;
+            stolen := Some t
+        | None -> ());
+        incr k
+      done;
+      !stolen
+    in
+    (* empty deques alone do not end the run: a task still running on
+       another worker may spawn more, so only [pending = 0] does *)
+    let rec obtain spins =
+      if Atomic.get first_exn <> None then None
+      else
+        match Deque.pop_bottom my with
+        | Some t -> Some t
+        | None -> (
+            match try_steal () with
+            | Some t -> Some t
+            | None ->
+                if Atomic.get pending = 0 then None
+                else begin
+                  (* back off: spin briefly, then yield the hardware thread —
+                     on an oversubscribed machine a spinning thief would
+                     starve the one worker that has the work *)
+                  if spins < 64 then Domain.cpu_relax () else Unix.sleepf 0.0002;
+                  obtain (spins + 1)
+                end)
+    in
+    let rec loop () =
+      match obtain 0 with
+      | None -> ()
+      | Some t ->
+          let t0 = Timer.now_mono_s () in
+          (match f ~slot ~spawn t with
+          | () -> ()
+          | exception e -> ignore (Atomic.compare_and_set first_exn None (Some e)));
+          busy := !busy +. (Timer.now_mono_s () -. t0);
+          Atomic.decr pending;
+          loop ()
+    in
+    loop ();
+    busy_s.(slot) <- !busy;
+    idle_s.(slot) <- Timer.now_mono_s () -. t_begin -. !busy
+  in
+  let worker slot () =
+    if Obs.enabled observe then
+      Obs.span observe ~cat:"ws" (Printf.sprintf "worker %d" slot) (worker slot)
+    else worker slot ()
+  in
+  let doms = Array.init (n_dom - 1) (fun k -> Domain.spawn (worker (k + 1))) in
+  worker 0 ();
+  Array.iter Domain.join doms;
+  (match Atomic.get first_exn with Some e -> raise e | None -> ());
+  {
+    workers = n_dom;
+    tasks = Atomic.get task_count;
+    steals = Atomic.get steal_count;
+    busy_s;
+    idle_s;
+  }
 
 let map ?(domains = 1) f xs =
-  let n = Array.length xs in
-  if domains <= 1 || n <= 1 then (Array.map f xs, { workers = 1; steals = 0 })
-  else begin
-    let n_dom = min domains n in
-    let deques = Array.init n_dom (fun _ -> Deque.create ()) in
-    (* deal indices round-robin, highest first, so each owner pops its own
-       work in ascending input order (pop_bottom is LIFO) *)
-    for i = n - 1 downto 0 do
-      Deque.push_bottom deques.(i mod n_dom) i
-    done;
-    let results = Array.make n None in
-    let first_exn = Atomic.make None in
-    let steal_count = Atomic.make 0 in
-    let worker slot () =
-      let my = deques.(slot) in
-      let try_steal () =
-        let stolen = ref None in
-        let k = ref 1 in
-        while Option.is_none !stolen && !k < n_dom do
-          (match Deque.steal_top deques.((slot + !k) mod n_dom) with
-          | Some i ->
-              Atomic.incr steal_count;
-              stolen := Some i
-          | None -> ());
-          incr k
-        done;
-        !stolen
-      in
-      let continue = ref true in
-      while !continue do
-        (* no task ever spawns another, so empty-everywhere means the only
-           remaining work is already in flight on some other worker *)
-        match (if Atomic.get first_exn <> None then None
-               else match Deque.pop_bottom my with Some i -> Some i | None -> try_steal ())
-        with
-        | None -> continue := false
-        | Some i -> (
-            match f xs.(i) with
-            | y -> results.(i) <- Some y
-            | exception e ->
-                ignore (Atomic.compare_and_set first_exn None (Some e)))
-      done
-    in
-    let doms = Array.init (n_dom - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1) ())) in
-    worker 0 ();
-    Array.iter Domain.join doms;
-    (match Atomic.get first_exn with Some e -> raise e | None -> ());
-    ( Array.mapi
-        (fun i r ->
-          match r with Some y -> y | None -> raise (Invalid_argument (Printf.sprintf "Ws.map: slot %d unevaluated" i)))
-        results,
-      { workers = n_dom; steals = Atomic.get steal_count } )
-  end
+  let results = Array.make (Array.length xs) None in
+  let stats =
+    run ~domains:(min domains (Array.length xs)) (Array.init (Array.length xs) Fun.id)
+      (fun ~slot:_ ~spawn:_ i -> results.(i) <- Some (f xs.(i)))
+  in
+  (Array.map Option.get results, stats)

@@ -1,41 +1,45 @@
-(** Work-stealing building blocks shared by the parallel drivers.
+(** The work-stealing pool of the parallel search and exploration.
 
-    The branch-and-bound search (PR 6) and the design-space exploration
-    driver both shard independent subproblems across OCaml domains with the
-    same discipline: every worker owns a deque, pushes and pops work at the
-    bottom (depth-first, cache-local) and steals from other workers' tops
-    when idle (breadth-first, stealing the biggest units).  This module
-    holds the deque itself plus a ready-made parallel map for the common
-    "N independent tasks, results by index" case. *)
-
-(** A mutex-protected double-ended work queue.  [push_bottom]/[pop_bottom]
-    are the owner's LIFO end; [steal_top] is the thieves' FIFO end.  The
-    mutex is uncontended in the common case (one owner, occasional
-    thieves), which keeps the implementation obviously correct without a
-    lock-free protocol. *)
-module Deque : sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val push_bottom : 'a t -> 'a -> unit
-  val pop_bottom : 'a t -> 'a option
-  val steal_top : 'a t -> 'a option
-end
+    The branch-and-bound search and the design-space exploration both
+    shard work across OCaml domains through {!run}, the one place the
+    library spawns domains: every worker owns a deque, pushes and pops
+    work at the bottom (depth-first, cache-local) and steals from other
+    workers' tops when idle (breadth-first, stealing the biggest units). *)
 
 type stats = {
-  workers : int;  (** domains that actually ran (1 = sequential path) *)
+  workers : int;  (** domains that ran, the caller's included *)
+  tasks : int;  (** initial tasks plus every spawned one *)
   steals : int;  (** tasks taken from another worker's deque *)
+  busy_s : float array;  (** per worker: seconds spent running tasks *)
+  idle_s : float array;  (** per worker: the rest of its lifetime *)
 }
 
+val run :
+  ?observe:Noc_obs.Obs.t ->
+  domains:int ->
+  'a array ->
+  (slot:int -> spawn:('a -> unit) -> 'a -> unit) ->
+  stats
+(** [run ~domains tasks f] runs [f ~slot ~spawn t] for every task [t] on a
+    pool of [domains] workers (at least 1; worker 0 is the calling domain,
+    so [domains = 1] spawns none).  The initial [tasks] are dealt
+    round-robin over the workers' deques before any worker starts, so each
+    worker pops its share in array order.  [slot] is the running worker's
+    index; [spawn t'] pushes a new task onto that worker's deque.  A
+    counter of pending (dealt or spawned, not yet finished) tasks decides
+    termination: a worker that finds every deque empty keeps probing
+    until the counter reaches zero, since a running task may still spawn.
+    After the first exception raised by [f] no worker takes a new task;
+    the pool is joined and the exception re-raised.  With an enabled
+    [observe] each worker's lifetime is one [worker <slot>] span on its
+    domain.  [domains] is used as given — callers clamp against
+    {!Branch_bound.domain_cap} as appropriate. *)
+
 val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array * stats
-(** [map ~domains f xs] applies [f] to every element of [xs] on a
-    work-stealing pool of [domains] workers (default 1 = plain sequential
-    [Array.map]) and returns the results {e in input order}: slot [i] of
-    the result is [f xs.(i)] no matter which worker computed it or in what
-    order, so the output is deterministic for deterministic [f] regardless
-    of the domain count or steal interleaving.  Tasks are dealt round-robin
-    across the workers' deques before any worker starts; no new tasks are
-    spawned mid-run, so a worker exits once its own deque and every
-    steal probe come up empty.  An exception raised by [f] is re-raised
-    after the pool is joined.  [domains] is used as given — callers clamp
-    against {!Branch_bound.domain_cap} as appropriate. *)
+(** [map ~domains f xs] applies [f] to every element of [xs] with {!run}
+    on [min domains (Array.length xs)] workers (default 1) and returns the
+    results {e in input order}: slot [i] of the result is [f xs.(i)] no
+    matter which worker computed it or in what order, so the output is
+    deterministic for deterministic [f] regardless of the domain count or
+    steal interleaving.  An exception raised by [f] is re-raised after the
+    pool is joined. *)

@@ -1,6 +1,8 @@
 module C = Compact
 
-let certificate ?(edge_label = fun _ _ -> 0) (g : C.t) rank =
+(* The edge list of [g] as [(rank src, rank dst, label)] triples in
+   lexicographic order: the certificate the search minimizes. *)
+let certificate ~edge_label (g : C.t) rank =
   let acc = ref [] in
   for u = 0 to g.C.n - 1 do
     for k = g.C.succ_off.(u) to g.C.succ_off.(u + 1) - 1 do

@@ -43,11 +43,5 @@ val canonical_order :
     Invariance contract: for any relabeling of the underlying graph (and a
     consistently relabeled [edge_label]), serializing edges as
     [(rank src, rank dst, label)] triples sorted lexicographically yields
-    the identical certificate. *)
-
-val certificate :
-  ?edge_label:(int -> int -> int) -> Compact.t -> int array -> (int * int * int) list
-(** [certificate g rank] is that serialization: the edge list of [g] as
-    [(rank src, rank dst, label)] triples in lexicographic order.  Exposed
-    for the differential tests; {!Noc_core.Acg} builds its hash input from
+    the identical certificate.  {!Noc_core.Acg} builds its hash input from
     the same ranks plus the full attribute values. *)

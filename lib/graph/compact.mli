@@ -74,12 +74,6 @@ val in_degree_d : view -> int -> int
 val mem_edge_d : view -> int -> int -> bool
 (** All O(1) at any size: two bitmap probes ([adj] minus [del_bits]). *)
 
-val fold_succ_d : view -> int -> ('a -> int -> 'a) -> 'a -> 'a
-(** Fold over the (non-deleted) dense successors of a dense vertex, in
-    ascending dense order. *)
-
-val fold_pred_d : view -> int -> ('a -> int -> 'a) -> 'a -> 'a
-
 (** {1 Original-id queries} *)
 
 val mem_edge : view -> int -> int -> bool

@@ -70,8 +70,6 @@ module Json = struct
     emit buf t;
     Buffer.contents buf
 
-  let pp ppf t = Format.pp_print_string ppf (to_string t)
-
   (* A minimal JSON reader: enough to round-trip everything the emitter above
      produces (traces, metrics, bench records), so tools like the benchmark
      regression gate need no external JSON dependency. *)
@@ -286,7 +284,6 @@ type t = {
   counters : (string, Counter.t) Hashtbl.t;
   gauges : (string, Gauge.t) Hashtbl.t;
   mutable events_rev : event list;
-  mutable n_events : int;
 }
 
 let mk on =
@@ -297,13 +294,11 @@ let mk on =
     counters = Hashtbl.create 16;
     gauges = Hashtbl.create 16;
     events_rev = [];
-    n_events = 0;
   }
 
 let disabled = mk false
 let create () = mk true
 let enabled t = t.on
-let elapsed_s t = if t.on then Timer.now_mono_s () -. t.t0 else 0.0
 let now_us t = (Timer.now_mono_s () -. t.t0) *. 1e6
 
 let locked t f =
@@ -335,9 +330,7 @@ let gauge t name =
 let self_tid () = (Domain.self () :> int)
 
 let record t ev =
-  locked t (fun () ->
-      t.events_rev <- ev :: t.events_rev;
-      t.n_events <- t.n_events + 1)
+  locked t (fun () -> t.events_rev <- ev :: t.events_rev)
 
 let span t ?(cat = "") ?(args = []) name f =
   if not t.on then f ()
@@ -432,21 +425,4 @@ module Trace = struct
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () -> output_string oc (to_string t))
-end
-
-module Progress = struct
-  let pp_summary ppf t =
-    if not t.on then Format.fprintf ppf "observability disabled@."
-    else begin
-      let counters, gauges, n_events =
-        locked t (fun () -> (sorted_counters t, sorted_gauges t, t.n_events))
-      in
-      Format.fprintf ppf "observed %.3f s, %d trace event(s)@." (elapsed_s t) n_events;
-      List.iter
-        (fun c -> Format.fprintf ppf "  %-32s %d@." (Counter.name c) (Counter.get c))
-        counters;
-      List.iter
-        (fun g -> Format.fprintf ppf "  %-32s %g@." (Gauge.name g) (Gauge.get g))
-        gauges
-    end
 end

@@ -1,6 +1,6 @@
 (** Observability: spans, counters and gauges for the search and the
-    simulator, with two sinks — a human summary renderer and a Chrome
-    [trace_event] JSON exporter loadable in [about://tracing] / Perfetto.
+    simulator, with two sinks — a metrics list and a Chrome [trace_event]
+    JSON exporter loadable in [about://tracing] / Perfetto.
 
     Design constraints, in order:
 
@@ -29,8 +29,6 @@ module Json : sig
   val to_string : t -> string
   (** Compact rendering with full string escaping; always valid JSON. *)
 
-  val pp : Format.formatter -> t -> unit
-
   val parse : string -> (t, [ `Msg of string ]) result
   (** [parse s] reads one JSON value (the whole string; trailing garbage is
       an error).  Round-trips everything {!to_string} emits — numbers
@@ -50,10 +48,6 @@ end
 module Counter : sig
   type t
 
-  val make : string -> t
-  (** A free-standing counter, not attached to any observer (what
-      {!val-counter} returns for {!disabled}). *)
-
   val name : t -> string
   val incr : t -> unit
   val add : t -> int -> unit
@@ -64,7 +58,6 @@ end
 module Gauge : sig
   type t
 
-  val make : string -> t
   val name : t -> string
   val set : t -> float -> unit
   val get : t -> float
@@ -83,9 +76,6 @@ val create : unit -> t
     creation. *)
 
 val enabled : t -> bool
-
-val elapsed_s : t -> float
-(** Seconds since the observer's epoch ([0.] when disabled). *)
 
 val counter : t -> string -> Counter.t
 (** The observer's counter registered under [name], created on first
@@ -123,11 +113,4 @@ module Trace : sig
   val to_string : t -> string
 
   val write : t -> path:string -> unit
-end
-
-(** Human sink: a compact summary of everything observed. *)
-module Progress : sig
-  val pp_summary : Format.formatter -> t -> unit
-  (** Elapsed time, event count, then one [name = value] line per counter
-      and gauge (sorted).  Renders a single line for {!disabled}. *)
 end

@@ -6,10 +6,6 @@ let link u v = if u <= v then Link (u, v) else Link (v, u)
 
 let switch s = Switch s
 
-let pp ppf = function
-  | Link (u, v) -> Format.fprintf ppf "link %d-%d" u v
-  | Switch s -> Format.fprintf ppf "switch %d" s
-
 let undirected_links arch =
   D.fold_edges
     (fun u v acc -> if u < v then (u, v) :: acc else acc)

@@ -17,8 +17,6 @@ val link : int -> int -> t
 
 val switch : int -> t
 
-val pp : Format.formatter -> t -> unit
-
 val undirected_links : Noc_core.Synthesis.t -> (int * int) list
 (** The architecture's physical links, normalized [(min, max)], sorted. *)
 

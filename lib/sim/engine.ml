@@ -26,11 +26,6 @@ type verdict = Idle | Deadlock | Limit of int
 
 let verdict_name = function Idle -> "idle" | Deadlock -> "deadlock" | Limit _ -> "limit"
 
-let pp_verdict ppf = function
-  | Idle -> Format.pp_print_string ppf "idle"
-  | Deadlock -> Format.pp_print_string ppf "deadlock"
-  | Limit n -> Format.fprintf ppf "limit (%d pending)" n
-
 let run_until_idle ?max_cycles t =
   match Flitsim.run_until_idle ?max_cycles t with
   | `Idle -> Idle

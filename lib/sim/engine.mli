@@ -47,8 +47,6 @@ val flit_hops : t -> int
 type verdict = Idle | Deadlock | Limit of int
 (** [Limit n]: the cycle budget ran out with [n] packets outstanding. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 val verdict_name : verdict -> string
 
 val run_until_idle : ?max_cycles:int -> t -> verdict

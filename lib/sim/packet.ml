@@ -12,7 +12,3 @@ type t = {
 type delivery = { packet : t; delivered_at : int }
 
 let hops t = Array.length t.route - 1
-
-let pp ppf t =
-  Format.fprintf ppf "pkt#%d %d->%d (%d flits, tag %d, t=%d)" t.id t.src t.dst
-    t.size_flits t.tag t.injected_at

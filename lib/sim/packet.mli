@@ -17,5 +17,3 @@ type delivery = { packet : t; delivered_at : int }
 
 val hops : t -> int
 (** Number of physical links the packet crosses. *)
-
-val pp : Format.formatter -> t -> unit

@@ -127,10 +127,3 @@ let summary_metrics s =
     ("makespan", float_of_int s.makespan);
     ("throughput", s.throughput);
   ]
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "packets=%d flits=%d avg_lat=%.2f lat=[%d,%d] avg_hops=%.2f makespan=%d thpt=%.3f \
-     flits/cycle"
-    s.packets s.flits s.avg_latency s.min_latency s.max_latency s.avg_hops s.makespan
-    s.throughput

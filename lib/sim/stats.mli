@@ -65,5 +65,3 @@ val energy_metrics :
 
 val summary_metrics : summary -> (string * float) list
 (** The summary record as named metrics, in declaration order. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -355,6 +355,36 @@ let test_ws_map_propagates_exceptions () =
   Alcotest.check_raises "worker exception reaches the caller" Exit (fun () ->
       ignore (Ws.map ~domains:4 (fun i -> if i = 17 then raise Exit else i) (Array.init 32 Fun.id)))
 
+(* Ws.run on a spawning task tree: every task above depth 6 spawns two
+   children, 127 tasks in all *)
+let run_tree ~domains ~fail_at =
+  let runs = Array.init 127 (fun _ -> Atomic.make 0) in
+  let stats =
+    Ws.run ~domains [| (0, 0) |] (fun ~slot:_ ~spawn (id, depth) ->
+        Atomic.incr runs.(id);
+        if id = fail_at then raise Exit;
+        if depth < 6 then begin
+          spawn ((2 * id) + 1, depth + 1);
+          spawn ((2 * id) + 2, depth + 1)
+        end)
+  in
+  (stats, Array.map Atomic.get runs)
+
+let test_ws_run_tree () =
+  List.iter
+    (fun domains ->
+      let stats, runs = run_tree ~domains ~fail_at:(-1) in
+      Alcotest.(check (array int))
+        (Printf.sprintf "every task runs once at %d worker(s)" domains)
+        (Array.make 127 1) runs;
+      Alcotest.(check int) "tasks counted" 127 stats.Ws.tasks;
+      Alcotest.(check int) "workers" domains stats.Ws.workers)
+    [ 1; 4 ]
+
+let test_ws_run_propagates_exceptions () =
+  Alcotest.check_raises "a spawned task's exception reaches the caller" Exit (fun () ->
+      ignore (run_tree ~domains:4 ~fail_at:100))
+
 (* -------------------------------------------------------------------- *)
 (* Mapping helpers (backfill: Mapping had no dedicated tests)            *)
 
@@ -466,4 +496,8 @@ let suite =
       Alcotest.test_case "Mapping.all guards large cores" `Quick test_mapping_all_guard;
       Alcotest.test_case "mesh_hop_cost reports unmapped cores" `Quick
         test_mesh_hop_cost_unmapped_raises;
+      Alcotest.test_case "Ws.run runs a spawned task tree once per task" `Quick
+        test_ws_run_tree;
+      Alcotest.test_case "Ws.run propagates spawned-task exceptions" `Quick
+        test_ws_run_propagates_exceptions;
     ] )

@@ -219,9 +219,12 @@ let test_fuzz_unknown_property () =
       ignore (Fuzz.run ~properties:[ "nope" ] ~seed:0 ~cases:1 ()))
 
 (* The persisted crash corpus: every entry is a (shrunk) input that once
-   broke a property; replaying them keeps old bugs fixed. *)
+   broke a property; replaying them keeps old bugs fixed.  The test's dune
+   stanza copies it next to the executable, so it is found from any working
+   directory. *)
 let test_corpus_replay () =
-  let n, failures = Fuzz.replay ~library:(lib ()) ~dir:"corpus" () in
+  let dir = Filename.concat (Filename.dirname Sys.executable_name) "corpus" in
+  let n, failures = Fuzz.replay ~library:(lib ()) ~dir () in
   Alcotest.(check bool) "corpus is not empty" true (n > 0);
   match failures with
   | [] -> ()

@@ -1,6 +1,6 @@
 (* Tests for the large-scale search machinery: work-stealing parallel
-   decomposition, the branch-ordering portfolio, the anytime/greedy
-   fallback, budget resolution/clamping, and the benchkit scaling tier.
+   decomposition, the anytime/greedy fallback, budget resolution/clamping,
+   the domain bound, and the benchkit scaling tier.
 
    test_noc.ml sets NOCSYNTH_MAX_DOMAINS=8 before Alcotest runs, so
    multi-domain paths really execute even on a single-CPU CI box. *)
@@ -13,6 +13,7 @@ module Decomp = Noc_core.Decomposition
 module Bb = Noc_core.Branch_bound
 module Prng = Noc_util.Prng
 module Corpus = Noc_benchkit.Corpus
+module Obs = Noc_obs.Obs
 
 let lib () = L.default ()
 
@@ -59,15 +60,6 @@ let test_resolve_budget_default () =
     b.Bb.Budget.max_nodes;
   Alcotest.(check int) "one domain" 1 b.Bb.Budget.domains
 
-let test_ordering_names_roundtrip () =
-  List.iter
-    (fun o ->
-      Alcotest.(check bool)
-        (Bb.ordering_name o ^ " round-trips")
-        true
-        (Bb.ordering_of_string (Bb.ordering_name o) = Some o))
-    Bb.all_orderings
-
 (* -------------------------------------------------------------------- *)
 (* Work stealing: parallel cost = sequential cost                        *)
 
@@ -95,37 +87,6 @@ let test_ws_counters () =
   Alcotest.(check bool) "steals are non-negative" true (st.Bb.steals >= 0);
   let _, st1 = Bb.decompose ~library:(lib ()) acg in
   Alcotest.(check int) "sequential run is one task" 1 st1.Bb.tasks
-
-(* -------------------------------------------------------------------- *)
-(* Portfolio: the raced winner is never worse than any single ordering   *)
-
-let qcheck_portfolio_never_worse =
-  QCheck.Test.make
-    ~name:"portfolio winner <= every single branch ordering" ~count:30
-    QCheck.(pair small_int (int_range 6 11))
-    (fun (seed, n) ->
-      let acg = sparse_acg ~seed:(seed + 8200) ~n in
-      let singles =
-        List.map
-          (fun ordering ->
-            Bb.decompose
-              ~options:{ Bb.default_options with ordering }
-              ~library:(lib ()) acg)
-          Bb.all_orderings
-      in
-      let _, sp =
-        Bb.decompose
-          ~options:{ Bb.default_options with portfolio = true }
-          ~budget:Bb.Budget.(default |> with_domains 3)
-          ~library:(lib ()) acg
-      in
-      if sp.Bb.timed_out || List.exists (fun (_, s) -> s.Bb.timed_out) singles then
-        true (* exhausted searches are anytime results; no ranking claim *)
-      else
-        sp.Bb.winner <> None
-        && List.for_all
-             (fun (_, s) -> sp.Bb.best_cost <= s.Bb.best_cost +. 1e-9)
-             singles)
 
 (* -------------------------------------------------------------------- *)
 (* Anytime fallback: budget exhaustion still yields a feasible answer    *)
@@ -185,6 +146,32 @@ let test_scale_corpus_shape () =
     smoke
     (Corpus.scale_smoke ())
 
+(* -------------------------------------------------------------------- *)
+(* The domain bound: a search runs on at most Budget.domains domains     *)
+
+let test_domain_bound () =
+  let acg = Corpus.clustered ~seed:3 ~n:32 in
+  List.iter
+    (fun (domains, fallback) ->
+      let observe = Obs.create () in
+      ignore
+        (Bb.decompose
+           ~options:{ Bb.default_options with fallback }
+           ~budget:Bb.Budget.(default |> with_domains domains)
+           ~observe ~library:(lib ()) acg);
+      let tids =
+        match Obs.Json.member "traceEvents" (Obs.Trace.to_json observe) with
+        | Some (Obs.Json.List events) ->
+            List.sort_uniq compare (List.filter_map (Obs.Json.member "tid") events)
+        | _ -> []
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "domains=%d fallback=%b: %d domain id(s) traced" domains fallback
+           (List.length tids))
+        true
+        (tids <> [] && List.length tids <= domains))
+    [ (1, false); (1, true); (2, false); (2, true); (4, false); (4, true) ]
+
 let suite =
   ( "scale",
     [
@@ -193,12 +180,12 @@ let suite =
       Alcotest.test_case "resolve_budget preserves time and node limits" `Quick
         test_resolve_budget_preserves_limits;
       Alcotest.test_case "resolve_budget defaults" `Quick test_resolve_budget_default;
-      Alcotest.test_case "ordering names round-trip" `Quick test_ordering_names_roundtrip;
       Alcotest.test_case "work-stealing scheduler counters" `Quick test_ws_counters;
       Alcotest.test_case "fallback on a 128-core clustered graph" `Quick
         test_fallback_scale_clustered;
       Alcotest.test_case "scale corpus shape" `Quick test_scale_corpus_shape;
       QCheck_alcotest.to_alcotest qcheck_ws_cost_equals_sequential;
-      QCheck_alcotest.to_alcotest qcheck_portfolio_never_worse;
       QCheck_alcotest.to_alcotest qcheck_fallback_always_feasible;
+      Alcotest.test_case "a traced search stays within Budget.domains" `Quick
+        test_domain_bound;
     ] )

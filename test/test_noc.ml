@@ -1,6 +1,7 @@
-(* The suite exercises multi-domain search paths (work stealing, portfolio)
-   even on single-core CI boxes: lift the recommended-domain-count clamp so
-   ~domains:4 really runs 4 workers (oversubscribed, but correct). *)
+(* The suite exercises the multi-domain paths of the work-stealing pool
+   (the parallel search and Ws.map) even on single-core CI boxes: lift the
+   recommended-domain-count clamp so ~domains:4 really runs 4 workers
+   (oversubscribed, but correct). *)
 let () = Unix.putenv "NOCSYNTH_MAX_DOMAINS" "8"
 
 let () =
