@@ -485,6 +485,98 @@ let test_replay_deterministic_responses () =
   Alcotest.(check bool) "both byte-identical" true
     (a.Replay.byte_identical && b.Replay.byte_identical)
 
+(* Test: the canonical labeling is pinned.  One MD5 per family over every
+   member's canonical hash and canonical-form edge listing, taken from the
+   labeler without automorphism pruning.  Pruning must keep the first leaf
+   with the least certificate, so neither the key nor the relabeling may
+   move; a labeler that stays invariant but keeps another leaf fails here.
+   Every pinned input is one that labeler answered [canon:] within its
+   budget, so none of them may fall back to [exact:] either. *)
+let pin_variants g =
+  let volumes ~rng =
+    Acg.of_weighted_edges
+      (D.fold_edges (fun u v acc -> (u, v, 1 + Prng.int rng 2, 0.1) :: acc) g [])
+  in
+  [ (fun ~rng:_ -> Acg.uniform ~volume:64 ~bandwidth:0.1 g); volumes ]
+
+let pin_families () =
+  let module Corpus = Noc_benchkit.Corpus in
+  let corpus = List.map (fun s -> s.Corpus.acg) (Corpus.default ()) in
+  (* serve-hot's bases, by the benchmark's recipe *)
+  let rec fuzz seed acc =
+    if List.length acc = 18 then List.rev acc
+    else
+      let acg = Noc_oracle.Fuzz.gen_acg ~rng:(Prng.create ~seed) in
+      fuzz (seed + 1) (if Acg.num_flows acg > 0 then acg :: acc else acc)
+  in
+  let hot =
+    corpus
+    @ fuzz 1 []
+    @ [
+        Corpus.random ~seed:2 ~n:32;
+        Corpus.clustered ~seed:3 ~n:32;
+        Corpus.clustered ~seed:4 ~n:32;
+      ]
+  in
+  let scale =
+    [
+      Corpus.layered ~seed:1 ~n:128;
+      Corpus.random ~seed:1 ~n:128;
+      Corpus.clustered ~seed:1 ~n:96;
+    ]
+  in
+  let symmetric =
+    [
+      G.hypercube 3;
+      G.hypercube 4;
+      G.torus ~rows:4 ~cols:4;
+      G.torus ~rows:3 ~cols:5;
+      G.bidirectional_ring 12;
+      G.bidirectional_ring 32;
+      G.knodel 8;
+      G.knodel 16;
+      G.mesh ~rows:4 ~cols:4;
+      G.complete 6;
+    ]
+    |> List.mapi (fun i g ->
+           List.concat
+             (List.mapi
+                (fun j make ->
+                  let rng = Prng.create ~seed:((10 * i) + j + 1) in
+                  let acg = make ~rng in
+                  List.init 3 (fun _ -> Replay.permute ~rng acg))
+                (pin_variants g)))
+    |> List.concat
+  in
+  [ ("corpus", corpus); ("serve-hot", hot); ("scale", scale); ("symmetric", symmetric) ]
+
+let pinned_labelings =
+  [
+    ("corpus", "05c6b39f1e3a100360463c4ab783ef22");
+    ("serve-hot", "3118a7802df404b4e6c3500958232d0d");
+    ("scale", "c5badc2b9f58fd849d8471c63b61cbbb");
+    ("symmetric", "ed8cbf9c7206c8333853ff14a343dd5e");
+  ]
+
+let test_labeling_pinned () =
+  let got =
+    List.map
+      (fun (family, acgs) ->
+        let part acg =
+          let l = Acg.canonical_labeling acg in
+          let hash = Acg.hash_of_labeling l in
+          if not (is_canon hash) then
+            Alcotest.failf "%s: a pinned input fell back to %s" family hash;
+          match Acg.form_of_labeling l with
+          | Some (form, _) -> hash ^ "\n" ^ Noc_core.Acg_io.to_string form
+          | None -> assert false
+        in
+        (family, Digest.to_hex (Digest.string (String.concat "\n" (List.map part acgs)))))
+      (pin_families ())
+  in
+  List.iter (fun (f, d) -> Printf.printf "    (%S, %S);\n" f d) got;
+  Alcotest.(check (list (pair string string))) "digests" pinned_labelings got
+
 let suite =
   ( "serve",
     [
@@ -515,4 +607,5 @@ let suite =
         test_replay_deterministic_responses;
       Alcotest.test_case "constrained search is domain-invariant" `Quick
         test_domains_invariant_with_constraints;
+      Alcotest.test_case "canonical labeling is pinned" `Quick test_labeling_pinned;
     ] )
