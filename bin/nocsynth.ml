@@ -80,6 +80,9 @@ let positive_float = checked Arg.float ~ok:(fun x -> x > 0.) ~what:"positive num
 (* for counts where 0 has a meaning of its own *)
 let non_negative_int = checked Arg.int ~ok:(fun n -> n >= 0) ~what:"non-negative integer"
 
+(* a probability or a ratio *)
+let unit_float = checked Arg.float ~ok:(fun x -> x >= 0. && x <= 1.) ~what:"number in [0, 1]"
+
 let beam_arg =
   Arg.(
     value & opt positive_int 1
@@ -250,7 +253,8 @@ let generate_cmd =
   in
   let nodes = Arg.(value & opt positive_int 12 & info [ "nodes" ] ~docv:"N" ~doc:"Vertex count.") in
   let density =
-    Arg.(value & opt float 0.2 & info [ "density" ] ~docv:"P" ~doc:"Edge probability (random).")
+    Arg.(
+      value & opt unit_float 0.2 & info [ "density" ] ~docv:"P" ~doc:"Edge probability (random).")
   in
   let preset =
     Arg.(
@@ -391,7 +395,9 @@ let simulate_cmd =
     Arg.(value & opt positive_int 2000 & info [ "cycles" ] ~docv:"N" ~doc:"Injection cycles.")
   in
   let rate =
-    Arg.(value & opt float 0.05 & info [ "rate" ] ~docv:"P" ~doc:"Peak injection rate per flow.")
+    (* a per-cycle injection probability; 0 would inject nothing *)
+    let p = checked Arg.float ~ok:(fun x -> x > 0. && x <= 1.) ~what:"number in (0, 1]" in
+    Arg.(value & opt p 0.05 & info [ "rate" ] ~docv:"P" ~doc:"Peak injection rate per flow.")
   in
   let policy_arg =
     let policy_enum = Arg.enum [ ("fixed", `Fixed); ("oblivious", `Oblivious) ] in
@@ -1113,7 +1119,7 @@ let serve_cmd =
   in
   let assert_hit_arg =
     Arg.(
-      value & opt (some float) None
+      value & opt (some unit_float) None
       & info [ "assert-hit-rate" ] ~docv:"R"
           ~doc:
             "Load-test gate: exit 1 when the repeated-half hit rate is below R or a \

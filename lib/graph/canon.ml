@@ -13,8 +13,8 @@ type state = {
   labels : int;  (** one more than the largest label *)
   succ_key : int array;  (** per-pass (label, color) keys, aligned like [succ_lab] *)
   pred_key : int array;
-  ends : int array;  (** per-pass end of each color's run in [ord] *)
-  ord : int array;  (** per-pass vertices grouped by color *)
+  starts : int array;  (** per pass: where each color's run in [ord] starts *)
+  ord : int array;  (** per pass: the vertices grouped by color *)
 }
 
 let make_state ~edge_label (g : C.t) =
@@ -42,12 +42,13 @@ let make_state ~edge_label (g : C.t) =
     labels = !labels;
     succ_key = Array.make m 0;
     pred_key = Array.make m 0;
-    ends = Array.make (n + 2) 0;
+    starts = Array.make (n + 2) 0;
     ord = Array.make n 0;
   }
 
-(* Sort a.(lo) .. a.(hi - 1) in place: insertion sort on short runs,
-   heapsort (O(d log d)) on long ones. *)
+(* Sort a.(lo) .. a.(hi - 1) in place: insertion sort on the short runs
+   most vertices and cells have, [Array.sort] (O(d log d)) on a copy of
+   a long one. *)
 let sort_slice cmp a lo hi =
   if hi - lo <= 12 then
     for i = lo + 1 to hi - 1 do
@@ -60,29 +61,9 @@ let sort_slice cmp a lo hi =
       a.(!j + 1) <- x
     done
   else begin
-    let swap i j =
-      let t = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- t
-    in
-    let rec sift r size =
-      let c = (2 * r) + 1 in
-      if c < size then begin
-        let c = if c + 1 < size && cmp a.(lo + c) a.(lo + c + 1) < 0 then c + 1 else c in
-        if cmp a.(lo + r) a.(lo + c) < 0 then begin
-          swap (lo + r) (lo + c);
-          sift c size
-        end
-      end
-    in
-    let len = hi - lo in
-    for r = (len / 2) - 1 downto 0 do
-      sift r len
-    done;
-    for size = len - 1 downto 1 do
-      swap lo (lo + size);
-      sift 0 size
-    done
+    let run = Array.sub a lo (hi - lo) in
+    Array.sort cmp run;
+    Array.blit run 0 a lo (hi - lo)
   end
 
 (* Lexicographic order on two runs, a proper prefix first: OCaml's order
@@ -107,15 +88,15 @@ let compare_runs a i ie j je =
    and an unchanged color count means a fixed partition. *)
 let refine_pass st colors =
   let n = st.n and g = st.g in
-  let ends = st.ends and ord = st.ord in
-  Array.fill ends 0 (n + 2) 0;
-  Array.iter (fun c -> ends.(c + 1) <- ends.(c + 1) + 1) colors;
+  let starts = st.starts and ord = st.ord in
+  Array.fill starts 0 (n + 2) 0;
+  Array.iter (fun c -> starts.(c + 1) <- starts.(c + 1) + 1) colors;
   for c = 1 to n + 1 do
-    ends.(c) <- ends.(c) + ends.(c - 1)
+    starts.(c) <- starts.(c) + starts.(c - 1)
   done;
-  (* a stable counting sort: [ends.(c)] .. [ends.(c + 1) - 1] is the run
-     of color [c] in [ord], in ascending vertex order *)
-  let fill = Array.sub ends 0 (n + 1) in
+  (* a stable counting sort: [starts.(c)] .. [starts.(c + 1) - 1] is the
+     run of color [c] in [ord], in ascending vertex order *)
+  let fill = Array.sub starts 0 (n + 1) in
   Array.iteri
     (fun v c ->
       ord.(fill.(c)) <- v;
@@ -144,7 +125,7 @@ let refine_pass st colors =
   let out = Array.make n 0 in
   let next = ref 0 in
   for c = 0 to n do
-    let i = ends.(c) and j = ends.(c + 1) in
+    let i = starts.(c) and j = starts.(c + 1) in
     if j > i then begin
       if j - i > 1 then begin
         for p = i to j - 1 do
@@ -196,7 +177,8 @@ let target_cell colors k =
 (* The edge list of a discrete coloring [rank] as sorted codes
    [((rank u * n) + rank v) * labels + label]: one int per
    (rank src, rank dst, label) triple, ordered like the triples.  The
-   search minimizes it. *)
+   search minimizes it; certificates all have one length, so [compare]
+   orders them lexicographically. *)
 let certificate st rank =
   let g = st.g and n = st.n in
   let cert = Array.make g.C.n_edges 0 in
@@ -207,13 +189,6 @@ let certificate st rank =
   done;
   Array.sort Int.compare cert;
   cert
-
-let compare_certs a b =
-  let m = Array.length a in
-  let rec go k =
-    if k = m then 0 else if a.(k) <> b.(k) then Int.compare a.(k) b.(k) else go (k + 1)
-  in
-  go 0
 
 (* A label-preserving automorphism, kept as its moved points (ascending)
    and their images. *)
@@ -291,7 +266,7 @@ let canonical_order ?(edge_label = fun _ _ -> 0) ?(max_refines = 10_000) (g : C.
       match !best with
       | None -> best := Some (cert, rank, inverse rank)
       | Some (bc, _, binv) ->
-          let c = compare_certs cert bc in
+          let c = compare cert bc in
           if c < 0 then best := Some (cert, rank, inverse rank)
           else if c = 0 then begin
             (* v -> binv.(rank.(v)) maps this leaf onto the best one with

@@ -534,6 +534,32 @@ let qcheck_vf2_compact_equals_map =
       in
       all_c = all_m && img_c = img_m)
 
+(* -------------------------------------------------------------------- *)
+(* Canonical labeling                                                    *)
+
+module Canon = Noc_graph.Canon
+
+(* Test: fft16's labeling runs within 100 refinement passes and returns
+   its default-budget rank.  The butterfly has 384 equivalent leaves, which
+   the unpruned search walked in 1985 passes; orbit pruning leaves 11.  It
+   has one edge-attribute tuple, so the default unlabeled [edge_label] is
+   the one the cache key uses. *)
+let test_fft16_labels_within_budget () =
+  let g = C.freeze (Noc_core.Acg.graph (Noc_apps.Fft.acg ())) in
+  match (Canon.canonical_order g, Canon.canonical_order ~max_refines:100 g) with
+  | `Canonical rank, `Canonical rank' ->
+      Alcotest.(check (array int)) "same rank" rank rank'
+  | _ -> Alcotest.fail "fft16 truncated"
+
+(* Test: a search past its budget says so, and callers fall back *)
+let test_canon_truncates () =
+  let truncated =
+    match Canon.canonical_order ~max_refines:1 (C.freeze (G.hypercube 3)) with
+    | `Truncated -> true
+    | `Canonical _ -> false
+  in
+  Alcotest.(check bool) "Q3 needs more than one pass" true truncated
+
 let suite =
   ( "graph",
     [
@@ -584,4 +610,8 @@ let suite =
       Alcotest.test_case "compact snapshot basics" `Quick test_compact_basics;
       QCheck_alcotest.to_alcotest qcheck_compact_matches_digraph;
       QCheck_alcotest.to_alcotest qcheck_vf2_compact_equals_map;
+      Alcotest.test_case "fft16 labels within 100 refinement passes" `Quick
+        test_fft16_labels_within_budget;
+      Alcotest.test_case "canonical labeling truncates past its budget" `Quick
+        test_canon_truncates;
     ] )

@@ -72,22 +72,102 @@ let qcheck_hash_permutation_invariant =
       || String.equal h (Acg.canonical_hash (Replay.permute ~rng acg))
          && String.equal h (Acg.canonical_hash (Replay.permute ~rng acg)))
 
+(* Symmetric shapes no degree count tells apart.  [disjoint] places each
+   graph above the largest vertex of the ones before it. *)
+let disjoint gs =
+  List.fold_left
+    (fun (off, acc) g ->
+      let top = D.fold_vertices (fun v m -> max v m) g 0 in
+      (off + top, D.union acc (D.map_vertices (fun v -> v + off) g)))
+    (0, D.empty) gs
+  |> snd
+
+let undirected es = D.of_edges (List.concat_map (fun (u, v) -> [ (u, v); (v, u) ]) es)
+
+(* the 4x4 rook's graph (K4 x K4) and the Shrikhande graph (Z4 x Z4 with
+   steps (0, 1), (1, 0) and (1, 1)): both strongly regular (16, 6, 2, 2),
+   and not isomorphic *)
+let rook_and_shrikhande () =
+  let id i j = (4 * (i land 3)) + (j land 3) + 1 in
+  let cells = List.init 16 (fun k -> (k / 4, k mod 4)) in
+  let rook =
+    List.concat_map
+      (fun (i, j) ->
+        List.filter_map
+          (fun (k, l) -> if (i = k) <> (j = l) then Some (id i j, id k l) else None)
+          cells)
+      cells
+  in
+  let shrikhande =
+    List.concat_map
+      (fun (i, j) -> List.map (fun (a, b) -> (id i j, id (i + a) (j + b))) [ (0, 1); (1, 0); (1, 1) ])
+      cells
+  in
+  (D.of_edges rook, undirected shrikhande)
+
+(* volumes drawn from [1 .. k] edge by edge *)
+let with_volumes ~rng ~k g =
+  Acg.of_weighted_edges (D.fold_edges (fun u v acc -> (u, v, 1 + Prng.int rng k, 0.1) :: acc) g [])
+
+(* Property: the hash is invariant on graphs whose refinement stalls, so
+   the labeling must individualize and compare many leaves: rings 3+3+6
+   and 4+5, the directed loops 3+5, K4 + Q3, the rook's graph and the
+   Shrikhande graph, with volumes drawn edge by edge from [1 .. k], k in
+   {1, 2, 3} (k = 1 keeps every symmetry).  Every draw must label
+   [canon:].  A search that skipped a sibling outside every known orbit
+   would pick another leaf for some relabelings and split the hash: on a
+   uniform disjoint union, the first vertex of the root's one cell lies
+   in either part. *)
+let qcheck_hash_invariant_when_refinement_stalls =
+  let ring = G.bidirectional_ring in
+  let rook, shrikhande = rook_and_shrikhande () in
+  let shapes =
+    [
+      disjoint [ ring 3; ring 3; ring 6 ];
+      disjoint [ ring 4; ring 5 ];
+      disjoint [ G.loop 3; G.loop 5 ];
+      disjoint [ G.complete 4; G.hypercube 3 ];
+      rook;
+      shrikhande;
+    ]
+  in
+  QCheck.Test.make ~name:"canonical hash is invariant on refinement-resistant graphs"
+    ~count:300 QCheck.small_int
+    (fun seed ->
+      let rng = Prng.create ~seed:(seed + 7000) in
+      let acg = with_volumes ~rng ~k:(Prng.int_in rng 1 3) (Prng.choose rng shapes) in
+      let h = Acg.canonical_hash (Replay.permute ~rng acg) in
+      is_canon h && String.equal h (Acg.canonical_hash (Replay.permute ~rng acg)))
+
 (* Property: on small ACGs the hash decides isomorphism exactly — equal
    hashes iff the exhaustive oracle finds an attribute-preserving
    bijection.  The pair generator mixes permutations (isomorphic by
-   construction), single-attribute mutations (almost never isomorphic) and
-   independent graphs, so both sides of the iff are exercised. *)
+   construction), single-attribute mutations (almost never isomorphic),
+   independent graphs, and pairs of 8-vertex graphs of one degree (C8,
+   C4 + C4, C3 + C5, K4 + K4, Q3) with uniform or {1, 2} volumes, which
+   refinement alone never tells apart, so both sides of the iff are
+   exercised. *)
 let qcheck_hash_decides_isomorphism =
+  let regular8 =
+    let ring = G.bidirectional_ring in
+    [
+      ring 8;
+      disjoint [ ring 4; ring 4 ];
+      disjoint [ ring 3; ring 5 ];
+      disjoint [ G.complete 4; G.complete 4 ];
+      G.hypercube 3;
+    ]
+  in
   QCheck.Test.make ~name:"hash equality coincides with oracle isomorphism"
-    ~count:80
-    QCheck.(pair small_int (int_bound 2))
+    ~count:120
+    QCheck.(pair small_int (int_bound 3))
     (fun (seed, which) ->
       let rng = Prng.create ~seed:(seed + 4000) in
       let n = 3 + Prng.int rng 6 in
       let a = small_acg ~rng ~n in
-      let b =
+      let a, b =
         match which with
-        | 0 -> Replay.permute ~rng a
+        | 0 -> (a, Replay.permute ~rng a)
         | 1 ->
             (* bump one volume: same shape, different attributed graph *)
             let quads =
@@ -95,8 +175,12 @@ let qcheck_hash_decides_isomorphism =
               | (u, v, vol, bw) :: rest -> (u, v, vol + 1, bw) :: rest
               | [] -> assert false
             in
-            Replay.permute ~rng (Acg.of_weighted_edges quads)
-        | _ -> small_acg ~rng ~n
+            (a, Replay.permute ~rng (Acg.of_weighted_edges quads))
+        | 2 -> (a, small_acg ~rng ~n)
+        | _ ->
+            let pick () = with_volumes ~rng ~k:(1 + Prng.int rng 2) (Prng.choose rng regular8) in
+            let a = pick () in
+            (a, Replay.permute ~rng (pick ()))
       in
       let ha = Acg.canonical_hash a and hb = Acg.canonical_hash b in
       (not (is_canon ha && is_canon hb))
@@ -577,6 +661,27 @@ let test_labeling_pinned () =
   List.iter (fun (f, d) -> Printf.printf "    (%S, %S);\n" f d) got;
   Alcotest.(check (list (pair string string))) "digests" pinned_labelings got
 
+(* Test: symmetric graphs past the unpruned search's budget label
+   [canon:], so their relabelings share one cache key: the 5-cube, the
+   9-vertex out-star, K24 and the rook's graph beside the Shrikhande
+   graph, all with uniform attributes. *)
+let test_symmetric_graphs_share_a_key () =
+  let rook, shrikhande = rook_and_shrikhande () in
+  List.iter
+    (fun (name, g) ->
+      let rng = Prng.create ~seed:5 in
+      let acg = Acg.uniform ~volume:64 ~bandwidth:0.1 g in
+      let h = Acg.canonical_hash acg in
+      Alcotest.(check bool) (name ^ " labels canon:") true (is_canon h);
+      Alcotest.(check string) (name ^ " relabeled") h
+        (Acg.canonical_hash (Replay.permute ~rng acg)))
+    [
+      ("hypercube 5", G.hypercube 5);
+      ("star 9", G.star 9);
+      ("complete 24", G.complete 24);
+      ("rook + shrikhande", disjoint [ rook; shrikhande ]);
+    ]
+
 let suite =
   ( "serve",
     [
@@ -608,4 +713,7 @@ let suite =
       Alcotest.test_case "constrained search is domain-invariant" `Quick
         test_domains_invariant_with_constraints;
       Alcotest.test_case "canonical labeling is pinned" `Quick test_labeling_pinned;
+      QCheck_alcotest.to_alcotest qcheck_hash_invariant_when_refinement_stalls;
+      Alcotest.test_case "symmetric graphs share a key" `Quick
+        test_symmetric_graphs_share_a_key;
     ] )
