@@ -232,8 +232,8 @@ let add_aut n node a =
       if ru < rv then uf.(rv) <- ru else if rv < ru then uf.(ru) <- rv)
     a.moved
 
-(* [v] lies in the orbit of a smaller vertex, which is then a sibling of
-   the same target cell, visited earlier *)
+(* [v] shares an orbit with a smaller vertex: an earlier sibling in the
+   same target cell, whose subtree an automorphism maps onto [v]'s *)
 let pruned node v = Array.length node.orbits > 0 && find node.orbits v <> v
 
 (* A child of [node] through [v], seeded with the automorphisms of [node]

@@ -72,8 +72,8 @@ let qcheck_hash_permutation_invariant =
       || String.equal h (Acg.canonical_hash (Replay.permute ~rng acg))
          && String.equal h (Acg.canonical_hash (Replay.permute ~rng acg)))
 
-(* Symmetric shapes no degree count tells apart.  [disjoint] places each
-   graph above the largest vertex of the ones before it. *)
+(* [disjoint gs]: the union of [gs], each shifted above the largest vertex
+   of the graphs before it *)
 let disjoint gs =
   List.fold_left
     (fun (off, acc) g ->
@@ -100,14 +100,16 @@ let rook_and_shrikhande () =
   in
   let shrikhande =
     List.concat_map
-      (fun (i, j) -> List.map (fun (a, b) -> (id i j, id (i + a) (j + b))) [ (0, 1); (1, 0); (1, 1) ])
+      (fun (i, j) ->
+        List.map (fun (a, b) -> (id i j, id (i + a) (j + b))) [ (0, 1); (1, 0); (1, 1) ])
       cells
   in
   (D.of_edges rook, undirected shrikhande)
 
 (* volumes drawn from [1 .. k] edge by edge *)
 let with_volumes ~rng ~k g =
-  Acg.of_weighted_edges (D.fold_edges (fun u v acc -> (u, v, 1 + Prng.int rng k, 0.1) :: acc) g [])
+  Acg.of_weighted_edges
+    (D.fold_edges (fun u v acc -> (u, v, 1 + Prng.int rng k, 0.1) :: acc) g [])
 
 (* Property: the hash is invariant on graphs whose refinement stalls, so
    the labeling must individualize and compare many leaves: rings 3+3+6
@@ -178,7 +180,9 @@ let qcheck_hash_decides_isomorphism =
             (a, Replay.permute ~rng (Acg.of_weighted_edges quads))
         | 2 -> (a, small_acg ~rng ~n)
         | _ ->
-            let pick () = with_volumes ~rng ~k:(1 + Prng.int rng 2) (Prng.choose rng regular8) in
+            let pick () =
+              with_volumes ~rng ~k:(1 + Prng.int rng 2) (Prng.choose rng regular8)
+            in
             let a = pick () in
             (a, Replay.permute ~rng (pick ()))
       in
@@ -571,17 +575,14 @@ let test_replay_deterministic_responses () =
 
 (* Test: the canonical labeling is pinned.  One MD5 per family over every
    member's canonical hash and canonical-form edge listing, taken from the
-   labeler without automorphism pruning.  Pruning must keep the first leaf
-   with the least certificate, so neither the key nor the relabeling may
-   move; a labeler that stays invariant but keeps another leaf fails here.
-   Every pinned input is one that labeler answered [canon:] within its
-   budget, so none of them may fall back to [exact:] either. *)
+   labeler without automorphism pruning.  Pruning must keep the least
+   certificate, so neither the key nor the relabeled ACG may move; a
+   labeler that stays invariant but settles on another certificate fails
+   here.  (Both depend on the certificate alone, not on which leaf
+   reached it.)  Every pinned input is one that labeler answered
+   [canon:] within its budget, so none may fall back to [exact:]. *)
 let pin_variants g =
-  let volumes ~rng =
-    Acg.of_weighted_edges
-      (D.fold_edges (fun u v acc -> (u, v, 1 + Prng.int rng 2, 0.1) :: acc) g [])
-  in
-  [ (fun ~rng:_ -> Acg.uniform ~volume:64 ~bandwidth:0.1 g); volumes ]
+  [ (fun ~rng:_ -> Acg.uniform ~volume:64 ~bandwidth:0.1 g); with_volumes ~k:2 g ]
 
 let pin_families () =
   let module Corpus = Noc_benchkit.Corpus in
