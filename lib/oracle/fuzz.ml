@@ -428,11 +428,11 @@ let prop_fallback_gap library acg =
               | _ -> Ok ()))
 
 (* Cross-layer energy check: one 1-flit packet per flow through the flit
-   engine, on the custom architecture and on the mesh baseline
-   ([Backends.mesh]'s grid).  The switch and link energy [Stats] counts
-   from the engine's activity, per bit, must equal Eq. 1 summed over the
-   flows' routes.  Buffer and clock energy have no Eq. 1 counterpart and
-   stay out of the comparison. *)
+   engine, on the custom architecture and on the mesh baseline ([Syn.mesh]
+   on the [Syn.mesh_dims] grid).  The switch and link energy [Stats]
+   counts from the engine's activity, per bit, must equal Eq. 1 summed
+   over the flows' routes.  Buffer and clock energy have no Eq. 1
+   counterpart and stay out of the comparison. *)
 let prop_flit_energy library acg =
   let module Flit = Noc_sim.Flitsim in
   let g = Acg.graph acg in

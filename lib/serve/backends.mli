@@ -7,28 +7,26 @@
     model on the same shared grid floorplan (cores at identical positions),
     so the numbers are directly comparable. *)
 
-val mesh : Noc_core.Acg.t -> Noc_core.Synthesis.t
-(** The standard 2D-mesh baseline ({!Noc_core.Synthesis.mesh}) on the
-    {!Noc_core.Synthesis.mesh_dims} grid, with XY routing. *)
-
-val sparse_hamming : Noc_core.Acg.t -> Noc_core.Synthesis.t
-(** A sparse-Hamming-style regular topology on the same grid: cores are
-    placed row-major and linked to the cores at power-of-two offsets along
-    their row and their column (the per-dimension hypercube connectivity a
-    Hamming graph's cliques sparsify to).  Routes fix the column first,
-    then the row, taking the largest power-of-two step available — a
-    deterministic greedy that needs at most [log2 cols + log2 rows] hops
-    per flow. *)
-
-val score :
-  tech:Noc_energy.Technology.t ->
-  fp:Noc_energy.Floorplan.t ->
-  name:string ->
-  Noc_core.Acg.t ->
-  Noc_core.Synthesis.t ->
-  Proto.Response.backend_score
-
 val compare_all :
   Noc_core.Acg.t -> custom:Noc_core.Synthesis.t -> Proto.Response.backend_score list
 (** Scores [custom], the mesh and the sparse-Hamming alternative (in that
-    order) on a shared 180nm grid floorplan. *)
+    order) on a shared 180nm grid floorplan: the
+    {!Noc_core.Synthesis.mesh_dims} grid of 2 mm cores, core [v] in row
+    [(v-1)/cols] and column [(v-1) mod cols] ([Floorplan.grid]'s
+    placement).
+
+    - The mesh is {!Noc_core.Synthesis.mesh} on that grid, with XY
+      routing.
+    - The sparse-Hamming graph links each core to the cores at
+      power-of-two offsets along its row and its column (the
+      per-dimension hypercube connectivity a Hamming graph's cliques
+      sparsify to).  Routes fix the column first, then the row, taking the
+      largest power-of-two step available: at most
+      [log2 cols + log2 rows] hops per flow.
+
+    Neither baseline is built: their routes are walked over grid
+    coordinates, and every score is bit-identical to building the
+    architecture and scoring it with {!Noc_core.Synthesis.link_count},
+    [avg_hops], [max_hops] and [total_energy] over that floorplan.
+    @raise Invalid_argument if a core id is below 1 or a custom route
+    leaves the grid. *)

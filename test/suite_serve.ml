@@ -683,6 +683,183 @@ let test_symmetric_graphs_share_a_key () =
       ("rook + shrikhande", disjoint [ rook; shrikhande ]);
     ]
 
+(* -------------------------------------------------------------------- *)
+(* Backend scoring                                                       *)
+
+module Syn = Noc_core.Synthesis
+module Backends = Noc_serve.Backends
+
+(* The sparse-Hamming architecture that [Backends.compare_all] scores,
+   built: node (r, c) is core [r * cols + c + 1] on the [Syn.mesh_dims]
+   grid (row-major, 1-based, as in [Syn.mesh]), linked to the nodes at
+   power-of-two column offsets in its row and power-of-two row offsets in
+   its column.  Routes fix the column first, then the row, each step the
+   largest power of two toward the target coordinate. *)
+let sparse_hamming acg =
+  let rows, cols = Syn.mesh_dims acg in
+  let node r c = (r * cols) + c + 1 in
+  let edges = ref [] in
+  for r = 0 to rows - 1 do
+    for c = 0 to cols - 1 do
+      let k = ref 1 in
+      while c + !k < cols do
+        edges := (node r c, node r (c + !k)) :: !edges;
+        k := !k * 2
+      done;
+      let k = ref 1 in
+      while r + !k < rows do
+        edges := (node r c, node (r + !k) c) :: !edges;
+        k := !k * 2
+      done
+    done
+  done;
+  let topology = D.of_edges !edges in
+  let rec steps_toward cur target acc =
+    if cur = target then List.rev acc
+    else
+      let delta = target - cur in
+      let mag = abs delta in
+      let step = ref 1 in
+      while !step * 2 <= mag do
+        step := !step * 2
+      done;
+      let next = if delta > 0 then cur + !step else cur - !step in
+      steps_toward next target (next :: acc)
+  in
+  let route src dst =
+    let rs = (src - 1) / cols and cs = (src - 1) mod cols in
+    let rd = (dst - 1) / cols and cd = (dst - 1) mod cols in
+    let row_fixed = List.map (fun c -> node rs c) (steps_toward cs cd []) in
+    let col_fixed = List.map (fun r -> node r cd) (steps_toward rs rd []) in
+    (src :: row_fixed) @ col_fixed
+  in
+  let routes =
+    D.fold_edges
+      (fun u v acc -> D.Edge_map.add (u, v) (route u v) acc)
+      (Acg.graph acg) D.Edge_map.empty
+  in
+  Syn.make ~topology ~routes ()
+
+(* the reference: build each architecture, then score it with
+   [Synthesis] over [Floorplan.grid] *)
+let built_scores acg ~custom =
+  let tech = Noc_energy.Technology.cmos_180nm in
+  let rows, cols = Syn.mesh_dims acg in
+  let fp =
+    Noc_energy.Floorplan.(grid ~cols (uniform_cores ~n:(rows * cols) ~size_mm:2.0))
+  in
+  let score backend arch =
+    {
+      Proto.Response.backend;
+      links = Syn.link_count arch;
+      avg_hops = Syn.avg_hops acg arch;
+      max_hops = Syn.max_hops arch;
+      energy_pj = Syn.total_energy ~tech ~fp acg arch;
+    }
+  in
+  [
+    score "custom" custom;
+    score "mesh" (Syn.mesh ~rows ~cols acg);
+    score "sparse_hamming" (sparse_hamming acg);
+  ]
+
+(* equal bit for bit *)
+let same_scores =
+  let bits = Int64.bits_of_float in
+  List.equal (fun (a : Proto.Response.backend_score) (b : Proto.Response.backend_score) ->
+      String.equal a.backend b.backend
+      && a.links = b.links && a.max_hops = b.max_hops
+      && Int64.equal (bits a.avg_hops) (bits b.avg_hops)
+      && Int64.equal (bits a.energy_pj) (bits b.energy_pj))
+
+let custom_of ?(max_nodes = 2_000) acg =
+  let budget = Bb.Budget.(default |> with_max_nodes max_nodes) in
+  let d, _ = Bb.decompose ~budget ~library:(Noc_primitives.Library.default ()) acg in
+  Syn.custom acg d
+
+let scores_match acg =
+  let custom = custom_of acg in
+  same_scores (Backends.compare_all acg ~custom) (built_scores acg ~custom)
+
+(* ACGs on cores drawn from [1 .. top] with gaps, some of them isolated,
+   and some flows without a volume entry (those count 1).  [top] runs
+   from 1 to 40, so one core, zero flows and largest ids that are not
+   squares all turn up. *)
+let gappy_acg ~rng =
+  let top = Prng.int_in rng 1 40 in
+  let cores =
+    List.filter (fun v -> v = top || Prng.int rng 3 > 0) (List.init top (fun i -> i + 1))
+  in
+  let p = Prng.float rng 0.3 in
+  let flows =
+    List.concat_map
+      (fun u ->
+        List.filter_map
+          (fun v -> if u <> v && Prng.bernoulli rng p then Some (u, v) else None)
+          cores)
+      cores
+  in
+  let volume =
+    List.fold_left
+      (fun m e -> if Prng.int rng 4 = 0 then m else D.Edge_map.add e (1 + Prng.int rng 500) m)
+      D.Edge_map.empty flows
+  in
+  Acg.make ~graph:(D.of_edges ~vertices:cores flows) ~volume ()
+
+(* Property: scoring by walking grid coordinates gives the scores of the
+   built architectures, bit for bit. *)
+let qcheck_backends_match_built =
+  QCheck.Test.make ~name:"backend scores equal the built architectures' scores"
+    ~count:200 QCheck.small_int
+    (fun seed -> scores_match (gappy_acg ~rng:(Prng.create ~seed:(seed + 8800))))
+
+(* Test: the same on the corpus, and on the synth-cold families by the
+   benchmark's recipe, canonicalized as the daemon searches them *)
+let test_backends_match_built_on_families () =
+  let module Corpus = Noc_benchkit.Corpus in
+  let family gen sizes =
+    List.concat_map (fun (n, k) -> List.init k (fun i -> gen ~seed:(i + 1) ~n)) sizes
+  in
+  let heavy = Corpus.clustered ~seed:1 ~n:96 in
+  let scaled k =
+    Acg.make ~graph:heavy.Acg.graph
+      ~volume:(D.Edge_map.map (( * ) k) heavy.Acg.volume)
+      ~bandwidth:heavy.Acg.bandwidth ()
+  in
+  let cold =
+    family Corpus.layered [ (32, 24); (48, 24); (64, 20); (96, 8); (128, 8) ]
+    @ family Corpus.random [ (32, 24); (48, 24); (64, 20); (96, 8); (128, 8) ]
+    @ family Corpus.clustered [ (32, 5); (48, 16); (64, 8) ]
+    @ List.map scaled [ 1; 2; 3 ]
+  in
+  let canonical acg = Option.fold ~none:acg ~some:fst (Acg.canonical_form acg) in
+  List.iteri
+    (fun i acg ->
+      if not (scores_match acg) then Alcotest.failf "input %d: scores differ" i)
+    (List.map (fun s -> s.Corpus.acg) (Corpus.default ()) @ List.map canonical cold)
+
+(* Test: a core id below 1 has no grid cell, flowing or isolated *)
+let test_backends_reject_core_below_one () =
+  List.iter
+    (fun (name, graph, message) ->
+      let acg = Acg.uniform ~volume:8 ~bandwidth:0.1 graph in
+      let custom =
+        Syn.custom acg { Noc_core.Decomposition.matchings = []; remainder = graph }
+      in
+      Alcotest.check_raises name (Invalid_argument message) (fun () ->
+          ignore (Backends.compare_all acg ~custom)))
+    [
+      ( "flow from core 0",
+        D.of_edges [ (0, 1); (1, 2) ],
+        "Backends.compare_all: core 0 outside 1x2 grid" );
+      ( "isolated core 0",
+        D.of_edges ~vertices:[ 0 ] [ (1, 2) ],
+        "Backends.compare_all: core 0 outside 1x2 grid" );
+      ( "flow into core -3",
+        D.of_edges [ (5, -3) ],
+        "Backends.compare_all: core -3 outside 2x3 grid" );
+    ]
+
 let suite =
   ( "serve",
     [
@@ -717,4 +894,9 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_hash_invariant_when_refinement_stalls;
       Alcotest.test_case "symmetric graphs share a key" `Quick
         test_symmetric_graphs_share_a_key;
+      QCheck_alcotest.to_alcotest qcheck_backends_match_built;
+      Alcotest.test_case "backend scores equal the built ones on the families" `Quick
+        test_backends_match_built_on_families;
+      Alcotest.test_case "backend scoring rejects a core below 1" `Quick
+        test_backends_reject_core_below_one;
     ] )
