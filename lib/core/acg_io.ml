@@ -41,7 +41,8 @@ let tokenize line =
 let parse s =
   try
     let lines = String.split_on_char '\n' s in
-    let quads = ref [] in
+    let graph = ref D.empty in
+    let volume = ref D.Edge_map.empty and bandwidth = ref D.Edge_map.empty in
     let verts = ref [] in
     List.iteri
       (fun i line ->
@@ -75,25 +76,15 @@ let parse s =
               | None -> err lineno bwcol "bad bandwidth '%s'" bw
             in
             if u' = v' then err lineno ucol "self-loop %d -> %d is not a flow" u' v';
-            if List.exists (fun (a, b, _, _) -> a = u' && b = v') !quads then
-              err lineno ucol "duplicate edge %d -> %d" u' v';
-            quads := (u', v', vol', bw') :: !quads
+            if D.mem_edge !graph u' v' then err lineno ucol "duplicate edge %d -> %d" u' v';
+            graph := D.add_edge !graph u' v';
+            volume := D.Edge_map.add (u', v') vol' !volume;
+            bandwidth := D.Edge_map.add (u', v') bw' !bandwidth
         | (_, col) :: _ ->
             err lineno col "expected 'src dst volume bandwidth' or 'vertex <id>'")
       lines;
-    let acg = Acg.of_weighted_edges (List.rev !quads) in
-    let graph = List.fold_left D.add_vertex (Acg.graph acg) !verts in
-    Ok
-      (Acg.make ~graph
-         ~volume:
-           (List.fold_left
-              (fun m (u, v, vol, _) -> D.Edge_map.add (u, v) vol m)
-              D.Edge_map.empty (List.rev !quads))
-         ~bandwidth:
-           (List.fold_left
-              (fun m (u, v, _, bw) -> D.Edge_map.add (u, v) bw m)
-              D.Edge_map.empty (List.rev !quads))
-         ())
+    let graph = List.fold_left D.add_vertex !graph !verts in
+    Ok (Acg.make ~graph ~volume:!volume ~bandwidth:!bandwidth ())
   with
   | Parse_error m -> Error (`Msg m)
   (* backstop so the Result contract holds even for constraints only the

@@ -125,13 +125,10 @@ let reverse g =
 
 let undirected_closure g = fold_edges (fun u v acc -> add_edge acc v u) g g
 
+(* each unordered pair once: at its ascending edge if present, otherwise
+   at its one descending edge *)
 let undirected_edge_count g =
-  let pairs =
-    fold_edges
-      (fun u v acc -> Edge_set.add (if u < v then (u, v) else (v, u)) acc)
-      g Edge_set.empty
-  in
-  Edge_set.cardinal pairs
+  fold_edges (fun u v n -> if u < v || not (mem_edge g v u) then n + 1 else n) g 0
 
 let equal a b = Vset.equal a.verts b.verts && Edge_set.equal (edge_set a) (edge_set b)
 

@@ -774,6 +774,57 @@ let test_acg_io_file_roundtrip () =
       Alcotest.(check int) "flows" (Acg.num_flows acg) (Acg.num_flows acg');
       Alcotest.(check int) "volume preserved" (Acg.volume acg 1 5) (Acg.volume acg' 1 5))
 
+(* 20 000 flows: each of 200 cores sends to the 100 cores after it (mod
+   200), with bandwidths in eighths, which "%g" prints exactly; plus the
+   given isolated cores *)
+let acg_20k_flows ~isolated =
+  let rng = Prng.create ~seed:31 in
+  let quads =
+    List.concat
+      (List.init 200 (fun i ->
+           List.init 100 (fun k ->
+               ( i + 1,
+                 ((i + k + 1) mod 200) + 1,
+                 1 + Prng.int rng 4096,
+                 float_of_int (Prng.int rng 1000) /. 8. ))))
+  in
+  let flows = Acg.of_weighted_edges quads in
+  Acg.make
+    ~graph:(List.fold_left D.add_vertex (Acg.graph flows) isolated)
+    ~volume:flows.Acg.volume ~bandwidth:flows.Acg.bandwidth ()
+
+(* Test: a 20 000-flow ACG with isolated cores round-trips through the
+   text format to an equal ACG *)
+let test_acg_io_20k_roundtrip () =
+  let acg = acg_20k_flows ~isolated:[ 201; 250 ] in
+  let acg' = parse_exn (Io.to_string acg) in
+  Alcotest.(check int) "flows" 20_000 (Acg.num_flows acg');
+  Alcotest.(check bool) "same graph, isolated cores included" true
+    (D.equal (Acg.graph acg) (Acg.graph acg'));
+  D.iter_edges
+    (fun u v ->
+      if
+        Acg.volume acg u v <> Acg.volume acg' u v
+        || not (Float.equal (Acg.bandwidth acg u v) (Acg.bandwidth acg' u v))
+      then Alcotest.failf "attributes of %d -> %d differ" u v)
+    (Acg.graph acg)
+
+(* Test: a duplicate 20 000 lines after its first occurrence is reported
+   where it repeats *)
+let test_acg_io_late_duplicate () =
+  match String.split_on_char '\n' (Io.to_string (acg_20k_flows ~isolated:[])) with
+  | header :: (first :: _ as flows) ->
+      (* line 1 the header, lines 2 .. 20 000 the first 19 999 flows, line
+         20 001 the first flow again *)
+      let text =
+        String.concat "\n" ((header :: List.filteri (fun i _ -> i < 19_999) flows) @ [ first ])
+      in
+      let u, v = Scanf.sscanf first "%d %d" (fun u v -> (u, v)) in
+      check_parse_error "late duplicate"
+        (Printf.sprintf "line 20001, column 1: duplicate edge %d -> %d" u v)
+        text
+  | _ -> Alcotest.fail "empty listing"
+
 (* -------------------------------------------------------------------- *)
 (* Report                                                                *)
 
@@ -1351,4 +1402,6 @@ let suite =
         test_constrained_corpus_pinned;
       Alcotest.test_case "synth-cold-shaped searches are pinned" `Quick
         test_synth_cold_searches_pinned;
+      Alcotest.test_case "acg io 20000 flows round-trip" `Quick test_acg_io_20k_roundtrip;
+      Alcotest.test_case "acg io duplicate at line 20001" `Quick test_acg_io_late_duplicate;
     ] )

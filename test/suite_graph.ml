@@ -509,6 +509,27 @@ let qcheck_compact_matches_digraph =
 
 let vmap_bindings m = D.Vmap.bindings m
 
+(* Property: the undirected link count equals the number of distinct
+   unordered pairs, on random digraphs that are one-way (every pair only
+   from its larger end, so each is counted at its descending edge),
+   mixed or symmetric *)
+let qcheck_undirected_edge_count =
+  QCheck.Test.make ~name:"undirected edge count = distinct unordered pairs" ~count:200
+    QCheck.(pair small_int (int_range 1 24))
+    (fun (seed, n) ->
+      let rng = Prng.create ~seed:(seed + 7300) in
+      let g = random_digraph rng ~n ~p:(Prng.float rng 0.6) in
+      let g =
+        match Prng.int rng 3 with
+        | 0 -> D.of_edges (List.map (fun (u, v) -> (max u v, min u v)) (D.edges g))
+        | 1 -> g
+        | _ -> D.undirected_closure g
+      in
+      let pairs =
+        D.fold_edges (fun u v acc -> D.Edge_set.add (min u v, max u v) acc) g D.Edge_set.empty
+      in
+      D.undirected_edge_count g = D.Edge_set.cardinal pairs)
+
 let qcheck_vf2_compact_equals_map =
   QCheck.Test.make
     ~name:"compact VF2 enumerates exactly the map-based engine's matches" ~count:60
@@ -614,4 +635,5 @@ let suite =
         test_fft16_labels_within_budget;
       Alcotest.test_case "canonical labeling truncates past its budget" `Quick
         test_canon_truncates;
+      QCheck_alcotest.to_alcotest qcheck_undirected_edge_count;
     ] )
