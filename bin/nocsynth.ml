@@ -603,6 +603,7 @@ let aes_cmd =
     let fp = Acg.grid_floorplan acg in
     let key = Noc_aes.Aes_core.of_hex "000102030405060708090a0b0c0d0e0f" in
     let pt = Noc_aes.Aes_core.of_hex "00112233445566778899aabbccddeeff" in
+    let expect = Noc_aes.Aes_core.encrypt_block ~key pt in
     List.iter
       (fun (name, arch) ->
         let config = Noc_aes.Distributed.prototype_config arch in
@@ -614,6 +615,13 @@ let aes_cmd =
                   m "%s: distributed AES did not drain (%d packets pending)" name n);
               exit 1
         in
+        if not (Bytes.equal r.Noc_aes.Distributed.ciphertext expect) then begin
+          Logs.err (fun m ->
+              m "%s: distributed AES ciphertext %s differs from the reference %s" name
+                (Noc_aes.Aes_core.to_hex r.Noc_aes.Distributed.ciphertext)
+                (Noc_aes.Aes_core.to_hex expect));
+          exit 1
+        end;
         Format.printf
           "%-12s cycles/block=%4d thpt=%6.1f Mbps lat=%6.2f power=%6.2f mW energy=%9.1f pJ@."
           name r.Noc_aes.Distributed.cycles
@@ -800,7 +808,7 @@ let faults_cmd =
           in
           let rep = Campaign.run ~observe:o.observe ~name:s.Corpus.name ~seed ~spec acg arch in
           o.say "%-20s %6d %6d %8.3f %8.2f %6d %6d %9s" rep.Campaign.scenario
-            (List.length (Noc_resil.Fault.undirected_links arch))
+            (Syn.link_count arch)
             (List.length rep.Campaign.runs)
             rep.Campaign.min_delivered_fraction rep.Campaign.max_latency_factor
             rep.Campaign.worst_disconnected_pairs rep.Campaign.critical_links

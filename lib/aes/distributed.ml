@@ -44,14 +44,12 @@ let acg () =
   done;
   Noc_core.Acg.make ~graph:!g ~volume:!volume ~bandwidth:!bandwidth ()
 
-type timing = {
-  sub_bytes : int;
-  mix_compute : int;
-  add_key : int;
-  packet_flits : int;
-}
-
-let default_timing = { sub_bytes = 1; mix_compute = 2; add_key = 1; packet_flits = 2 }
+(* cycles of local work per step: S-box lookup, GF(2^8) MixColumns math
+   and key XOR; a byte message is one header and one payload flit *)
+let sub_bytes_cycles = 1
+let mix_compute_cycles = 2
+let add_key_cycles = 1
+let packet_flits = 2
 
 type result = {
   ciphertext : Bytes.t;
@@ -66,8 +64,7 @@ let prototype_config arch =
 (* internal short-circuit for the non-draining path; never escapes [encrypt] *)
 exception Undrained of int
 
-let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~key block
-    =
+let encrypt ?config ?(max_cycles = 1_000_000) ~arch ~key block =
   if Bytes.length key <> 16 then invalid_arg "Distributed.encrypt: need a 16-byte key";
   if Bytes.length block <> 16 then invalid_arg "Distributed.encrypt: need a 16-byte block";
   let config =
@@ -93,13 +90,13 @@ let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~
     for v = 1 to 16 do
       byte.(v) <- byte.(v) lxor Char.code (Bytes.get rks.(round) (fips_index v))
     done;
-    local_compute timing.add_key
+    local_compute add_key_cycles
   in
   let sub_bytes () =
     for v = 1 to 16 do
       byte.(v) <- Aes_core.sbox byte.(v)
     done;
-    local_compute timing.sub_bytes
+    local_compute sub_bytes_cycles
   in
   let wait_all () =
     match Flit.run_until_idle ~max_cycles net with
@@ -113,7 +110,7 @@ let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~
         let dst = shift_target ~row ~col in
         if dst <> src then
           ignore
-            (Flit.inject ~tag:src ~size_flits:timing.packet_flits
+            (Flit.inject ~tag:src ~size_flits:packet_flits
                ~payload:(Bytes.make 1 (Char.chr byte.(src)))
                net ~src ~dst)
       done
@@ -134,7 +131,7 @@ let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~
             let src = node_of ~row:r1 ~col in
             let dst = node_of ~row:r2 ~col in
             ignore
-              (Flit.inject ~tag:src ~size_flits:timing.packet_flits
+              (Flit.inject ~tag:src ~size_flits:packet_flits
                  ~payload:(Bytes.make 1 (Char.chr byte.(src)))
                  net ~src ~dst)
           end
@@ -145,11 +142,9 @@ let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~
     (* gather received column bytes at each node *)
     let columns = Array.make 17 [||] in
     for v = 1 to 16 do
-      let _, c = pos_of v in
       let col = Array.make 4 (-1) in
       let r, _ = pos_of v in
       col.(r) <- byte.(v);
-      ignore c;
       columns.(v) <- col
     done;
     List.iter
@@ -163,7 +158,7 @@ let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~
       let mixed = Aes_core.mix_single_column columns.(v) in
       byte.(v) <- mixed.(r)
     done;
-    local_compute timing.mix_compute
+    local_compute mix_compute_cycles
   in
   match
     add_round_key 0;

@@ -27,17 +27,6 @@ val acg : unit -> Noc_core.Acg.t
     are 8 bits × 9 rounds on MixColumns edges and 8 bits × 10 rounds on
     ShiftRows edges; bandwidth reflects one byte per phase. *)
 
-type timing = {
-  sub_bytes : int;  (** cycles of local S-box lookup per round *)
-  mix_compute : int;  (** cycles of local GF(2^8) math per MixColumns *)
-  add_key : int;  (** cycles of local key XOR *)
-  packet_flits : int;  (** flits per byte message (header + payload) *)
-}
-
-val default_timing : timing
-(** [sub_bytes = 1], [mix_compute = 2], [add_key = 1], [packet_flits = 2]
-    (one header flit, one payload flit). *)
-
 type result = {
   ciphertext : Bytes.t;
   cycles : int;  (** total cycles to encrypt the block *)
@@ -53,7 +42,6 @@ val prototype_config : Noc_core.Synthesis.t -> Noc_sim.Flitsim.config
 
 val encrypt :
   ?config:Noc_sim.Flitsim.config ->
-  ?timing:timing ->
   ?max_cycles:int ->
   arch:Noc_core.Synthesis.t ->
   key:Bytes.t ->
@@ -62,7 +50,9 @@ val encrypt :
 (** Encrypts one 16-byte block on the given architecture, simulated on
     the flit engine with [config] (default: the
     {!Noc_sim.Engine.prescribed} [Coarse] preset, one 8-bit flit per link
-    cycle over the lanes the architecture needs).  The architecture must
+    cycle over the lanes the architecture needs).  Local work costs 1
+    cycle per SubBytes, 2 per MixColumns and 1 per AddRoundKey; every
+    byte message is 2 flits (header and payload).  The architecture must
     route every ACG flow (build it from {!acg} via
     {!Noc_core.Synthesis.custom} or {!Noc_core.Synthesis.mesh}).
     [Error (`Undrained n)] means some communication phase deadlocked or

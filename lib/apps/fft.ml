@@ -94,7 +94,7 @@ let complex_of_bytes b =
     im = Int64.float_of_bits (Bytes.get_int64_le b 8);
   }
 
-let distributed ?config ?(butterfly_cycles = 2) ~arch x =
+let distributed ?config ~arch x =
   if Array.length x <> n_nodes then invalid_arg "Fft.distributed: need 16 samples";
   let config =
     match config with Some c -> c | None -> Noc_sim.Engine.prescribed Noc_sim.Engine.Coarse arch
@@ -139,9 +139,9 @@ let distributed ?config ?(butterfly_cycles = 2) ~arch x =
             Complex.mul (Complex.sub u v) (twiddle n_nodes (j * (n_nodes / (2 * d))))
         end
       done;
-      for _ = 1 to butterfly_cycles do
-        Flit.step net
-      done)
+      (* two cycles of local arithmetic per stage *)
+      Flit.step net;
+      Flit.step net)
     [ 8; 4; 2; 1 ];
   let w = log2 n_nodes in
   let output = Array.init n_nodes (fun m -> value.(bit_reverse w m)) in

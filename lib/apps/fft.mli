@@ -32,13 +32,12 @@ type result = {
 
 val distributed :
   ?config:Noc_sim.Flitsim.config ->
-  ?butterfly_cycles:int ->
   arch:Noc_core.Synthesis.t ->
   Complex.t array ->
   result
 (** Runs a 16-point FFT on the architecture (which must route all flows of
     {!acg}), simulated on the flit engine with [config] (default: the
-    {!Noc_sim.Engine.prescribed} [Coarse] preset); [butterfly_cycles]
-    (default 2) of local arithmetic per stage.
+    {!Noc_sim.Engine.prescribed} [Coarse] preset); each stage adds 2
+    cycles of local arithmetic.
     The output is in natural order and numerically identical to {!fft}.
     @raise Invalid_argument unless the input has exactly 16 samples. *)

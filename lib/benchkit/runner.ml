@@ -11,9 +11,6 @@ type settings = {
   domains : int list;
   sweep_rates : float list;
   sweep_cycles : int;
-  sweep_engine : Noc_sim.Engine.kind;
-  burst_size_flits : int;
-  seed : int;
   simulate : bool;
   fallback : bool;
   serve : bool;
@@ -26,12 +23,6 @@ let full =
     domains = [ 1; 2 ];
     sweep_rates = [ 0.01; 0.02; 0.05; 0.10 ];
     sweep_cycles = 1000;
-    (* the latency-vs-load knee is the whole point of the sweep, so it
-       runs on the byte-serial preset, where serialization stalls and HOL
-       blocking move it most *)
-    sweep_engine = Noc_sim.Engine.Flit;
-    burst_size_flits = 4;
-    seed = 42;
     simulate = true;
     fallback = false;
     serve = true;
@@ -153,6 +144,10 @@ type result = {
   explore : explore_sample;
 }
 
+(* the seed of every seeded stage: load sweep, fault campaign, serve mix
+   and exploration *)
+let seed = 42
+
 let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : settings)
     (s : Corpus.scenario) =
   let acg = s.acg in
@@ -203,14 +198,14 @@ let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : setting
     Obs.span observe ~cat:"bench" (s.name ^ ".deadlock") (fun () ->
         Noc_core.Deadlock.analyze arch)
   in
-  (* one packet per ACG flow through the flit engine *)
+  (* one 4-flit packet per ACG flow through the flit engine *)
   let engine_stage kind =
     let kname = Noc_sim.Engine.kind_name kind in
     Obs.span observe ~cat:"bench" (s.name ^ "." ^ kname) (fun () ->
         let net = Noc_sim.Engine.create kind arch in
         D.iter_edges
           (fun src dst ->
-            ignore (Noc_sim.Engine.inject ~size_flits:settings.burst_size_flits net ~src ~dst))
+            ignore (Noc_sim.Engine.inject ~size_flits:4 net ~src ~dst))
           (Acg.graph acg);
         let status = Noc_sim.Engine.verdict_name (Noc_sim.Engine.run_until_idle net) in
         let summary = Noc_sim.Engine.summary net in
@@ -232,8 +227,11 @@ let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : setting
     if not settings.simulate then []
     else
       Obs.span observe ~cat:"bench" (s.name ^ ".sweep") (fun () ->
-          Noc_sim.Sweep.latency_vs_load ~engine:settings.sweep_engine
-            ~rng:(Prng.create ~seed:settings.seed)
+          (* the latency-vs-load knee is the whole point of the sweep, so
+             it runs on the byte-serial preset, where serialization stalls
+             and HOL blocking move it most *)
+          Noc_sim.Sweep.latency_vs_load ~engine:Noc_sim.Engine.Flit
+            ~rng:(Prng.create ~seed)
             ~arch ~acg ~cycles:settings.sweep_cycles ~rates:settings.sweep_rates ())
   in
   let resilience =
@@ -249,7 +247,7 @@ let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : setting
       }
     else
       let rep =
-        Noc_resil.Campaign.run ~observe ~name:s.name ~seed:settings.seed
+        Noc_resil.Campaign.run ~observe ~name:s.name ~seed
           ~spec:Noc_resil.Campaign.Single_link acg arch
       in
       {
@@ -290,7 +288,7 @@ let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : setting
              bytes. *)
           let module Sd = Noc_serve.Daemon in
           let module Sp = Noc_serve.Proto in
-          let rng = Prng.create ~seed:settings.seed in
+          let rng = Prng.create ~seed in
           let config = { Sd.default_config with max_inflight = 2 } in
           let daemon = Sd.create ~config ~observe () in
           let budget = Bb.Budget.with_domains 1 settings.budget in
@@ -395,10 +393,10 @@ let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : setting
           (* seed-deterministic whatever the sharding: the front and
              hypervolume are gateable, the steal count is informational *)
           let module E = Noc_explore.Explore in
-          let axes = E.axes ~seed:settings.seed ~library acg in
+          let axes = E.axes ~seed ~library acg in
           let r =
             E.run ~observe ~domains:(List.fold_left max 1 settings.domains)
-              ~points:settings.explore_points ~seed:settings.seed axes acg
+              ~points:settings.explore_points ~seed axes acg
           in
           {
             explore_space = r.E.space;
@@ -438,9 +436,6 @@ let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : setting
     serve;
     explore;
   }
-
-let run_corpus ?(observe = Obs.disabled) ?library ~settings scenarios =
-  List.map (fun s -> run ~observe ?library ~settings s) scenarios
 
 let engine_row r name = List.find_opt (fun e -> e.engine = name) r.engines
 

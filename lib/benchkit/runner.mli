@@ -1,12 +1,15 @@
 (** Runs the benchmark corpus through the full synthesis flow.
 
     Each scenario goes decompose -> glue -> deadlock analysis -> burst
-    simulation on the cycle-accurate flit engine -> offered-load sweep ->
-    single-link fault campaign -> service-layer request mix, with
+    simulation on the cycle-accurate flit engine (one 4-flit packet per
+    flow) -> offered-load sweep (on the byte-serial [Flit] preset, whose
+    serialization stalls and head-of-line blocking place the saturation
+    knee) -> single-link fault campaign -> service-layer request mix, with
     per-stage [Noc_obs] spans (category ["bench"]) so a [--trace] of a
     bench run opens in Perfetto.
-    Everything is seeded; apart from wall-clock fields the results are
-    deterministic, which is what makes the regression gate possible. *)
+    Every seeded stage draws from seed 42; apart from wall-clock fields
+    the results are deterministic, which is what makes the regression
+    gate possible. *)
 
 type settings = {
   budget : Noc_core.Branch_bound.Budget.t;
@@ -15,12 +18,6 @@ type settings = {
   domains : int list;  (** decompose once per domain count (scaling row) *)
   sweep_rates : float list;
   sweep_cycles : int;
-  sweep_engine : Noc_sim.Engine.kind;
-      (** preset of the offered-load sweep; the persisted records run it
-          at [Flit], whose byte-serial links and head-of-line blocking
-          place the saturation knee *)
-  burst_size_flits : int;  (** packet size of the engine burst stage *)
-  seed : int;
   simulate : bool;
       (** run the engine burst, load sweep and fault campaign; the scale
           tiers turn this off — cycle-accurate simulation of a 1024-core
@@ -168,13 +165,6 @@ val run :
   settings:settings ->
   Corpus.scenario ->
   result
-
-val run_corpus :
-  ?observe:Noc_obs.Obs.t ->
-  ?library:Noc_primitives.Library.t ->
-  settings:settings ->
-  Corpus.scenario list ->
-  result list
 
 val engine_row : result -> string -> engine_sample option
 (** The burst row of the named preset, if it ran. *)

@@ -21,22 +21,11 @@ module Budget = struct
 
   let starved t = match t.timeout_s with Some s -> s <= 0.0 | None -> false
 
-  let clamp_service ?default_timeout_s ?max_timeout_s ?max_nodes_cap t =
-    let timeout_s =
-      let requested =
-        match t.timeout_s with None -> default_timeout_s | Some s -> Some s
-      in
-      match (requested, max_timeout_s) with
-      | None, cap -> cap
-      | Some s, None -> Some s
-      | Some s, Some cap -> Some (Float.min s cap)
-    in
-    let max_nodes =
-      match max_nodes_cap with
-      | None -> t.max_nodes
-      | Some cap -> min t.max_nodes (max 1 cap)
-    in
-    { t with timeout_s; max_nodes }
+  let clamp_service ?max_timeout_s t =
+    match (t.timeout_s, max_timeout_s) with
+    | None, cap -> { t with timeout_s = cap }
+    | Some _, None -> t
+    | Some s, Some cap -> { t with timeout_s = Some (Float.min s cap) }
 end
 
 type options = {
@@ -433,7 +422,7 @@ let accept ctx matchings_rev rest_view total ~path_rev =
     match ctx.env.opts.constraints with
     | None -> true
     | Some c ->
-        Constraints.satisfied c ctx.env.acg (Synthesis.of_decomposition ctx.env.acg d)
+        Constraints.satisfied c ctx.env.acg (Synthesis.custom ctx.env.acg d)
   in
   if ok then begin
     ctx.best_decomp <- Some d;
@@ -691,7 +680,7 @@ let fallback_seed env root_view =
     match env.opts.constraints with
     | None -> true
     | Some c ->
-        Constraints.satisfied c env.acg (Synthesis.of_decomposition env.acg d)
+        Constraints.satisfied c env.acg (Synthesis.custom env.acg d)
   in
   if ok then begin
     cas_min env.shared_best total;
@@ -799,7 +788,7 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled) ~li
           match opts.constraints with
           | None -> true
           | Some c ->
-              Constraints.satisfied c acg (Synthesis.of_decomposition acg d)
+              Constraints.satisfied c acg (Synthesis.custom acg d)
         in
         (d, Cost.remainder_cost opts.cost acg (Acg.graph acg), met, false)
   in

@@ -57,15 +57,12 @@ module Budget : sig
       deadline is unsatisfiable before any work starts, so a service should
       answer [Over_budget] instead of admitting the request. *)
 
-  val clamp_service : ?default_timeout_s:float -> ?max_timeout_s:float ->
-    ?max_nodes_cap:int -> t -> t
-  (** The service-side budget guard: requests with no wall-clock deadline
-      inherit [default_timeout_s], declared deadlines are clamped to
-      [max_timeout_s], and [max_nodes] is capped at [max_nodes_cap] — so no
-      admitted request can hold a worker longer than the daemon's hard
-      per-request wall budget.  Omitted bounds leave the corresponding
-      field untouched; [domains] is never changed (it is an execution
-      hint). *)
+  val clamp_service : ?max_timeout_s:float -> t -> t
+  (** The service-side budget guard: declared deadlines are clamped to
+      [max_timeout_s] and requests with none inherit it, so no admitted
+      request can hold a worker longer than the daemon's hard per-request
+      wall budget.  Without [max_timeout_s] the budget is returned as is;
+      [max_nodes] and [domains] are never changed. *)
 end
 
 type options = {

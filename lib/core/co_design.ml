@@ -35,7 +35,7 @@ let evaluate ~tech ~library ~fp acg =
   in
   let budget = Branch_bound.Budget.(default |> with_max_nodes 20_000) in
   let decomposition, _ = Branch_bound.decompose ~options ~budget ~library acg in
-  let arch = Synthesis.of_decomposition acg decomposition in
+  let arch = Synthesis.custom acg decomposition in
   let energy = Synthesis.total_energy ~tech ~fp acg arch in
   (decomposition, arch, energy)
 

@@ -16,7 +16,7 @@ type t = {
 }
 
 let build ?tech ?fp ?constraints ~cost ~acg ~decomposition ~stats () =
-  let arch = Synthesis.of_decomposition acg decomposition in
+  let arch = Synthesis.custom acg decomposition in
   let listing =
     Format.asprintf "%a" (Decomposition.pp_with_cost cost acg) decomposition
   in

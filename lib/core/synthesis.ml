@@ -25,13 +25,13 @@ let path_follows topology ~src ~dst path =
 let routes_valid_internal topology routes =
   Edge_map.for_all (fun (src, dst) path -> path_follows topology ~src ~dst path) routes
 
-let make ~topology ~routes ?uniform_router_ports () =
+let make ~topology ~routes =
   let topology = D.undirected_closure topology in
   if not (routes_valid_internal topology routes) then
     invalid_arg "Synthesis.make: a route does not follow the topology";
-  { topology; routes; uniform_router_ports }
+  { topology; routes; uniform_router_ports = None }
 
-let of_decomposition acg decomp =
+let custom acg decomp =
   let base =
     D.fold_vertices (fun v g -> D.add_vertex g v) (Acg.graph acg) D.empty
   in
@@ -58,7 +58,7 @@ let of_decomposition acg decomp =
         (fun (u, v) ->
           if not (Edge_map.mem (u, v) routes) then
             invalid_arg
-              (Printf.sprintf "Synthesis.of_decomposition: no route for %d->%d" u v))
+              (Printf.sprintf "Synthesis.custom: no route for %d->%d" u v))
         m.Matching.covered)
     decomp.Decomposition.matchings;
   let routes =
@@ -67,8 +67,6 @@ let of_decomposition acg decomp =
       decomp.Decomposition.remainder routes
   in
   { topology; routes; uniform_router_ports = None }
-
-let custom = of_decomposition
 
 let mesh_dims acg =
   let n = D.fold_vertices max (Acg.graph acg) 1 in
@@ -182,10 +180,6 @@ let harden ~tech ~fp t =
   let vertices = List.sort Int.compare (D.vertex_list t.topology) in
   let connected g s d = Noc_graph.Traversal.shortest_path g s d <> None in
   let remove_link g u v = D.remove_edge (D.remove_edge g u v) v u in
-  let undirected_links g =
-    D.fold_edges (fun u v acc -> if u < v then (u, v) :: acc else acc) g []
-    |> List.sort compare
-  in
   let link_cost (u, v) = Noc_energy.Energy_model.path_bit_energy ~tech ~fp [ u; v ] in
   (* first link whose removal disconnects some routed pair, with the graph
      after removal and the pairs it breaks *)
@@ -196,7 +190,7 @@ let harden ~tech ~fp t =
         match List.filter (fun (s, d) -> not (connected g s d)) pairs with
         | [] -> None
         | bs -> Some (g, bs))
-      (undirected_links topo)
+      (D.undirected_edges topo)
   in
   let rec fix topo spares =
     match broken topo with

@@ -19,18 +19,14 @@ type t = private {
           architectures) *)
 }
 
-val make :
-  topology:Noc_graph.Digraph.t ->
-  routes:int list Noc_graph.Digraph.Edge_map.t ->
-  ?uniform_router_ports:int ->
-  unit ->
-  t
-(** An architecture from explicit parts (for hand-built experiments and
-    simulator tests).  Topology is symmetrized; every route must connect
-    its flow's endpoints over topology links.
+val make : topology:Noc_graph.Digraph.t -> routes:int list Noc_graph.Digraph.Edge_map.t -> t
+(** An architecture from explicit parts (for hand-built experiments,
+    simulator tests and rerouted tables), with per-link router radices
+    ([uniform_router_ports = None]).  Topology is symmetrized; every route
+    must connect its flow's endpoints over topology links.
     @raise Invalid_argument on an invalid route. *)
 
-val of_decomposition : Acg.t -> Decomposition.t -> t
+val custom : Acg.t -> Decomposition.t -> t
 (** Topology = union of each matching's implementation graph (transferred
     into ACG vertex names) plus one dedicated bidirectional link per
     remainder edge; routes come from the primitives' schedule-derived
@@ -49,9 +45,6 @@ val mesh_dims : Acg.t -> int * int
 (** The near-square grid [(rows, cols)] over the ACG's largest core id
     [n]: [cols = ceil (sqrt n)] and [rows * cols >= n], so {!mesh} holds
     every core numbered from 1. *)
-
-val custom : Acg.t -> Decomposition.t -> t
-(** Alias of {!of_decomposition}. *)
 
 val link_count : t -> int
 (** Physical (bidirectional) links. *)

@@ -81,7 +81,7 @@ let wirelength fp ~weights =
       if mem fp u && mem fp v then acc +. (w *. distance_mm fp u v) else acc)
     weights 0.0
 
-let anneal ~rng ?(iterations = 2000) ?(t_start = 1.0) ?(t_end = 0.01) ~weights fp =
+let anneal ~rng ?(iterations = 2000) ~weights fp =
   let ids = Array.of_list (List.map (fun c -> c.id) fp.core_list) in
   let n = Array.length ids in
   if n < 2 then fp
@@ -91,8 +91,8 @@ let anneal ~rng ?(iterations = 2000) ?(t_start = 1.0) ?(t_end = 0.01) ~weights f
     let cur_cost = ref (cost !current) in
     let best = ref !current in
     let best_cost = ref !cur_cost in
-    let cooling = (t_end /. t_start) ** (1.0 /. float_of_int (max 1 iterations)) in
-    let temp = ref t_start in
+    let cooling = 0.01 ** (1.0 /. float_of_int (max 1 iterations)) in
+    let temp = ref 1.0 in
     (* normalize acceptance by the initial cost scale *)
     let scale = if !cur_cost > 0. then !cur_cost else 1.0 in
     for _ = 1 to iterations do

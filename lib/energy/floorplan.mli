@@ -48,13 +48,13 @@ val wirelength : t -> weights:float Noc_graph.Digraph.Edge_map.t -> float
 val anneal :
   rng:Noc_util.Prng.t ->
   ?iterations:int ->
-  ?t_start:float ->
-  ?t_end:float ->
   weights:float Noc_graph.Digraph.Edge_map.t ->
   t ->
   t
-(** Simulated annealing over placement swaps minimizing {!wirelength}.
-    Deterministic for a given PRNG state.  Keeps grid sites fixed (area is
-    preserved); only the core-to-site assignment changes. *)
+(** Simulated annealing over placement swaps minimizing {!wirelength}:
+    [iterations] (default 2000) swap attempts, cooling geometrically from
+    temperature 1.0 to 0.01.  Deterministic for a given PRNG state.  Keeps
+    grid sites fixed (area is preserved); only the core-to-site assignment
+    changes. *)
 
 val pp : Format.formatter -> t -> unit

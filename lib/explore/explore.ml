@@ -15,8 +15,6 @@ type axes = {
   bw_scales : float array;
 }
 
-let default_bw_scales = [| 0.5; 1.0; 2.0 |]
-
 (* n! saturated at [cap + 1]: only the comparison against the cap matters *)
 let factorial_capped ~cap n =
   let rec go acc i = if i > n then acc else if acc > cap then acc else go (acc * i) (i + 1) in
@@ -88,17 +86,12 @@ let mapping_axis ~max_mappings ~seed acg =
     Array.of_list (List.rev !out)
   end
 
-let axes ?(max_mappings = 24) ?(max_subset_bits = 4) ?(bw_scales = default_bw_scales)
-    ~seed ~library acg =
+let axes ?(max_mappings = 24) ?(max_subset_bits = 4) ~seed ~library acg =
   if max_mappings < 1 then invalid_arg "Explore.axes: max_mappings < 1";
-  if Array.length bw_scales = 0 then invalid_arg "Explore.axes: empty bw_scales";
-  Array.iter
-    (fun b -> if b <= 0.0 then invalid_arg "Explore.axes: non-positive bw_scale")
-    bw_scales;
   {
     mappings = mapping_axis ~max_mappings ~seed acg;
     subsets = subset_axis ~max_subset_bits library;
-    bw_scales;
+    bw_scales = [| 0.5; 1.0; 2.0 |];
   }
 
 let space_size a = Array.length a.mappings * Array.length a.subsets * Array.length a.bw_scales

@@ -32,16 +32,14 @@ type axes = {
   subsets : (string * Noc_primitives.Library.t) array;
       (** label and library per subset choice, e.g. ["MGG4+G124"];
           index 0 is the full library *)
-  bw_scales : float array;  (** link-capacity multipliers, ascending *)
+  bw_scales : float array;
+      (** link-capacity multipliers, always [[| 0.5; 1.0; 2.0 |]]: under-,
+          nominally- and over-provisioned *)
 }
-
-val default_bw_scales : float array
-(** [[| 0.5; 1.0; 2.0 |]] — under-, nominally- and over-provisioned. *)
 
 val axes :
   ?max_mappings:int ->
   ?max_subset_bits:int ->
-  ?bw_scales:float array ->
   seed:int ->
   library:Noc_primitives.Library.t ->
   Noc_core.Acg.t ->

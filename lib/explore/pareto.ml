@@ -36,7 +36,7 @@ let filter_reference es =
     (fun e -> not (List.exists (fun f -> dominates f.vec e.vec) es))
     (List.sort compare_entry es)
 
-let reference_point ?(margin = 0.1) = function
+let reference_point = function
   | [] -> invalid_arg "Pareto.reference_point: empty"
   | v :: vs ->
       let max3 a b =
@@ -47,7 +47,7 @@ let reference_point ?(margin = 0.1) = function
         }
       in
       let m = List.fold_left max3 v vs in
-      let push x = x +. (margin *. Float.max (Float.abs x) 1.0) in
+      let push x = x +. (0.1 *. Float.max (Float.abs x) 1.0) in
       { energy_pj = push m.energy_pj; latency = push m.latency; area_mm2 = push m.area_mm2 }
 
 (* 2-D dominated area of the (energy, latency) staircase against the

@@ -52,11 +52,11 @@ val filter_reference : entry list -> entry list
     incremental maintenance.  {!Explore.run} asserts the two agree on
     every run. *)
 
-val reference_point : ?margin:float -> vector list -> vector
-(** Component-wise maximum of the vectors, pushed out by [margin] (default
-    0.1, i.e. 10%) of each coordinate's magnitude (at least 1.0), so every
-    point strictly dominates the reference and boundary points contribute
-    nonzero hypervolume.  @raise Invalid_argument on []. *)
+val reference_point : vector list -> vector
+(** Component-wise maximum of the vectors, pushed out by 10% of each
+    coordinate's magnitude (at least 1.0), so every point strictly
+    dominates the reference and boundary points contribute nonzero
+    hypervolume.  @raise Invalid_argument on []. *)
 
 val hypervolume : ref_point:vector -> vector list -> float
 (** Volume of the union of the boxes spanned between each vector and

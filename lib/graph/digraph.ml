@@ -130,6 +130,12 @@ let undirected_closure g = fold_edges (fun u v acc -> add_edge acc v u) g g
 let undirected_edge_count g =
   fold_edges (fun u v n -> if u < v || not (mem_edge g v u) then n + 1 else n) g 0
 
+let undirected_edges g =
+  fold_edges
+    (fun u v acc -> if u < v || not (mem_edge g v u) then (min u v, max u v) :: acc else acc)
+    g []
+  |> List.sort compare
+
 let equal a b = Vset.equal a.verts b.verts && Edge_set.equal (edge_set a) (edge_set b)
 
 let pp ppf g =

@@ -105,6 +105,10 @@ val undirected_closure : t -> t
 val undirected_edge_count : t -> int
 (** Number of unordered vertex pairs connected by at least one edge. *)
 
+val undirected_edges : t -> (int * int) list
+(** Those pairs as [(min, max)], sorted: an architecture's physical links
+    when [t] is its topology. *)
+
 val equal : t -> t -> bool
 (** Same vertex set and same edge set. *)
 

@@ -1,33 +1,11 @@
-let to_dot ?(name = "g") ?vertex_label ?edge_label ?(undirected = false) g =
+let to_dot ?(name = "g") ?(undirected = false) g =
   let buf = Buffer.create 1024 in
   let keyword = if undirected then "graph" else "digraph" in
   let arrow = if undirected then "--" else "->" in
   Buffer.add_string buf (Printf.sprintf "%s %s {\n" keyword name);
-  List.iter
-    (fun v ->
-      match vertex_label with
-      | Some f -> Buffer.add_string buf (Printf.sprintf "  %d [label=\"%s\"];\n" v (f v))
-      | None -> Buffer.add_string buf (Printf.sprintf "  %d;\n" v))
-    (Digraph.vertex_list g);
-  let emit u v =
-    let label =
-      match edge_label with
-      | Some f -> ( match f u v with Some s -> Printf.sprintf " [label=\"%s\"]" s | None -> "")
-      | None -> ""
-    in
-    Buffer.add_string buf (Printf.sprintf "  %d %s %d%s;\n" u arrow v label)
-  in
-  if undirected then begin
-    let seen = Hashtbl.create 64 in
-    Digraph.iter_edges
-      (fun u v ->
-        let key = (min u v, max u v) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key true;
-          emit (fst key) (snd key)
-        end)
-      g
-  end
+  List.iter (fun v -> Buffer.add_string buf (Printf.sprintf "  %d;\n" v)) (Digraph.vertex_list g);
+  let emit u v = Buffer.add_string buf (Printf.sprintf "  %d %s %d;\n" u arrow v) in
+  if undirected then List.iter (fun (u, v) -> emit u v) (Digraph.undirected_edges g)
   else Digraph.iter_edges emit g;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

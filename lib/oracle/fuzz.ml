@@ -257,7 +257,7 @@ let prop_cost library acg =
 
 let prop_deadlock library acg =
   let d, _ = Bb.decompose ~library acg in
-  let arch = Syn.of_decomposition acg d in
+  let arch = Syn.custom acg d in
   let prod_edges = List.sort compare (Dead.channel_dependency_graph arch) in
   let oracle_edges = Cdg.cdg_edges arch in
   if prod_edges <> oracle_edges then
@@ -295,7 +295,7 @@ let prop_partition library acg =
 
 let prop_routes library acg =
   let d, _ = Bb.decompose ~library acg in
-  let arch = Syn.of_decomposition acg d in
+  let arch = Syn.custom acg d in
   if not (Syn.routes_valid arch) then
     fail "routes_valid is false on a synthesized architecture"
   else
@@ -323,21 +323,29 @@ let prop_routes library acg =
         fail "aggregate link load %.9f, recomputed from routes %.9f" total expect
       else Ok ()
 
-(* Differential check of the graceful-degradation layer: fail a few links,
-   reroute statically, and verify against the brute-force path search that
-   (a) no degraded route crosses a failed link, (b) the degraded table is
-   valid, and (c) the disconnected-flow verdicts are exactly the flows the
-   oracle cannot connect while avoiding the failed links. *)
+(* Differential check of the graceful-degradation layer: fail a few links
+   and up to two switches, reroute statically, and verify against the
+   brute-force path search that (a) no degraded route crosses a failed
+   link or visits a failed switch, (b) the degraded table is valid, and
+   (c) the disconnected-flow verdicts are exactly the flows the oracle
+   cannot connect while avoiding the failed resources. *)
 let prop_reroute library acg =
   let d, _ = Bb.decompose ~library acg in
-  let arch = Syn.of_decomposition acg d in
-  let links = Noc_resil.Fault.undirected_links arch in
+  let arch = Syn.custom acg d in
+  let links = D.undirected_edges arch.Syn.topology in
   if links = [] then Ok ()
   else begin
     let rng = Prng.create ~seed:(graph_seed (Acg.graph acg) lxor 0x7e57ab1e) in
     let k = 1 + Prng.int rng (min 3 (List.length links)) in
     let failed = List.sort compare (Prng.sample rng k links) in
-    let faults = List.map (fun (u, v) -> Noc_resil.Fault.link u v) failed in
+    let switches =
+      List.sort compare
+        (Prng.sample rng (Prng.int rng 3) (D.vertex_list arch.Syn.topology))
+    in
+    let faults =
+      List.map (fun (u, v) -> Noc_resil.Fault.link u v) failed
+      @ List.map Noc_resil.Fault.switch switches
+    in
     let out = Noc_resil.Reroute.apply arch ~faults in
     let norm (a, b) = if a <= b then (a, b) else (b, a) in
     let crosses path =
@@ -347,13 +355,14 @@ let prop_reroute library acg =
       in
       go path
     in
+    let visits_failed_switch path = List.exists (fun v -> List.mem v switches) path in
     let degraded = out.Noc_resil.Reroute.arch in
-    let bad =
-      D.Edge_map.fold
-        (fun f p acc -> if crosses p then f :: acc else acc)
-        degraded.Syn.routes []
+    let count bad_path =
+      D.Edge_map.fold (fun _ p n -> if bad_path p then n + 1 else n) degraded.Syn.routes 0
     in
-    if bad <> [] then fail "%d degraded routes traverse a failed link" (List.length bad)
+    let crossing = count crosses and visiting = count visits_failed_switch in
+    if crossing > 0 then fail "%d degraded routes traverse a failed link" crossing
+    else if visiting > 0 then fail "%d degraded routes visit a failed switch" visiting
     else if not (Syn.routes_valid degraded) then fail "degraded routing table is invalid"
     else begin
       let flows = D.edges (Acg.graph acg) in
@@ -371,7 +380,8 @@ let prop_reroute library acg =
             | Error _ -> acc
             | Ok () ->
                 let oracle_reaches =
-                  Paths.exists_path ~banned_links:failed arch.Syn.topology ~src:s ~dst
+                  Paths.exists_path ~banned_links:failed ~banned_switches:switches
+                    arch.Syn.topology ~src:s ~dst
                 in
                 let claimed_disconnected =
                   List.mem (s, dst) out.Noc_resil.Reroute.disconnected

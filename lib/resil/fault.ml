@@ -6,16 +6,11 @@ let link u v = if u <= v then Link (u, v) else Link (v, u)
 
 let switch s = Switch s
 
-let undirected_links arch =
-  D.fold_edges
-    (fun u v acc -> if u < v then (u, v) :: acc else acc)
-    arch.Noc_core.Synthesis.topology []
-  |> List.sort compare
-
-let single_link_campaign arch = List.map (fun (u, v) -> [ link u v ]) (undirected_links arch)
+let single_link_campaign arch =
+  List.map (fun (u, v) -> [ link u v ]) (D.undirected_edges arch.Noc_core.Synthesis.topology)
 
 let multi_link_campaign ~rng ~links ~samples arch =
-  let all = undirected_links arch in
+  let all = D.undirected_edges arch.Noc_core.Synthesis.topology in
   let k = min links (List.length all) in
   if k = 0 || samples <= 0 then []
   else

@@ -17,12 +17,9 @@ val link : int -> int -> t
 
 val switch : int -> t
 
-val undirected_links : Noc_core.Synthesis.t -> (int * int) list
-(** The architecture's physical links, normalized [(min, max)], sorted. *)
-
 val single_link_campaign : Noc_core.Synthesis.t -> t list list
 (** One singleton fault set per physical link — the exhaustive single-link
-    sweep, in link order. *)
+    sweep, in the order of {!Noc_graph.Digraph.undirected_edges}. *)
 
 val multi_link_campaign :
   rng:Noc_util.Prng.t -> links:int -> samples:int -> Noc_core.Synthesis.t -> t list list

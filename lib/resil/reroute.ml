@@ -40,7 +40,7 @@ let apply arch ~faults =
       arch.Syn.routes
       (Edge_map.empty, [], [], [])
   in
-  let arch' = Syn.make ~topology:g ~routes () in
+  let arch' = Syn.make ~topology:g ~routes in
   {
     arch = arch';
     kept = List.sort compare kept;

@@ -4,10 +4,6 @@ module Prng = Noc_util.Prng
 module Obs = Noc_obs.Obs
 module J = Obs.Json
 
-type mix = { malformed : float; starved : float; injected : float }
-
-let default_mix = { malformed = 0.24; starved = 0.12; injected = 0.06 }
-
 (* One chaos request.  Request-shaped specs ride the batching path (where
    admission shedding lives); text-shaped ones go through [solve_text],
    the same funnel a service line takes. *)
@@ -54,22 +50,15 @@ let garbage_text ~rng k =
   let len = 1 + Prng.int rng (40 + (k mod 7)) in
   String.init len (fun i -> if i = 0 then '\255' else Char.chr (Prng.int rng 256))
 
-let shuffle ~rng arr =
-  let n = Array.length arr in
-  for i = n - 1 downto 1 do
-    let j = Prng.int rng (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
 (* the composition is computed by exact counts, not per-spec coin flips,
-   so the declared fractions hold for any stream length *)
-let build_stream ~rng ~requests ~mix ~pool ~injected_pool =
+   so the fractions (24% malformed, 12% starved, 6% injected) hold for any
+   stream length *)
+let build_stream ~rng ~requests ~pool ~injected_pool =
   let n = requests in
-  let n_malformed = int_of_float (ceil (mix.malformed *. float_of_int n)) in
-  let n_starved = int_of_float (ceil (mix.starved *. float_of_int n)) in
-  let n_injected = int_of_float (ceil (mix.injected *. float_of_int n)) in
+  let count frac = int_of_float (ceil (frac *. float_of_int n)) in
+  let n_malformed = count 0.24 in
+  let n_starved = count 0.12 in
+  let n_injected = count 0.06 in
   let quarter k = (n_malformed + k) / 4 in
   let specs = ref [] in
   let push s = specs := s :: !specs in
@@ -86,7 +75,7 @@ let build_stream ~rng ~requests ~mix ~pool ~injected_pool =
     push (Well_formed { base = Prng.int rng pool; permuted = k mod 3 = 2 })
   done;
   let arr = Array.of_list !specs in
-  shuffle ~rng arr;
+  Prng.shuffle rng arr;
   Array.to_list arr
 
 type expected = E_ok | E_bad_request | E_over_budget | E_internal | E_shed
@@ -97,7 +86,7 @@ let expected_of_spec = function
   | Garbage _ | Self_loop | Oversized | Unknown_library _ -> E_bad_request
   | Injected _ -> E_internal
 
-let run ?(seed = 42) ?(requests = 1000) ?(mix = default_mix) ?(max_inflight = 8)
+let run ?(seed = 42) ?(requests = 1000) ?(max_inflight = 8)
     ?(cache_capacity = 256) ?(pool = 16) ?(wf_timeout_s = 0.25)
     ?(observe = Obs.disabled) () =
   let rng = Prng.create ~seed in
@@ -106,17 +95,11 @@ let run ?(seed = 42) ?(requests = 1000) ?(mix = default_mix) ?(max_inflight = 8)
   let injected_bases =
     Array.init injected_pool (fun _ -> Noc_oracle.Fuzz.gen_acg ~rng)
   in
-  let stream = build_stream ~rng ~requests:(max 1 requests) ~mix ~pool ~injected_pool in
+  let stream = build_stream ~rng ~requests:(max 1 requests) ~pool ~injected_pool in
   let requests = List.length stream in
   let arm = ref false in
   let config =
-    {
-      Daemon.default_config with
-      max_inflight;
-      max_cores = 32;
-      max_request_bytes = 4096;
-      max_timeout_s = Some 2.0;
-    }
+    { Daemon.max_inflight; max_cores = 32; max_request_bytes = 4096; max_timeout_s = Some 2.0 }
   in
   let daemon =
     Daemon.create ~cache_capacity ~config ~fault_hook:(fun () -> !arm) ~observe ()

@@ -1,15 +1,16 @@
 (** The chaos harness: hammer one daemon with a seeded adversarial request
     stream and verify the crash-only contract survives.
 
-    The stream is composed by exact counts from {!mix} — malformed inputs
-    (garbage bytes, self-loops, oversized ACGs, unknown libraries),
-    starved budgets (dead-on-arrival zero deadlines and 1 ms anytime
-    deadlines), fault-injected requests (the daemon's [fault_hook] seam is
-    armed for exactly that request, so the compute path raises), and
-    well-formed requests drawn from a fixed pool (with exact and
-    vertex-permuted duplicates) — then seeded-shuffled and driven through
-    the daemon in randomly sized batches, so the [max_inflight] admission
-    bound sheds the overflow of large bursts.
+    The stream is composed by exact counts, not coin flips: 24% malformed
+    inputs (garbage bytes, self-loops, oversized ACGs, unknown libraries),
+    12% starved budgets (dead-on-arrival zero deadlines and 1 ms anytime
+    deadlines), 6% fault-injected requests (the daemon's [fault_hook] seam
+    is armed for exactly that request, so the compute path raises), above
+    the gate's floors (20% / 10% / 5%); the rest are well-formed requests
+    drawn from a fixed pool (with exact and vertex-permuted duplicates) —
+    all seeded-shuffled and driven through the daemon in randomly sized
+    batches, so the [max_inflight] admission bound sheds the overflow of
+    large bursts.
 
     The contract checked per request: the daemon never dies, every request
     gets exactly one typed reply, the reply renders to parseable JSON, its
@@ -17,13 +18,6 @@
     and the well-formed subset keeps its cache behaviour — a repeated key
     must hit with the first miss's exact bytes, a fresh key must miss —
     even with faults firing around it. *)
-
-(** Stream composition as fractions of the total (exact counts, not coin
-    flips).  The remainder is well-formed.  {!default_mix} is 24% /
-    12% / 6%, above the acceptance floors (20% / 10% / 5%). *)
-type mix = { malformed : float; starved : float; injected : float }
-
-val default_mix : mix
 
 type stats = {
   requests : int;
@@ -52,7 +46,6 @@ type stats = {
 val run :
   ?seed:int ->
   ?requests:int ->
-  ?mix:mix ->
   ?max_inflight:int ->
   ?cache_capacity:int ->
   ?pool:int ->

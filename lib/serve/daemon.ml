@@ -10,7 +10,6 @@ type config = {
   max_inflight : int;
   max_cores : int;
   max_request_bytes : int;
-  default_timeout_s : float option;
   max_timeout_s : float option;
 }
 
@@ -19,7 +18,6 @@ let default_config =
     max_inflight = 64;
     max_cores = 4096;
     max_request_bytes = 1 lsl 20;
-    default_timeout_s = None;
     max_timeout_s = None;
   }
 
@@ -152,12 +150,7 @@ let compute t (req : Proto.Request.t) ~key ~labeling =
     Bb.decompose ~options ~budget:req.budget ~observe:t.observe ~library acg
   in
   let arch = Syn.custom acg d in
-  let topology =
-    D.fold_edges
-      (fun u v acc -> (min u v, max u v) :: acc)
-      arch.Syn.topology []
-    |> List.sort_uniq compare
-  in
+  let topology = D.undirected_edges arch.Syn.topology in
   let routes = Edge_map.bindings arch.Syn.routes in
   {
     Proto.Response.key;
@@ -202,10 +195,7 @@ let solve t (req : Proto.Request.t) : reply =
        (* the effective budget is the guarded one: it feeds both the search
           and the cache key, so two requests the guard makes equal share an
           entry *)
-       let budget =
-         Bb.Budget.clamp_service ?default_timeout_s:t.config.default_timeout_s
-           ?max_timeout_s:t.config.max_timeout_s req.budget
-       in
+       let budget = Bb.Budget.clamp_service ?max_timeout_s:t.config.max_timeout_s req.budget in
        let req = { req with budget } in
        match
          Noc_util.Timer.time (fun () ->

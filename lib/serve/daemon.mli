@@ -41,12 +41,10 @@ type config = {
       (** largest request line / ACG file / inline text admitted
           (default 1 MiB); oversized files are rejected from their
           metadata, never read into memory *)
-  default_timeout_s : float option;
-      (** deadline given to requests that declare none ([None] = allow
-          unbounded searches, the library default) *)
   max_timeout_s : float option;
       (** hard per-request wall budget: declared deadlines are clamped to
-          this ([None] = no cap) *)
+          this and requests that declare none get it ([None] = no cap,
+          unbounded searches allowed) *)
 }
 
 val default_config : config

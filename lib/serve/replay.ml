@@ -23,14 +23,8 @@ let permute ~rng acg =
     D.fold_vertices (fun v acc -> v :: acc) (Acg.graph acg) [] |> List.sort compare
   in
   let arr = Array.of_list verts in
-  let n = Array.length arr in
-  for i = n - 1 downto 1 do
-    let j = Prng.int rng (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done;
-  let map = Hashtbl.create n in
+  Prng.shuffle rng arr;
+  let map = Hashtbl.create (Array.length arr) in
   List.iteri (fun i v -> Hashtbl.replace map v arr.(i)) verts;
   Acg.map_vertices (fun v -> Hashtbl.find map v) acg
 

@@ -96,7 +96,7 @@ let total_energy_pj ~tech ~fp net =
   dynamic_energy_pj ~tech ~fp net +. buffer_energy_pj ~tech net
   +. clock_energy_pj ~tech net
 
-let avg_power_mw ~tech ~fp ?(static_mw = 0.0) net =
+let avg_power_mw ~tech ~fp net =
   let cycles = Flitsim.now net in
   if cycles <= 0 then 0.0
   else begin
@@ -104,7 +104,7 @@ let avg_power_mw ~tech ~fp ?(static_mw = 0.0) net =
     let f_hz = tech.Noc_energy.Technology.frequency_mhz *. 1e6 in
     let time_s = float_of_int cycles /. f_hz in
     (* pJ -> mW: 1e-12 J / s * 1e3 *)
-    (e_pj *. 1e-9 /. time_s) +. static_mw
+    e_pj *. 1e-9 /. time_s
   end
 
 let energy_metrics ~tech ~fp net =

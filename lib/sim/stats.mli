@@ -47,13 +47,9 @@ val total_energy_pj :
     paper's per-block XPower energy measurements. *)
 
 val avg_power_mw :
-  tech:Noc_energy.Technology.t ->
-  fp:Noc_energy.Floorplan.t ->
-  ?static_mw:float ->
-  Flitsim.t ->
-  float
-(** Total energy divided by elapsed time at the technology's clock, plus
-    an optional extra static floor.  0 before any cycle has elapsed. *)
+  tech:Noc_energy.Technology.t -> fp:Noc_energy.Floorplan.t -> Flitsim.t -> float
+(** Total energy divided by elapsed time at the technology's clock.  0
+    before any cycle has elapsed. *)
 
 val energy_metrics :
   tech:Noc_energy.Technology.t ->

@@ -38,7 +38,7 @@ let line_arch h =
     topology := D.add_edge !topology (v - 1) v
   done;
   let route = List.init (h + 1) Fun.id in
-  Syn.make ~topology:!topology ~routes:(Edge_map.singleton (0, h) route) ()
+  Syn.make ~topology:!topology ~routes:(Edge_map.singleton (0, h) route)
 
 (* the documented uncontended flit latency (flitsim.mli), valid when
    [fifo_depth >= 1 + ceil ((router_delay + 1) / phits_per_flit)] *)
@@ -204,7 +204,7 @@ let test_wormhole_vc_truncation () =
      so one lane is enough and nothing is truncated: truncation is judged
      against the analysis' vcs_needed, not per route *)
   let single =
-    Syn.make ~topology:(G.loop 4) ~routes:(Edge_map.singleton (4, 2) [ 4; 1; 2 ]) ()
+    Syn.make ~topology:(G.loop 4) ~routes:(Edge_map.singleton (4, 2) [ 4; 1; 2 ])
   in
   Alcotest.(check (option int))
     "second hop on VC 1" (Some 1)
@@ -229,7 +229,6 @@ let test_wormhole_vc_truncation () =
                 ((3, 2), [ 3; 4; 1; 2 ]);
                 ((4, 3), [ 4; 1; 2; 3 ]);
               ]))
-      ()
   in
   Alcotest.(check int) "2 lanes prescribed" 2 (Dead.analyze ring).Dead.vcs_needed;
   List.iter
@@ -308,7 +307,7 @@ let ring_routing (n, flows, _, _) =
         Edge_map.add (src, List.nth path hops) path acc)
       Edge_map.empty flows
   in
-  (Syn.make ~topology:(G.bidirectional_ring n) ~routes (), List.map fst (Edge_map.bindings routes))
+  (Syn.make ~topology:(G.bidirectional_ring n) ~routes, List.map fst (Edge_map.bindings routes))
 
 let qcheck_lanes_drain_cyclic_rings =
   QCheck.Test.make ~name:"prescribed lanes drain random cyclic ring routings" ~count:400
@@ -443,7 +442,6 @@ let pin_ring =
               ((3, 2), [ 3; 4; 1; 2 ]);
               ((4, 3), [ 4; 1; 2; 3 ]);
             ]))
-    ()
 
 (* Bernoulli 2-flit packets on every flow for [pin_window] cycles, then
    a drain of at most [pin_drain] cycles; digest of the final state. *)

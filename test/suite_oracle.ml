@@ -100,7 +100,7 @@ let test_cdg_known () =
       D.Edge_map.empty
       [ (1, 3, [ 1; 2; 3 ]); (2, 4, [ 2; 3; 4 ]); (3, 1, [ 3; 4; 1 ]); (4, 2, [ 4; 1; 2 ]) ]
   in
-  let arch = Syn.make ~topology:ring ~routes () in
+  let arch = Syn.make ~topology:ring ~routes in
   Alcotest.(check bool) "ring oracle" false (Cdg.is_deadlock_free arch);
   Alcotest.(check bool) "ring prod" false (Dead.is_deadlock_free arch);
   Alcotest.(check bool) "ring analyze" true ((Dead.analyze arch).Dead.cdg_cycle <> None)

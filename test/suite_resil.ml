@@ -22,7 +22,7 @@ let diamond_arch () =
   let topology = topology_of [ (1, 2); (2, 4); (1, 3); (3, 4) ] in
   let routes = D.Edge_map.singleton (1, 4) [ 1; 2; 4 ] in
   let acg = Acg.uniform ~volume:1 ~bandwidth:0.1 (D.of_edges [ (1, 4) ]) in
-  (acg, Syn.make ~topology ~routes ())
+  (acg, Syn.make ~topology ~routes)
 
 (* Line: 1-2-3; no redundancy at all. *)
 let line_arch () =
@@ -31,7 +31,7 @@ let line_arch () =
     D.Edge_map.of_seq (List.to_seq [ ((1, 3), [ 1; 2; 3 ]); ((1, 2), [ 1; 2 ]) ])
   in
   let acg = Acg.uniform ~volume:1 ~bandwidth:0.1 (D.of_edges [ (1, 3); (1, 2) ]) in
-  (acg, Syn.make ~topology ~routes ())
+  (acg, Syn.make ~topology ~routes)
 
 (* ---------------------------------------------------------------- *)
 (* Fault model                                                      *)
@@ -42,7 +42,7 @@ let test_fault_model () =
   Alcotest.(check (list (pair int int)))
     "undirected links, sorted"
     [ (1, 2); (1, 3); (2, 4); (3, 4) ]
-    (Fault.undirected_links arch);
+    (D.undirected_edges arch.Syn.topology);
   let sweep = Fault.single_link_campaign arch in
   Alcotest.(check int) "one fault set per link" 4 (List.length sweep);
   List.iter
@@ -168,7 +168,7 @@ let test_harden_adds_spares () =
       let o = Reroute.apply hardened ~faults:[ (fun (u, v) -> Fault.link u v) link ] in
       Alcotest.(check (list (pair int int)))
         "no disconnection under any single-link failure" [] o.Reroute.disconnected)
-    (Fault.undirected_links hardened)
+    (D.undirected_edges hardened.Syn.topology)
 
 let test_campaign_classifies_everything () =
   let acg, arch = line_arch () in

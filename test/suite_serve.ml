@@ -738,7 +738,7 @@ let sparse_hamming acg =
       (fun u v acc -> D.Edge_map.add (u, v) (route u v) acc)
       (Acg.graph acg) D.Edge_map.empty
   in
-  Syn.make ~topology ~routes ()
+  Syn.make ~topology ~routes
 
 (* the reference: build each architecture, then score it with
    [Synthesis] over [Floorplan.grid] *)
@@ -860,6 +860,44 @@ let test_backends_reject_core_below_one () =
         "Backends.compare_all: core -3 outside 2x3 grid" );
     ]
 
+(* The service budget clamp, under the 2 s cap the chaos harness runs
+   with: a request declaring 5 s, a relabeled copy declaring 9 s and one
+   declaring no deadline all run under 2 s, so they share one cache key
+   and the two hits replay the miss's bytes.  The clamp leaves the node
+   budget and the domain count alone. *)
+let test_budget_clamp () =
+  let rng = Prng.create ~seed:29 in
+  let a = Noc_oracle.Fuzz.gen_acg ~rng in
+  let config = { Daemon.default_config with Daemon.max_timeout_s = Some 2.0 } in
+  let daemon = Daemon.create ~config () in
+  let solve acg timeout_s =
+    let budget = Bb.Budget.(default |> with_timeout_s timeout_s) in
+    ok_exn (Daemon.solve daemon (Proto.Request.make ~budget acg))
+  in
+  let miss = solve a (Some 5.0) in
+  let hits = [ solve (Replay.permute ~rng a) (Some 9.0); solve a None ] in
+  Alcotest.(check bool) "first misses" true (miss.Daemon.status = Daemon.Miss);
+  List.iter
+    (fun (o : Daemon.outcome) ->
+      Alcotest.(check bool) "hit" true (o.Daemon.status = Daemon.Hit);
+      Alcotest.(check string) "one key" miss.Daemon.key o.Daemon.key;
+      Alcotest.(check string) "hit bytes = miss bytes" miss.Daemon.bytes o.Daemon.bytes)
+    hits;
+  let c = Daemon.cache_stats daemon in
+  Alcotest.(check (pair int int)) "1 miss, 2 hits" (1, 2)
+    (c.Noc_serve.Cache.misses, c.Noc_serve.Cache.hits);
+  Alcotest.(check (option (float 0.0))) "provenance deadline is the cap" (Some 2.0)
+    miss.Daemon.response.Proto.Response.provenance.Proto.Response.budget_timeout_s;
+  let clamped =
+    Bb.Budget.(
+      clamp_service ~max_timeout_s:2.0
+        (default |> with_timeout_s (Some 5.0) |> with_max_nodes 77 |> with_domains 3))
+  in
+  Alcotest.(check (option (float 0.0)))
+    "deadline clamped" (Some 2.0) clamped.Bb.Budget.timeout_s;
+  Alcotest.(check int) "max_nodes unchanged" 77 clamped.Bb.Budget.max_nodes;
+  Alcotest.(check int) "domains unchanged" 3 clamped.Bb.Budget.domains
+
 let suite =
   ( "serve",
     [
@@ -899,4 +937,5 @@ let suite =
         test_backends_match_built_on_families;
       Alcotest.test_case "backend scoring rejects a core below 1" `Quick
         test_backends_reject_core_below_one;
+      Alcotest.test_case "service clamp caps every deadline" `Quick test_budget_clamp;
     ] )

@@ -336,40 +336,20 @@ let test_oblivious_on_custom_topology () =
   Alcotest.(check bool) "conservation" true (Flit.conservation_ok net)
 
 (* -------------------------------------------------------------------- *)
-(* Traffic patterns and load sweeps                                      *)
+(* Load sweeps                                                           *)
 
-module Pat = Noc_sim.Patterns
 module Sweep = Noc_sim.Sweep
 
-let test_patterns_structure () =
-  let t = Pat.transpose ~rows:4 ~cols:4 in
-  Alcotest.(check int) "transpose flows" 12 (List.length t);
-  Alcotest.(check bool) "(0,1)->(1,0)" true (List.mem (2, 5) t);
-  Alcotest.check_raises "non-square" (Invalid_argument "Patterns.transpose: need a square grid")
-    (fun () -> ignore (Pat.transpose ~rows:2 ~cols:4));
-  let br = Pat.bit_reversal ~nodes:8 in
-  (* indices 0..7: reversal swaps 1<->4, 3<->6; 0,2,5,7 are palindromes *)
-  Alcotest.(check int) "bit reversal flows" 4 (List.length br);
-  Alcotest.(check bool) "1->4 (001->100)" true (List.mem (2, 5) br);
-  let bc = Pat.bit_complement ~nodes:8 in
-  Alcotest.(check int) "bit complement flows" 8 (List.length bc);
-  Alcotest.(check bool) "0->7" true (List.mem (1, 8) bc);
-  let hs = Pat.hotspot ~nodes:6 ~target:3 in
-  Alcotest.(check int) "hotspot flows" 5 (List.length hs);
-  List.iter (fun (_, d) -> Alcotest.(check int) "to target" 3 d) hs;
-  let sh = Pat.shuffle ~nodes:8 in
-  Alcotest.(check bool) "shuffle 1->2 (001->010)" true (List.mem (2, 3) sh);
-  Alcotest.check_raises "non power of two"
-    (Invalid_argument "Patterns.bit_reversal: nodes must be a power of two") (fun () ->
-      ignore (Pat.bit_reversal ~nodes:6))
-
-let test_pattern_acg () =
-  let acg = Pat.to_acg ~volume:16 (Pat.transpose ~rows:4 ~cols:4) in
-  Alcotest.(check int) "flows" 12 (Acg.num_flows acg);
-  Alcotest.(check int) "volume" 16 (Acg.volume acg 2 5)
-
 let test_latency_vs_load () =
-  let acg = Pat.to_acg (Pat.transpose ~rows:4 ~cols:4) in
+  (* the 4x4 transpose pattern: node (r, c) sends to node (c, r) *)
+  let id r c = (r * 4) + c + 1 in
+  let rows = [ 0; 1; 2; 3 ] in
+  let flows =
+    List.concat_map
+      (fun r -> List.filter_map (fun c -> if r <> c then Some (id r c, id c r) else None) rows)
+      rows
+  in
+  let acg = Acg.uniform ~volume:8 ~bandwidth:0.1 (D.of_edges flows) in
   let arch = Syn.mesh ~rows:4 ~cols:4 acg in
   let rng = Prng.create ~seed:13 in
   let points =
@@ -456,7 +436,6 @@ let ring_arch ~hops =
   let arch =
     Syn.make ~topology:(G.bidirectional_ring 4)
       ~routes:(D.Edge_map.of_seq (List.to_seq routes))
-      ()
   in
   (arch, List.map fst routes)
 
@@ -643,8 +622,6 @@ let suite =
       Alcotest.test_case "oblivious: deterministic + minimal" `Quick
         test_oblivious_deterministic_and_minimal;
       Alcotest.test_case "oblivious on custom topology" `Quick test_oblivious_on_custom_topology;
-      Alcotest.test_case "traffic pattern structure" `Quick test_patterns_structure;
-      Alcotest.test_case "pattern to acg" `Quick test_pattern_acg;
       Alcotest.test_case "latency vs load sweep" `Quick test_latency_vs_load;
       Alcotest.test_case "saturation detection" `Quick test_saturation_detection;
       Alcotest.test_case "saturation: zero-delivery baseline" `Quick
