@@ -31,6 +31,20 @@ let make ~topology ~routes =
     invalid_arg "Synthesis.make: a route does not follow the topology";
   { topology; routes; uniform_router_ports = None }
 
+let degrade t ~topology ~patch =
+  let routes =
+    List.fold_left
+      (fun routes ((src, dst), path) ->
+        match path with
+        | None -> Edge_map.remove (src, dst) routes
+        | Some path ->
+            if not (path_follows topology ~src ~dst path) then
+              invalid_arg "Synthesis.degrade: a route does not follow the topology";
+            Edge_map.add (src, dst) path routes)
+      t.routes patch
+  in
+  { topology; routes; uniform_router_ports = None }
+
 let custom acg decomp =
   let base =
     D.fold_vertices (fun v g -> D.add_vertex g v) (Acg.graph acg) D.empty

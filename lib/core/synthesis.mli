@@ -20,11 +20,27 @@ type t = private {
 }
 
 val make : topology:Noc_graph.Digraph.t -> routes:int list Noc_graph.Digraph.Edge_map.t -> t
-(** An architecture from explicit parts (for hand-built experiments,
-    simulator tests and rerouted tables), with per-link router radices
+(** An architecture from explicit parts (for hand-built experiments and
+    simulator tests), with per-link router radices
     ([uniform_router_ports = None]).  Topology is symmetrized; every route
-    must connect its flow's endpoints over topology links.
+    must connect its flow's endpoints over topology links.  Fault-degraded
+    tables come from {!degrade}, which checks only what changed.
     @raise Invalid_argument on an invalid route. *)
+
+val degrade :
+  t ->
+  topology:Noc_graph.Digraph.t ->
+  patch:((int * int) * int list option) list ->
+  t
+(** [degrade t ~topology ~patch] is what [t] degrades to when only
+    [topology] survives of its links and switches: [t]'s routes with each
+    flow of [patch] rerouted ([Some path]) or removed ([None]), over
+    [topology], with per-link router radices.  It costs the patch, not the
+    table: [topology] must be a subgraph of [t]'s topology, symmetric
+    (it is when whole links and switches fail), that every route outside
+    [patch] still follows, and only the patched paths are checked.
+    @raise Invalid_argument when a patched path does not connect its flow
+    over [topology]. *)
 
 val custom : Acg.t -> Decomposition.t -> t
 (** Topology = union of each matching's implementation graph (transferred

@@ -47,6 +47,7 @@ let property_names =
     "reroute-avoids-faults";
     "fallback-gap";
     "flit-energy";
+    "engine-reset";
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -474,6 +475,67 @@ let prop_flit_energy library acg =
   | Error _ as e -> e
   | Ok () -> check "mesh" (Syn.mesh ~rows ~cols acg)
 
+(* A random fault set of 0-3 links and 0-2 switches of [arch]. *)
+let random_faults rng arch =
+  let topo = arch.Syn.topology in
+  List.map
+    (fun (u, v) -> Noc_resil.Fault.link u v)
+    (Prng.sample rng (Prng.int rng 4) (D.undirected_edges topo))
+  @ List.map Noc_resil.Fault.switch (Prng.sample rng (Prng.int rng 3) (D.vertex_list topo))
+
+(* Engine reuse against a fresh engine.  A burst on the custom
+   architecture (random preset, 1-2 lanes, fixed or oblivious routing) is
+   cut off after 0-15 cycles, with flits in NIs, VOQs and on wires and
+   credits in flight.  [Flitsim.reset] onto the architecture a random
+   fault set degrades it to, then a one-packet-per-flow burst, must run
+   exactly as on an engine created for the degraded architecture, whose
+   oblivious walks draw from a copy of the generator taken at the reset:
+   same verdict, cycle, deliveries, metrics and link and switch counts. *)
+let prop_engine_reset library acg =
+  let module Flit = Noc_sim.Flitsim in
+  let module Engine = Noc_sim.Engine in
+  let g = Acg.graph acg in
+  let d, _ = Bb.decompose ~library acg in
+  let arch = Syn.custom acg d in
+  let rng = Prng.create ~seed:(graph_seed g lxor 0x5e5e7) in
+  let config =
+    { (Engine.config (Prng.choose rng Engine.all_kinds)) with Flit.num_vcs = Prng.int_in rng 1 2 }
+  in
+  let walks = if Prng.bool rng then Some (Prng.split rng) else None in
+  let policy = function Some w -> Flit.Oblivious w | None -> Flit.Fixed in
+  let size_flits = Prng.int_in rng 1 4 in
+  let net = Flit.create ~config ~policy:(policy walks) arch in
+  D.iter_edges (fun src dst -> ignore (Flit.inject ~size_flits net ~src ~dst)) g;
+  for _ = 1 to Prng.int rng 16 do
+    Flit.step net
+  done;
+  let degraded =
+    (Noc_resil.Reroute.apply arch ~faults:(random_faults rng arch)).Noc_resil.Reroute.arch
+  in
+  let fresh = Flit.create ~config ~policy:(policy (Option.map Prng.copy walks)) degraded in
+  Flit.reset net degraded;
+  let burst e =
+    D.iter_edges
+      (fun src dst ->
+        if Syn.route degraded ~src ~dst <> None then
+          ignore (Flit.inject ~size_flits e ~src ~dst))
+      g;
+    Flit.run_until_idle e
+  in
+  let verdict = burst net and verdict' = burst fresh in
+  if verdict <> verdict' then fail "reset engine and fresh engine reach different verdicts"
+  else if Flit.now net <> Flit.now fresh then
+    fail "reset engine stops at cycle %d, fresh engine at %d" (Flit.now net) (Flit.now fresh)
+  else if Flit.deliveries net <> Flit.deliveries fresh then
+    fail "reset engine and fresh engine deliver differently"
+  else if Flit.metrics net <> Flit.metrics fresh then
+    fail "reset engine and fresh engine count differently"
+  else if not (D.Edge_map.equal Int.equal (Flit.link_flits net) (Flit.link_flits fresh)) then
+    fail "reset engine and fresh engine load the links differently"
+  else if not (D.Vmap.equal Int.equal (Flit.switch_flits net) (Flit.switch_flits fresh)) then
+    fail "reset engine and fresh engine move flits through different switches"
+  else Ok ()
+
 let props library =
   [
     ("decompose-oracle", prop_decompose library);
@@ -486,6 +548,7 @@ let props library =
     ("reroute-avoids-faults", prop_reroute library);
     ("fallback-gap", prop_fallback_gap library);
     ("flit-energy", prop_flit_energy library);
+    ("engine-reset", prop_engine_reset library);
   ]
 
 let check ?(library = L.default ()) name acg =

@@ -35,7 +35,7 @@ val property_names : string list
 (** The catalog, in run order: ["decompose-oracle"; "bisection-oracle";
     "vf2-naive"; "cost-recompute"; "deadlock-cdg"; "edge-partition";
     "routes-valid"; "reroute-avoids-faults"; "fallback-gap";
-    "flit-energy"]. *)
+    "flit-energy"; "engine-reset"]. *)
 
 val gen_acg : rng:Noc_util.Prng.t -> Noc_core.Acg.t
 (** One random case: 3–8 cores, a structural family drawn from

@@ -2,7 +2,10 @@ module D = Noc_graph.Digraph
 module Engine = Noc_sim.Engine
 module Obs = Noc_obs.Obs
 
-type spec = Single_link | Multi_link of { links : int; samples : int }
+type spec =
+  | Single_link
+  | Multi_link of { links : int; samples : int }
+  | Fault_sets of Fault.t list list
 
 type run_result = {
   faults : Fault.t list;
@@ -40,14 +43,16 @@ type report = {
   engine_validated : bool;
 }
 
-(* The flows are filtered to the ACG's: the tables may route more. *)
-let burst ?(engine = Engine.Coarse) ?(size_flits = 2) ?(max_cycles = 200_000) acg arch faults =
+(* One run on the campaign's engine [net], reset onto the degraded
+   architecture.  The flows are filtered to the ACG's: the tables may
+   route more. *)
+let burst ~size_flits ~max_cycles net acg arch faults =
   let out = Reroute.apply arch ~faults in
+  Noc_sim.Flitsim.reset net out.Reroute.arch;
   let g = Noc_core.Acg.graph acg in
   let in_acg = List.filter (fun (s, d) -> D.mem_edge g s d) in
   let flows = in_acg (out.Reroute.kept @ out.Reroute.rerouted) in
   let dropped = List.length (in_acg out.Reroute.disconnected) in
-  let net = Engine.create engine out.Reroute.arch in
   List.iter (fun (src, dst) -> ignore (Engine.inject ~size_flits net ~src ~dst)) flows;
   let verdict = Engine.run_until_idle ~max_cycles net in
   let summary = Engine.summary net in
@@ -75,11 +80,15 @@ let fault_sets ~seed ~spec arch =
   | Multi_link { links; samples } ->
       let rng = Noc_util.Prng.create ~seed in
       Fault.multi_link_campaign ~rng ~links ~samples arch
+  | Fault_sets sets -> sets
 
-let run ?(observe = Obs.disabled) ?validate_engine ?size_flits ?max_cycles ~name ~seed ~spec
-    acg arch =
+(* One engine per campaign, built on the fault-free fabric: every fault
+   set's topology is a subgraph of it, so each burst only resets it. *)
+let run ?(observe = Obs.disabled) ?(validate_engine = Engine.Coarse) ?(size_flits = 2)
+    ?(max_cycles = 200_000) ~name ~seed ~spec acg arch =
   Obs.span observe ~cat:"resil" ("resil." ^ name) @@ fun () ->
-  let run_one = burst ?engine:validate_engine ?size_flits ?max_cycles acg arch in
+  let net = Engine.create validate_engine arch in
+  let run_one = burst ~size_flits ~max_cycles net acg arch in
   let baseline = run_one [] in
   let relative r =
     if r.avg_latency > 0.0 && baseline.avg_latency > 0.0 then
@@ -89,7 +98,7 @@ let run ?(observe = Obs.disabled) ?validate_engine ?size_flits ?max_cycles ~name
   let runs = List.map (fun fs -> relative (run_one fs)) (fault_sets ~seed ~spec arch) in
   let criticality =
     match spec with
-    | Multi_link _ -> []
+    | Multi_link _ | Fault_sets _ -> []
     | Single_link ->
         List.filter_map
           (fun r ->

@@ -4,8 +4,13 @@
     Each run applies its fault set to the architecture before any traffic
     moves: {!Reroute.apply} keeps the routes the faults spare, moves the
     others to shortest surviving paths and reports the flows left without
-    one.  One burst (one packet per surviving ACG flow) then runs through
-    a fresh flit engine ({!Noc_sim.Engine}) to idle.  A disconnected flow
+    one.  One burst (one packet per surviving ACG flow) then runs to idle
+    through the campaign's flit engine ({!Noc_sim.Engine}).  A campaign
+    builds that engine once, on the fault-free architecture, and
+    {!Noc_sim.Flitsim.reset}s it onto each degraded one, whose topology is
+    a subgraph of the fault-free one: a burst pays for re-planning its
+    rerouted flows, not for a new fabric, and runs exactly as it would on
+    an engine built for the degraded architecture.  A disconnected flow
     counts as one dropped packet, and a surviving packet the burst does not
     deliver (a deadlock of the rerouted tables, or the cycle limit) as
     stranded, so a run is characterized by its delivered fraction, latency
@@ -19,6 +24,9 @@ type spec =
   | Single_link  (** exhaustive: one run per physical link *)
   | Multi_link of { links : int; samples : int }
       (** sampled: [samples] runs of [links] simultaneous failures *)
+  | Fault_sets of Fault.t list list
+      (** the given fault sets, switch failures included, one run each in
+          order *)
 
 type run_result = {
   faults : Fault.t list;
@@ -66,21 +74,6 @@ type report = {
   engine_validated : bool;  (** every run, the baseline included, has [engine_ok] *)
 }
 
-val burst :
-  ?engine:Noc_sim.Engine.kind ->
-  ?size_flits:int ->
-  ?max_cycles:int ->
-  Noc_core.Acg.t ->
-  Noc_core.Synthesis.t ->
-  Fault.t list ->
-  run_result
-(** One run: the faults degrade [arch] ({!Reroute.apply}), then one packet
-    of [size_flits] (default 2) per surviving ACG flow runs through a
-    fresh engine on the [engine] preset (default
-    {!Noc_sim.Engine.Coarse}) for at most [max_cycles] (default 200_000).
-    The kept flows inject first, then the rerouted ones.  Its
-    [latency_factor] is 1.0. *)
-
 val run :
   ?observe:Noc_obs.Obs.t ->
   ?validate_engine:Noc_sim.Engine.kind ->
@@ -92,13 +85,16 @@ val run :
   Noc_core.Acg.t ->
   Noc_core.Synthesis.t ->
   report
-(** Run the campaign for one scenario: a fault-free baseline {!burst},
-    then one per fault set.  [seed] drives multi-link sampling
-    (single-link sweeps are deterministic anyway); [validate_engine] names
-    the preset every burst runs on (default {!Noc_sim.Engine.Coarse}, one
-    lane: a reroute-induced deadlock strands packets instead of being
-    masked by extra lanes); [size_flits] and [max_cycles] go to every
-    burst.  Deterministic: identical arguments give identical reports. *)
+(** Run the campaign for one scenario: a fault-free baseline burst, then
+    one per fault set.  A burst degrades [arch] under its fault set
+    ({!Reroute.apply}), then injects one packet of [size_flits] (default
+    2) per surviving ACG flow, the kept flows first, and runs at most
+    [max_cycles] (default 200_000) cycles.  [seed] drives multi-link
+    sampling (the other specs are deterministic anyway);
+    [validate_engine] names the preset of the campaign's engine (default
+    {!Noc_sim.Engine.Coarse}, one lane: a reroute-induced deadlock
+    strands packets instead of being masked by extra lanes).
+    Deterministic: identical arguments give identical reports. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One-line human summary (scenario, runs, worst numbers, verdict). *)

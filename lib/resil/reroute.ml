@@ -21,30 +21,21 @@ type outcome = {
   kept : (int * int) list;
   rerouted : (int * int) list;
   disconnected : (int * int) list;
-  deadlock : Noc_core.Deadlock.report;
 }
 
+(* Walking the table from its last flow conses each list in map order. *)
 let apply arch ~faults =
   let g = surviving_topology arch ~faults in
-  let routes, kept, rerouted, disconnected =
-    Edge_map.fold
-      (fun (s, d) path (routes, kept, rer, disc) ->
-        if not (D.mem_vertex g s && D.mem_vertex g d) then
-          (routes, kept, rer, (s, d) :: disc)
-        else if path_survives g path then
-          (Edge_map.add (s, d) path routes, (s, d) :: kept, rer, disc)
+  let kept, rerouted, disconnected, patch =
+    Seq.fold_left
+      (fun (kept, rer, disc, patch) ((s, d), path) ->
+        let alive = D.mem_vertex g s && D.mem_vertex g d in
+        if alive && path_survives g path then ((s, d) :: kept, rer, disc, patch)
         else
-          match Noc_graph.Traversal.shortest_path g s d with
-          | Some path' -> (Edge_map.add (s, d) path' routes, kept, (s, d) :: rer, disc)
-          | None -> (routes, kept, rer, (s, d) :: disc))
-      arch.Syn.routes
-      (Edge_map.empty, [], [], [])
+          match if alive then Noc_graph.Traversal.shortest_path g s d else None with
+          | Some path' -> (kept, (s, d) :: rer, disc, ((s, d), Some path') :: patch)
+          | None -> (kept, rer, (s, d) :: disc, ((s, d), None) :: patch))
+      ([], [], [], [])
+      (Edge_map.to_rev_seq arch.Syn.routes)
   in
-  let arch' = Syn.make ~topology:g ~routes in
-  {
-    arch = arch';
-    kept = List.sort compare kept;
-    rerouted = List.sort compare rerouted;
-    disconnected = List.sort compare disconnected;
-    deadlock = Noc_core.Deadlock.analyze arch';
-  }
+  { arch = Syn.degrade arch ~topology:g ~patch; kept; rerouted; disconnected }

@@ -1,14 +1,13 @@
 (** Graceful degradation of routing tables: given an architecture and a
-    set of faults, rebuild the routing tables over the surviving topology.
+    set of faults, patch its routing table for the surviving topology.
 
     Routes untouched by the faults are kept verbatim (schedule-derived
     optimality is preserved); routes crossing a failed link or switch fall
     back to a shortest path over the surviving links; flows whose
     endpoints can no longer reach each other are reported as disconnected
-    and dropped from the table.  The degraded architecture is re-analyzed
-    for deadlock — a rerouted table can introduce channel-dependency
-    cycles the original schedule-derived table avoided, and callers
-    deciding whether a degraded mode is safe to run need that verdict. *)
+    and dropped from the table.  Only the routes the faults hit are
+    touched: the degraded architecture shares the rest of the table, and
+    {!Noc_core.Synthesis.degrade} checks only the new paths. *)
 
 type outcome = {
   arch : Noc_core.Synthesis.t;
@@ -18,8 +17,6 @@ type outcome = {
   rerouted : (int * int) list;  (** flows moved to a shortest-path fallback *)
   disconnected : (int * int) list;
       (** flows with no surviving path (including dead endpoints) *)
-  deadlock : Noc_core.Deadlock.report;
-      (** Dally & Seitz analysis of the degraded routing tables *)
 }
 
 val surviving_topology :
@@ -28,5 +25,5 @@ val surviving_topology :
     switches (with all their links). *)
 
 val apply : Noc_core.Synthesis.t -> faults:Fault.t list -> outcome
-(** Degrade [arch] under the faults.  All three flow lists are sorted and
-    partition the original flow set. *)
+(** Degrade [arch] under the faults.  The three flow lists are in table
+    order (ascending [(src, dst)]) and partition the original flow set. *)

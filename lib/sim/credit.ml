@@ -18,4 +18,6 @@ let put t =
   if t.available >= t.capacity then invalid_arg "Credit.put: counter already full";
   t.available <- t.available + 1
 
+let refill t = t.available <- t.capacity
+
 let balanced t ~outstanding = t.available + outstanding = t.capacity

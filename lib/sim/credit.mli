@@ -29,6 +29,9 @@ val put : t -> unit
 (** Return one credit.  @raise Invalid_argument if the counter would
     exceed its capacity — a protocol bug, not a runtime condition. *)
 
+val refill : t -> unit
+(** Makes every credit available again, as {!create} left it. *)
+
 val balanced : t -> outstanding:int -> bool
 (** [balanced c ~outstanding] checks the conservation invariant:
     [available c + outstanding = capacity c], where [outstanding] counts

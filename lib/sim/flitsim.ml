@@ -23,19 +23,19 @@ type delivery = Packet.delivery = { packet : Packet.t; delivered_at : int }
 (* A flow's route resolved once, on its first [inject]: the VOQ its flits
    occupy at each hop and the source NI they wait in.  The flow's packets
    share [route] and [plan]; under [Oblivious], the packets that drew one
-   path share its plan. *)
-type flow = { route : int array; plan : Router.voq array; ni : Router.flit Queue.t }
+   path share its plan.  [path] is the route as the architecture lists
+   it: [reset] keeps the plan while the adopted architecture lists the
+   same one. *)
+type flow = {
+  path : int list;
+  route : int array;
+  plan : Router.voq array;
+  ni : Router.flit Queue.t;
+}
 
-type t = {
-  arch : Syn.t;
-  cfg : config;
-  policy : policy;
-  ppf : int;
-  routers : Router.t array;  (* ascending vertex id: the one scan order every phase uses *)
-  index : (int, int) Hashtbl.t;  (* vertex -> position in [routers]; create and inject only *)
-  flows : (int * int, flow) Hashtbl.t;
-  paths : (int array, flow) Hashtbl.t;  (* [Oblivious]: one plan per drawn path *)
-  dist : (int, int D.Vmap.t) Hashtbl.t;  (* [Oblivious]: hop distances to a destination *)
+(* Everything a run changes besides the fabric's queues.  [create] and
+   [reset] both start from [fresh], so neither can miss a field. *)
+type state = {
   link_count : int array array;
       (* [link_count.(i).(k)]: flits that arrived over output [k] of
          [routers.(i)]; slot 0, the ejection port, stays 0 *)
@@ -60,6 +60,42 @@ type t = {
       (* latest switch-ready cycle ever assigned: while cycle < last_ready a
          flit may still be maturing in a router pipeline, so a motionless
          cycle is not yet proof of a fixpoint *)
+}
+
+let fresh routers =
+  {
+    link_count = Array.map (fun (r : Router.t) -> Array.make (Array.length r.Router.outputs) 0) routers;
+    switch_count = Array.make (Array.length routers) 0;
+    due = [||];
+    ndue = 0;
+    cycle = 0;
+    next_id = 0;
+    injected_packets = 0;
+    delivered_packets = 0;
+    delivered_rev = [];
+    drained = 0;
+    injected_flits = 0;
+    delivered_flits = 0;
+    ni_occupancy = 0;
+    voq_occupancy = 0;
+    wire_occupancy = 0;
+    flit_hops = 0;
+    buffer_flit_cycles = 0;
+    moved = false;
+    last_ready = 0;
+  }
+
+type t = {
+  mutable arch : Syn.t;  (* the routes in force: [create]'s, then each [reset]'s *)
+  cfg : config;
+  policy : policy;
+  ppf : int;
+  routers : Router.t array;  (* ascending vertex id: the one scan order every phase uses *)
+  index : (int, int) Hashtbl.t;  (* vertex -> position in [routers]; create and inject only *)
+  flows : (int * int, flow) Hashtbl.t;
+  paths : (int array, flow) Hashtbl.t;  (* [Oblivious]: one plan per drawn path *)
+  dist : (int, int D.Vmap.t) Hashtbl.t;  (* [Oblivious]: hop distances to a destination *)
+  mutable st : state;
 }
 
 let create ?(config = default_config) ?(policy = Fixed) arch =
@@ -98,28 +134,25 @@ let create ?(config = default_config) ?(policy = Fixed) arch =
     flows = Hashtbl.create 16;
     paths = Hashtbl.create 16;
     dist = Hashtbl.create 16;
-    link_count = Array.map (fun (r : Router.t) -> Array.make (Array.length r.Router.outputs) 0) routers;
-    switch_count = Array.make (Array.length routers) 0;
-    due = [||];
-    ndue = 0;
-    cycle = 0;
-    next_id = 0;
-    injected_packets = 0;
-    delivered_packets = 0;
-    delivered_rev = [];
-    drained = 0;
-    injected_flits = 0;
-    delivered_flits = 0;
-    ni_occupancy = 0;
-    voq_occupancy = 0;
-    wire_occupancy = 0;
-    flit_hops = 0;
-    buffer_flit_cycles = 0;
-    moved = false;
-    last_ready = 0;
+    st = fresh routers;
   }
 
-let now t = t.cycle
+(* A plan depends only on its path and lanes, so a kept one is exactly
+   what a fresh engine on [arch] would resolve; the routers, ports and
+   queues [arch] no longer uses stay empty and are never granted. *)
+let reset t arch =
+  Array.iter Router.clear t.routers;
+  t.st <- fresh t.routers;
+  t.arch <- arch;
+  Hashtbl.filter_map_inplace
+    (fun (src, dst) fl ->
+      match Syn.route arch ~src ~dst with
+      | Some path when path == fl.path || List.equal Int.equal path fl.path -> Some fl
+      | Some _ | None -> None)
+    t.flows;
+  Hashtbl.clear t.dist
+
+let now t = t.st.cycle
 let config t = t.cfg
 let arch t = t.arch
 let router t v = t.routers.(Hashtbl.find t.index v)
@@ -131,7 +164,7 @@ let plan_of t path =
   let route = Array.of_list path in
   let lanes = Noc_core.Deadlock.route_vcs ~num_vcs:t.cfg.num_vcs path in
   let last = Array.length route - 1 in
-  let plan =
+  match
     Array.mapi
       (fun h v ->
         let output = if h = last then Router.Eject else Router.To route.(h + 1) in
@@ -140,8 +173,12 @@ let plan_of t path =
           Router.find_voq (router t v) ~input:(Router.From route.(h - 1)) ~output
             ~vc:lanes.(h - 1))
       route
-  in
-  { route; plan; ni = (router t route.(0)).Router.ni }
+  with
+  | plan -> { path; route; plan; ni = (router t route.(0)).Router.ni }
+  | exception Not_found ->
+      invalid_arg
+        (Printf.sprintf "Flitsim.inject: route %s crosses a link the engine lacks"
+           (String.concat "-" (List.map string_of_int path)))
 
 let route_exn t ~src ~dst =
   match Syn.route t.arch ~src ~dst with
@@ -197,39 +234,40 @@ let inject ?(tag = 0) ?(payload = Bytes.empty) ?(size_flits = 1) t ~src ~dst =
     | Fixed -> flow t ~src ~dst
     | Oblivious rng -> oblivious_flow t rng ~src ~dst
   in
-  let id = t.next_id in
-  t.next_id <- id + 1;
+  let st = t.st in
+  let id = st.next_id in
+  st.next_id <- id + 1;
   let packet =
-    { Packet.id; src; dst; size_flits; tag; payload; route = fl.route; injected_at = t.cycle }
+    { Packet.id; src; dst; size_flits; tag; payload; route = fl.route; injected_at = st.cycle }
   in
   for idx = 0 to size_flits - 1 do
-    Queue.add { Router.packet; plan = fl.plan; idx; hop = 0; ready_at = t.cycle } fl.ni
+    Queue.add { Router.packet; plan = fl.plan; idx; hop = 0; ready_at = st.cycle } fl.ni
   done;
-  t.injected_packets <- t.injected_packets + 1;
-  t.injected_flits <- t.injected_flits + size_flits;
-  t.ni_occupancy <- t.ni_occupancy + size_flits;
+  st.injected_packets <- st.injected_packets + 1;
+  st.injected_flits <- st.injected_flits + size_flits;
+  st.ni_occupancy <- st.ni_occupancy + size_flits;
   id
 
 (* Buffers [f] in [voq] at cycle [c], switch-ready [router_delay] cycles
    later; that cycle grows with [c], so it is also the latest assigned. *)
-let enqueue t c (f : Router.flit) (voq : Router.voq) =
+let enqueue t st c (f : Router.flit) (voq : Router.voq) =
   f.Router.ready_at <- c + t.cfg.router_delay;
-  t.last_ready <- f.Router.ready_at;
+  st.last_ready <- f.Router.ready_at;
   Queue.add f voq.Router.q;
   incr voq.Router.queued;
-  t.voq_occupancy <- t.voq_occupancy + 1;
-  t.moved <- true
+  st.voq_occupancy <- st.voq_occupancy + 1;
+  st.moved <- true
 
 (* A freed slot's credit reaches the upstream sender next cycle.  The
    array grows to the most returns one cycle has seen, then stays. *)
-let return_credit t cr =
-  if t.ndue = Array.length t.due then begin
-    let due = Array.make ((2 * t.ndue) + 8) cr in
-    Array.blit t.due 0 due 0 t.ndue;
-    t.due <- due
+let return_credit st cr =
+  if st.ndue = Array.length st.due then begin
+    let due = Array.make ((2 * st.ndue) + 8) cr in
+    Array.blit st.due 0 due 0 st.ndue;
+    st.due <- due
   end;
-  t.due.(t.ndue) <- cr;
-  t.ndue <- t.ndue + 1
+  st.due.(st.ndue) <- cr;
+  st.ndue <- st.ndue + 1
 
 (* The round-robin grant of ejection and link sends alike: scan [p]'s VOQs
    from just after the last grant for the first whose head flit is
@@ -238,7 +276,7 @@ let return_credit t cr =
    upstream next cycle, counts a traversal of switch [sw] and moves the
    pointer past the winner; without a grant the pointer stays.  Returns
    [Router.idle] when nothing is granted. *)
-let grant t c ~link ~sw (p : Router.port) =
+let grant st c ~link ~sw (p : Router.port) =
   let voqs = p.Router.voqs in
   let n = Array.length voqs in
   let won = ref Router.idle and k = ref 0 in
@@ -255,11 +293,11 @@ let grant t c ~link ~sw (p : Router.port) =
          decr p.Router.queued;
          (match voq.Router.input with
          | Router.Local -> ()
-         | Router.From _ -> return_credit t voq.Router.credits);
+         | Router.From _ -> return_credit st voq.Router.credits);
          p.Router.rr <- (i + 1) mod n;
-         t.voq_occupancy <- t.voq_occupancy - 1;
-         t.switch_count.(sw) <- t.switch_count.(sw) + 1;
-         t.moved <- true;
+         st.voq_occupancy <- st.voq_occupancy - 1;
+         st.switch_count.(sw) <- st.switch_count.(sw) + 1;
+         st.moved <- true;
          won := f
        end);
     incr k
@@ -270,17 +308,18 @@ let grant t c ~link ~sw (p : Router.port) =
    nothing and keeps its pointer, phase 2 has nothing to land while no flit
    is on a wire, and phase 5 nothing to inject while every NI is empty. *)
 let step t =
-  t.cycle <- t.cycle + 1;
-  let c = t.cycle in
-  t.buffer_flit_cycles <- t.buffer_flit_cycles + t.voq_occupancy;
-  t.moved <- false;
+  let st = t.st in
+  st.cycle <- st.cycle + 1;
+  let c = st.cycle in
+  st.buffer_flit_cycles <- st.buffer_flit_cycles + st.voq_occupancy;
+  st.moved <- false;
   (* phase 1: credit returns land *)
-  for j = 0 to t.ndue - 1 do
-    Credit.put t.due.(j)
+  for j = 0 to st.ndue - 1 do
+    Credit.put st.due.(j)
   done;
-  t.ndue <- 0;
+  st.ndue <- 0;
   (* phase 2: link arrivals enter downstream VOQs *)
-  if t.wire_occupancy > 0 then
+  if st.wire_occupancy > 0 then
     for i = 0 to Array.length t.routers - 1 do
       let outputs = t.routers.(i).Router.outputs in
       for k = 1 to Array.length outputs - 1 do
@@ -289,10 +328,10 @@ let step t =
         if f != Router.idle && f.Router.ready_at <= c then begin
           p.Router.wire <- Router.idle;
           f.Router.hop <- f.Router.hop + 1;
-          enqueue t c f f.Router.plan.(f.Router.hop);
-          t.wire_occupancy <- t.wire_occupancy - 1;
-          t.flit_hops <- t.flit_hops + 1;
-          t.link_count.(i).(k) <- t.link_count.(i).(k) + 1
+          enqueue t st c f f.Router.plan.(f.Router.hop);
+          st.wire_occupancy <- st.wire_occupancy - 1;
+          st.flit_hops <- st.flit_hops + 1;
+          st.link_count.(i).(k) <- st.link_count.(i).(k) + 1
         end
       done
     done;
@@ -300,12 +339,12 @@ let step t =
   for i = 0 to Array.length t.routers - 1 do
     let p = t.routers.(i).Router.outputs.(0) in
     if !(p.Router.queued) > 0 then begin
-      let f = grant t c ~link:false ~sw:i p in
+      let f = grant st c ~link:false ~sw:i p in
       if f != Router.idle then begin
-        t.delivered_flits <- t.delivered_flits + 1;
+        st.delivered_flits <- st.delivered_flits + 1;
         if f.Router.idx = f.Router.packet.Packet.size_flits - 1 then begin
-          t.delivered_rev <- { packet = f.Router.packet; delivered_at = c } :: t.delivered_rev;
-          t.delivered_packets <- t.delivered_packets + 1
+          st.delivered_rev <- { packet = f.Router.packet; delivered_at = c } :: st.delivered_rev;
+          st.delivered_packets <- st.delivered_packets + 1
         end
       end
     end
@@ -317,18 +356,18 @@ let step t =
     for k = 1 to Array.length outputs - 1 do
       let p = outputs.(k) in
       if !(p.Router.queued) > 0 && p.Router.wire == Router.idle then begin
-        let f = grant t c ~link:true ~sw:i p in
+        let f = grant st c ~link:true ~sw:i p in
         if f != Router.idle then begin
           ignore (Credit.take f.Router.plan.(f.Router.hop + 1).Router.credits);
           p.Router.wire <- f;
           f.Router.ready_at <- c + t.ppf;
-          t.wire_occupancy <- t.wire_occupancy + 1
+          st.wire_occupancy <- st.wire_occupancy + 1
         end
       end
     done
   done;
   (* phase 5: NI injection, one flit per source per cycle *)
-  if t.ni_occupancy > 0 then
+  if st.ni_occupancy > 0 then
     for i = 0 to Array.length t.routers - 1 do
       let ni = t.routers.(i).Router.ni in
       if not (Queue.is_empty ni) then begin
@@ -336,45 +375,47 @@ let step t =
         let voq = f.Router.plan.(0) in
         if Queue.length voq.Router.q < t.cfg.fifo_depth then begin
           ignore (Queue.take ni);
-          enqueue t c f voq;
-          t.ni_occupancy <- t.ni_occupancy - 1
+          enqueue t st c f voq;
+          st.ni_occupancy <- st.ni_occupancy - 1
         end
       end
     done
 
-let pending t = t.injected_packets - t.delivered_packets
+let pending t = t.st.injected_packets - t.st.delivered_packets
 
 let run_until_idle ?(max_cycles = 100_000) t =
-  let limit = t.cycle + max_cycles in
+  let limit = t.st.cycle + max_cycles in
   let rec go () =
     if pending t = 0 then `Idle
-    else if t.cycle >= limit then `Limit (pending t)
+    else if t.st.cycle >= limit then `Limit (pending t)
     else begin
       step t;
       (* No movement with nothing on a wire and no credit in flight is a
          fixpoint: the same allocation decisions repeat forever. *)
+      let st = t.st in
       if
-        (not t.moved) && t.wire_occupancy = 0 && t.ndue = 0
-        && t.cycle >= t.last_ready && pending t > 0
+        (not st.moved) && st.wire_occupancy = 0 && st.ndue = 0
+        && st.cycle >= st.last_ready && pending t > 0
       then `Deadlock
       else go ()
     end
   in
   go ()
 
-let deliveries t = List.rev t.delivered_rev
+let deliveries t = List.rev t.st.delivered_rev
 
 let drain_deliveries t =
+  let st = t.st in
   let rec take n l acc = if n = 0 then acc else take (n - 1) (List.tl l) (List.hd l :: acc) in
-  let fresh = take (t.delivered_packets - t.drained) t.delivered_rev [] in
-  t.drained <- t.delivered_packets;
-  fresh
-let injected_flits t = t.injected_flits
-let delivered_flits t = t.delivered_flits
-let in_flight_flits t = t.ni_occupancy + t.voq_occupancy + t.wire_occupancy
-let conservation_ok t = t.injected_flits = t.delivered_flits + in_flight_flits t
-let flit_hops t = t.flit_hops
-let buffer_flit_cycles t = t.buffer_flit_cycles
+  let since = take (st.delivered_packets - st.drained) st.delivered_rev [] in
+  st.drained <- st.delivered_packets;
+  since
+let injected_flits t = t.st.injected_flits
+let delivered_flits t = t.st.delivered_flits
+let in_flight_flits t = t.st.ni_occupancy + t.st.voq_occupancy + t.st.wire_occupancy
+let conservation_ok t = t.st.injected_flits = t.st.delivered_flits + in_flight_flits t
+let flit_hops t = t.st.flit_hops
+let buffer_flit_cycles t = t.st.buffer_flit_cycles
 
 let link_flits t =
   let m = ref Edge_map.empty in
@@ -385,7 +426,7 @@ let link_flits t =
           match r.Router.outputs.(k).Router.dest with
           | Router.To v when n > 0 -> m := Edge_map.add (r.Router.node, v) n !m
           | _ -> ())
-        t.link_count.(i))
+        t.st.link_count.(i))
     t.routers;
   !m
 
@@ -393,21 +434,22 @@ let switch_flits t =
   let m = ref Vmap.empty in
   Array.iteri
     (fun i n -> if n > 0 then m := Vmap.add t.routers.(i).Router.node n !m)
-    t.switch_count;
+    t.st.switch_count;
   !m
 
 let vc_truncated t = t.cfg.num_vcs < (Noc_core.Deadlock.analyze t.arch).vcs_needed
 
 let metrics t =
+  let st = t.st in
   [
-    ("flit.cycles", float_of_int t.cycle);
-    ("flit.injected_packets", float_of_int t.injected_packets);
-    ("flit.delivered_packets", float_of_int t.delivered_packets);
+    ("flit.cycles", float_of_int st.cycle);
+    ("flit.injected_packets", float_of_int st.injected_packets);
+    ("flit.delivered_packets", float_of_int st.delivered_packets);
     ("flit.pending_packets", float_of_int (pending t));
-    ("flit.injected_flits", float_of_int t.injected_flits);
-    ("flit.delivered_flits", float_of_int t.delivered_flits);
+    ("flit.injected_flits", float_of_int st.injected_flits);
+    ("flit.delivered_flits", float_of_int st.delivered_flits);
     ("flit.in_flight_flits", float_of_int (in_flight_flits t));
-    ("flit.flit_hops", float_of_int t.flit_hops);
-    ("flit.buffer_flit_cycles", float_of_int t.buffer_flit_cycles);
+    ("flit.flit_hops", float_of_int st.flit_hops);
+    ("flit.buffer_flit_cycles", float_of_int st.buffer_flit_cycles);
     ("flit.phits_per_flit", float_of_int t.ppf);
   ]

@@ -127,18 +127,37 @@ val create : ?config:config -> ?policy:policy -> Noc_core.Synthesis.t -> t
 (** [policy] defaults to [Fixed].
     @raise Invalid_argument on a non-positive config field. *)
 
+val reset : t -> Noc_core.Synthesis.t -> unit
+(** [reset t arch] reuses [t]'s fabric for a new run over [arch]: it
+    empties every NI, queue and wire, refills every credit, puts every
+    round-robin pointer back, zeroes the cycle and every counter, and
+    adopts [arch]'s routes.  A flow whose route [arch] leaves unchanged
+    keeps its hop plan; the others are resolved again on their next
+    {!inject}.  The policy carries over, an [Oblivious] generator in the
+    state the last run left it.
+
+    [arch]'s topology must be a subgraph of the one [t] was created on.
+    The routers, ports and queues [arch] no longer uses stay empty, and a
+    round-robin scan skips an empty queue, so the run is the one a
+    {!create} on [arch] with the same config and policy would make: same
+    cycles, deliveries and counters.
+    @raise Invalid_argument from {!inject} when a route crosses a link
+    the engine lacks. *)
+
 val now : t -> int
 val config : t -> config
 
 val arch : t -> Noc_core.Synthesis.t
-(** The architecture the engine was built over. *)
+(** The architecture the engine last adopted: {!create}'s, then each
+    {!reset}'s. *)
 
 val inject :
   ?tag:int -> ?payload:Bytes.t -> ?size_flits:int -> t -> src:int -> dst:int -> int
 (** Queues a packet ([size_flits] defaults to 1) at its source NI at the
     current cycle; returns the packet id.  The packet's [route] is the
     path its flits take.
-    @raise Invalid_argument if the architecture has no route. *)
+    @raise Invalid_argument if the architecture has no route, or (after
+    a {!reset}) the route crosses a link the engine lacks. *)
 
 val step : t -> unit
 

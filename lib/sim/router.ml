@@ -47,6 +47,20 @@ let create ~node ~preds ~succs ~depth ~num_vcs =
   let outputs = Array.init (1 + Array.length succs) (fun k -> port (dest k)) in
   { node; ni = Queue.create (); outputs }
 
+let clear t =
+  Queue.clear t.ni;
+  Array.iter
+    (fun p ->
+      p.rr <- 0;
+      p.queued := 0;
+      p.wire <- idle;
+      Array.iter
+        (fun voq ->
+          Queue.clear voq.q;
+          Credit.refill voq.credits)
+        p.voqs)
+    t.outputs
+
 let port t dest =
   let n = Array.length t.outputs in
   let rec go i = if i = n then raise Not_found

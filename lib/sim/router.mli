@@ -94,5 +94,9 @@ val create :
     of capacity [depth] and a matching credit counter per lane — [num_vcs]
     lanes for a link input, one for [Local]. *)
 
+val clear : t -> unit
+(** Empties the router as {!create} left it: NI and queues empty, wires
+    idle, arbiter pointers at [Local], every credit available. *)
+
 val find_voq : t -> input:in_key -> output:out_key -> vc:int -> voq
 (** @raise Not_found if the router has no such queue. *)

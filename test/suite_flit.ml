@@ -673,6 +673,34 @@ let test_flit_pinned () =
       Alcotest.(check string) k want h)
     pinned_digests got
 
+(* [reset] keeps the fabric, so the adopted topology must be a subgraph
+   of it: a route over a link the fabric lacks is refused at its first
+   inject, and a route over links it has runs as on a fresh engine, even
+   after a run left flits behind. *)
+let test_flit_reset_subgraph () =
+  let net = Flit.create (line_arch 2) in
+  ignore (Flit.inject ~size_flits:2 net ~src:0 ~dst:2);
+  Flit.step net;
+  Flit.step net;
+  let shortcut =
+    Syn.make ~topology:(D.add_edge D.empty 0 2) ~routes:(Edge_map.singleton (0, 2) [ 0; 2 ])
+  in
+  Flit.reset net shortcut;
+  Alcotest.(check bool) "adopts the architecture" true (Flit.arch net == shortcut);
+  Alcotest.(check int) "cycle restarts" 0 (Flit.now net);
+  Alcotest.(check int) "fabric emptied" 0 (Flit.in_flight_flits net);
+  Alcotest.check_raises "a link the fabric lacks"
+    (Invalid_argument "Flitsim.inject: route 0-2 crosses a link the engine lacks") (fun () ->
+      ignore (Flit.inject net ~src:0 ~dst:2));
+  Flit.reset net (line_arch 2);
+  let fresh = Flit.create (line_arch 2) in
+  List.iter (fun e -> ignore (Flit.inject ~size_flits:2 e ~src:0 ~dst:2)) [ net; fresh ];
+  Alcotest.(check bool) "drains" true (Flit.run_until_idle net = `Idle);
+  ignore (Flit.run_until_idle fresh);
+  Alcotest.(check int) "cycles of a fresh engine" (Flit.now fresh) (Flit.now net);
+  Alcotest.(check bool) "deliveries of a fresh engine" true
+    (Flit.deliveries fresh = Flit.deliveries net)
+
 let suite =
   ( "flit",
     [
@@ -691,4 +719,6 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_deeper_fifos_monotone;
       QCheck_alcotest.to_alcotest qcheck_lanes_drain_cyclic_rings;
       Alcotest.test_case "flit: exact behaviour is pinned" `Quick test_flit_pinned;
+      Alcotest.test_case "flit: reset needs a subgraph of the fabric" `Quick
+        test_flit_reset_subgraph;
     ] )
